@@ -35,6 +35,7 @@ from .detector import (
 from .errors import (
     ArlifError,
     BadMagic,
+    CorruptModel,
     DimensionMismatch,
     Empty,
     EmptyStream,
@@ -49,10 +50,10 @@ from .errors import (
 )
 from .iforest import (
     IsolationForest,
-    IsolationTree,
     build_forest,
     build_tree,
     c_factor,
+    forest_probas,
     forest_score,
     path_length,
     tree_proba,

@@ -14,9 +14,9 @@ reals throughout:
                 psi u32 | m u32 | tau f64 | eta f64 | samples_seen u64
     pre         selected m*u32 | min_max 41*2 f64 | vocab: per categorical
                 column count u32 then (len u32 + utf-8 bytes) per token
-    forest      per tree: n_nodes u32 + n_nodes * 28-byte node records
-                (feature i32, threshold f64, left i32, right i32,
-                 size i32, depth i32); leaves carry feature = -1
+    forest      per tree: n_nodes u32 + n_nodes * 28-byte iforest.NODE_DTYPE
+                records (feature i32, threshold f64, left i32, right i32,
+                size i32, depth i32), written and read as the tree array
     attention   Wq, Wk, Wv (k*k f64 each), bq, bk, bv (k f64),
                 histories (T*k f64)   -- present iff flags bit 0
 
@@ -27,7 +27,6 @@ back into a streaming detector.
 
 from __future__ import annotations
 
-import math
 import struct
 import time
 from dataclasses import dataclass, field
@@ -37,12 +36,13 @@ import numpy as np
 from .attention import AttentionParams, backward, bce_loss, forward, sgd_step
 from .errors import (
     BadMagic,
+    CorruptModel,
     DimensionMismatch,
     EmptyStream,
     TruncatedFile,
     VersionUnsupported,
 )
-from .iforest import IsolationForest, IsolationTree, c_factor, tree_proba
+from .iforest import NODE_DTYPE, IsolationForest, forest_probas
 from .ingest import CATEGORICAL_COLUMNS, N_FEATURES, Preprocessor, Record, transform
 
 MAGIC = b"ARLF"
@@ -50,10 +50,6 @@ FORMAT_VERSION = 1
 _FLAG_ATTENTION = 0x0001
 
 _HEADER = struct.Struct("<4sHHIIIIddQ")
-_NODE_DTYPE = np.dtype(
-    [("f", "<i4"), ("t", "<f8"), ("l", "<i4"), ("r", "<i4"), ("s", "<i4"), ("d", "<i4")],
-    align=False,
-)
 
 
 @dataclass
@@ -93,8 +89,6 @@ def new_detector(
         raise ValueError(f"tau must lie in (0,1), got {tau}")
     if eta <= 0.0:
         raise ValueError(f"eta must be > 0, got {eta}")
-    if forest.n_trees < 1:
-        raise ValueError("forest has no trees")
     if pre.m != forest.n_features:
         raise DimensionMismatch(
             f"preprocessor emits {pre.m} features, forest was built on {forest.n_features}"
@@ -110,8 +104,7 @@ def observe(det: Detector, r: Record) -> DetectionResult:
     for an immediately following learn() on the same record."""
     t0 = time.perf_counter_ns()
     x = transform(det.pre, r)
-    c_psi = det.forest.c_psi
-    probas = [tree_proba(tree, x, c_psi) for tree in det.forest.trees]
+    probas = forest_probas(det.forest, x)
     H = det.histories
     H[:, :-1] = H[:, 1:]
     H[:, -1] = probas
@@ -165,24 +158,9 @@ def _pre_bytes(pre: Preprocessor) -> bytes:
     return b"".join(out)
 
 
-def _tree_records(tree: IsolationTree) -> np.ndarray:
-    rec = np.empty(tree.n_nodes, dtype=_NODE_DTYPE)
-    rec["f"] = tree.feature
-    rec["t"] = tree.threshold
-    rec["l"] = tree.left
-    rec["r"] = tree.right
-    rec["s"] = tree.size
-    rec["d"] = tree.depth
-    return rec
-
-
 def forest_bytes(forest: IsolationForest) -> bytes:
     """The forest segment exactly as it appears inside a model file."""
-    out = []
-    for tree in forest.trees:
-        out.append(struct.pack("<I", tree.n_nodes))
-        out.append(_tree_records(tree).tobytes())
-    return b"".join(out)
+    return b"".join(struct.pack("<I", len(tree)) + tree.tobytes() for tree in forest.trees)
 
 
 def attention_params_bytes(params: AttentionParams) -> bytes:
@@ -266,6 +244,9 @@ def from_bytes(data: bytes) -> Detector:
         )
 
     selected = np.frombuffer(rd.take(4 * m), dtype="<u4").astype(int).tolist()
+    if k < 1 or not 0 < len(set(selected)) == m or max(selected) >= N_FEATURES:
+        raise CorruptModel(f"need window k >= 1 (got {k}) and one or more distinct "
+                           f"selected columns < {N_FEATURES}")
     mm = rd.f64_array(N_FEATURES * 2, (N_FEATURES, 2))
     min_max = [(float(lo), float(hi)) for lo, hi in mm]
     vocab: dict[int, list[str]] = {}
@@ -274,31 +255,15 @@ def from_bytes(data: bytes) -> Detector:
         toks = []
         for _ in range(count):
             ln = rd.u32()
-            toks.append(rd.take(ln).decode("utf-8"))
+            try:
+                toks.append(rd.take(ln).decode("utf-8"))
+            except UnicodeDecodeError:
+                raise CorruptModel(f"column {col} vocabulary is not valid UTF-8") from None
         vocab[col] = toks
     pre = Preprocessor(vocab=vocab, min_max=min_max, selected=selected, m=m)
 
-    trees = []
-    for _ in range(T):
-        n_nodes = rd.u32()
-        rec = np.frombuffer(rd.take(n_nodes * _NODE_DTYPE.itemsize), dtype=_NODE_DTYPE)
-        trees.append(
-            IsolationTree(
-                feature=rec["f"].astype(int).tolist(),
-                threshold=rec["t"].astype(float).tolist(),
-                left=rec["l"].astype(int).tolist(),
-                right=rec["r"].astype(int).tolist(),
-                size=rec["s"].astype(int).tolist(),
-                depth=rec["d"].astype(int).tolist(),
-            )
-        )
-    forest = IsolationForest(
-        trees=trees,
-        psi=psi,
-        c_psi=c_factor(psi),
-        height_limit=int(math.ceil(math.log2(psi))),
-        n_features=m,
-    )
+    trees = [np.frombuffer(rd.take(rd.u32() * NODE_DTYPE.itemsize), NODE_DTYPE) for _ in range(T)]
+    forest = IsolationForest(trees=trees, psi=psi, n_features=m)
 
     params = AttentionParams(
         Wq=rd.f64_array(k * k, (k, k)),

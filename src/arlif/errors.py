@@ -57,6 +57,10 @@ class TruncatedFile(ArlifError):
     """Model file ends (or continues) where the layout says it must not."""
 
 
+class CorruptModel(ArlifError, ValueError):
+    """Model contents (loaded, or handed to IsolationForest) break an invariant."""
+
+
 # --- metrics --------------------------------------------------------------
 
 class LengthMismatch(ArlifError):

@@ -10,6 +10,7 @@ numeric encoding happens only inside the preprocessor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,11 +39,11 @@ class Record:
 
 def _check_numeric(token: str, column: int) -> None:
     try:
-        float(token)
+        if math.isfinite(float(token)):
+            return
     except ValueError:
-        raise NumericParse(
-            f"column {column}: {token!r} is not numeric"
-        ) from None
+        pass
+    raise NumericParse(f"column {column}: {token!r} is not a finite number")
 
 
 def parse_record(line: str, format: str = "nsl-kdd") -> Record:

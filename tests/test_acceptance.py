@@ -117,11 +117,11 @@ def test_criterion_3_uniform_attention_reduction():
 
 def test_criterion_4_isolation_forest_oracle():
     def recursive(tree, x, node=0):
-        if tree.feature[node] < 0:
-            return tree.depth[node] + c_factor(tree.size[node])
-        if x[tree.feature[node]] < tree.threshold[node]:
-            return recursive(tree, x, tree.left[node])
-        return recursive(tree, x, tree.right[node])
+        if tree["f"][node] < 0:
+            return tree["d"][node] + c_factor(tree["s"][node])
+        if x[tree["f"][node]] < tree["t"][node]:
+            return recursive(tree, x, tree["l"][node])
+        return recursive(tree, x, tree["r"][node])
 
     data = np.random.default_rng(0).uniform(size=(64, 4))
     forest = build_forest(data, T=10, psi=64, seed=0)

@@ -1,10 +1,14 @@
 import io
 import re
+import struct
 import sys
 
+import numpy as np
 import pytest
 
 from arlif.cli import main
+from arlif.detector import _HEADER, attention_params_bytes, forest_bytes, load_model
+from arlif.iforest import NODE_DTYPE
 from synth_stream import synth_lines, write_stream
 
 SMALL = ["--trees", "10", "--psi", "64", "-m", "6", "-k", "4",
@@ -102,6 +106,90 @@ def test_eval_corrupt_model(cli_env, capsys, tmp_path):
     assert capsys.readouterr().err.strip()
 
 
+_HEADER_FIELDS = ("magic", "version", "flags", "k", "T", "psi", "m", "tau", "eta", "seen")
+
+
+def with_header(data, **fields):
+    values = dict(zip(_HEADER_FIELDS, _HEADER.unpack_from(data)))
+    values.update(fields)
+    return _HEADER.pack(*values.values()) + data[_HEADER.size:]
+
+
+def with_trees(data, det, trees):
+    old = forest_bytes(det.forest)
+    new = b"".join(struct.pack("<I", len(t)) + t.tobytes() for t in trees)
+    start = data.index(old)
+    return data[:start] + new + data[start + len(old):]
+
+
+def with_tree0(data, det, **node0_fields):
+    """The file with tree 0's first internal node (or first leaf) edited."""
+    tree = det.forest.trees[0].copy()
+    leaf = "leaf" in node0_fields and node0_fields.pop("leaf")
+    j = int(np.flatnonzero((tree["f"] < 0) == leaf)[0])
+    for name, value in node0_fields.items():
+        tree[name][j] = value
+    return with_trees(data, det, [tree, *det.forest.trees[1:]])
+
+
+def too_deep(data, det):
+    """Tree 0 replaced by a valid chain one node deeper than the height limit."""
+    depth = det.forest.height_limit + 1
+    chain = [(0, 0.5, i + 1, depth + 1 + i, 0, 0) for i in range(depth)]
+    leaves = [(-1, 0.0, -1, -1, 1, 1)] * (depth + 1)
+    tree = np.array(chain + leaves, dtype=NODE_DTYPE)
+    return with_trees(data, det, [tree, *det.forest.trees[1:]])
+
+
+def selected(data, det, values):
+    start = _HEADER.size
+    return data[:start] + struct.pack(f"<{len(values)}I", *values) + data[start + 4 * len(values):]
+
+
+def without_trees(data, det):
+    data = with_trees(with_header(data, T=0), det, [])
+    return data[: len(data) - det.histories.nbytes]
+
+
+def without_attention(data, det):
+    tail = len(attention_params_bytes(det.params)) + det.histories.nbytes
+    return with_header(data, k=0)[: len(data) - tail]
+
+
+CRAFTED = {
+    "psi_zero": (lambda b, d: with_header(b, psi=0), "psi >= 2"),
+    "psi_one": (lambda b, d: with_header(b, psi=1), "psi >= 2"),
+    "no_trees": (without_trees, "got 0 trees"),
+    "window_zero": (without_attention, "window k >= 1 (got 0)"),
+    "tree_without_nodes": (lambda b, d: with_trees(b, d, [d.forest.trees[0][:0]]
+                                                   + d.forest.trees[1:]), "nonempty trees"),
+    "child_not_after_parent": (lambda b, d: with_tree0(b, d, l=0), "parent < child"),
+    "child_past_end": (lambda b, d: with_tree0(b, d, r=len(d.forest.trees[0])), "< n_nodes"),
+    "feature_out_of_range": (lambda b, d: with_tree0(b, d, f=d.pre.m), "feature outside"),
+    "leaf_threshold_set": (lambda b, d: with_tree0(b, d, leaf=True, t=0.5), "non-canonical leaf"),
+    "leaf_negative_size": (lambda b, d: with_tree0(b, d, leaf=True, s=-1), "non-canonical leaf"),
+    "leaf_too_deep": (too_deep, "not reached within"),
+    "selected_repeats": (lambda b, d: selected(b, d, [d.pre.selected[0]] * 2), "distinct"),
+    "selected_past_41": (lambda b, d: selected(b, d, [41]), "< 41"),
+    "vocab_not_utf8": (lambda b, d: b.replace(b"\x03\x00\x00\x00tcp", b"\x03\x00\x00\x00\xfftc"),
+                       "not valid UTF-8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CRAFTED))
+def test_eval_rejects_crafted_model(cli_env, capsys, tmp_path, case):
+    craft, message = CRAFTED[case]
+    data = cli_env["model"].read_bytes()
+    bad = tmp_path / f"{case}.arlf"
+    bad.write_bytes(craft(data, load_model(cli_env["model"])))
+    assert bad.read_bytes() != data
+    rc = main(["eval", "--model", str(bad), "--test", str(cli_env["test"])])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 # --- stream ---------------------------------------------------------------------
 
 def run_stream(monkeypatch, capsys, model, text):
@@ -145,11 +233,13 @@ def test_stream_is_deterministic_modulo_timing(cli_env, monkeypatch, capsys):
 
 def test_stream_reports_bad_rows_and_continues(cli_env, monkeypatch, capsys):
     good = synth_lines(2, seed=14)
-    text = good[0] + "\nonly,three,fields\n" + "\n".join(["x" * 5, good[1]]) + "\n"
+    non_finite = "nan," + good[0].split(",", 1)[1]
+    text = "\n".join([good[0], "only,three,fields", "x" * 5, non_finite, good[1]]) + "\n"
     rc, out, err = run_stream(monkeypatch, capsys, cli_env["model"], text)
     assert rc == 0
     assert len(out.splitlines()) == 2  # the two well-formed rows
     assert "line 2" in err and "line 3" in err
+    assert "line 4: column 0: 'nan' is not a finite number" in err
 
 
 def test_stream_skips_blank_lines(cli_env, monkeypatch, capsys):

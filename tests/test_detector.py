@@ -1,4 +1,6 @@
 import io
+import random
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from arlif.detector import (
     train_online,
 )
 from arlif.errors import (
+    ArlifError,
     BadMagic,
     DimensionMismatch,
     EmptyStream,
@@ -57,9 +60,8 @@ def test_new_detector_guards(pipe):
             new_detector(forest, params, pre, tau=tau)
     with pytest.raises(ValueError):
         new_detector(forest, params, pre, eta=0.0)
-    empty = IsolationForest(trees=[], psi=64, c_psi=1.0, height_limit=6, n_features=pre.m)
     with pytest.raises(ValueError):
-        new_detector(empty, params, pre)
+        IsolationForest(trees=[], psi=64, n_features=pre.m)
     narrow = build_forest(np.asarray(vectors)[:, :3], T=2, psi=32, seed=0)
     with pytest.raises(DimensionMismatch):
         new_detector(narrow, params, pre)
@@ -268,3 +270,27 @@ def test_from_bytes_truncation_and_trailing_garbage(pipe):
             from_bytes(data[:cut])
     with pytest.raises(TruncatedFile):
         from_bytes(data + b"\x00")
+
+
+def test_random_corruptions_fail_cleanly_or_score(pipe):
+    """1-4 random byte overwrites: ArlifError at load, or a model that scores."""
+    records = pipe[0][:5]
+    data = to_bytes(mk_detector(pipe, k=3, scale=0.5))
+    rng = random.Random(20221)
+    outcomes = {"rejected": 0, "scored": 0}
+    t0 = time.perf_counter()
+    for _ in range(400):
+        buf = bytearray(data)
+        for _ in range(rng.randint(1, 4)):
+            buf[rng.randrange(len(buf))] = rng.randrange(256)
+        try:
+            det = from_bytes(bytes(buf))
+        except ArlifError:
+            outcomes["rejected"] += 1
+            continue
+        with np.errstate(all="ignore"):  # corrupted weights may overflow; that is a score too
+            for r in records:
+                observe(det, r)
+        outcomes["scored"] += 1
+    assert time.perf_counter() - t0 < 60.0
+    assert min(outcomes.values()) > 0, outcomes

@@ -7,11 +7,12 @@ from arlif.detector import forest_bytes
 from arlif.errors import InsufficientData
 from arlif.iforest import (
     EULER_GAMMA,
+    NODE_DTYPE,
     IsolationForest,
-    IsolationTree,
     build_forest,
     build_tree,
     c_factor,
+    forest_probas,
     forest_score,
     path_length,
     tree_proba,
@@ -20,18 +21,26 @@ from arlif.iforest import (
 
 def recursive_path(tree, x, node=0, depth_unused=0):
     """Naive recursive traversal; the production path_length is iterative."""
-    if tree.feature[node] < 0:
-        return tree.depth[node] + c_factor(tree.size[node])
-    if x[tree.feature[node]] < tree.threshold[node]:
-        return recursive_path(tree, x, tree.left[node])
-    return recursive_path(tree, x, tree.right[node])
+    if tree["f"][node] < 0:
+        return tree["d"][node] + c_factor(tree["s"][node])
+    if x[tree["f"][node]] < tree["t"][node]:
+        return recursive_path(tree, x, tree["l"][node])
+    return recursive_path(tree, x, tree["r"][node])
 
 
 def leaf_for(tree, x):
     j = 0
-    while tree.feature[j] >= 0:
-        j = tree.left[j] if x[tree.feature[j]] < tree.threshold[j] else tree.right[j]
+    while tree["f"][j] >= 0:
+        j = tree["l"][j] if x[tree["f"][j]] < tree["t"][j] else tree["r"][j]
     return j
+
+
+def records(*nodes):
+    """A tree from (feature, threshold, left, right, size, depth) tuples."""
+    return np.array(list(nodes), dtype=NODE_DTYPE)
+
+
+LEAF = records((-1, 0.0, -1, -1, 1, 0))
 
 
 # --- c_factor ----------------------------------------------------------------
@@ -59,17 +68,17 @@ def test_c_factor_monotone():
 
 def test_single_vector_tree():
     t = build_tree([[0.3, 0.7]], np.random.default_rng(0), height_limit=8)
-    assert t.n_nodes == 1
-    assert t.feature == [-1]
-    assert t.size == [1]
-    assert t.depth == [0]
+    assert len(t) == 1
+    assert t["f"].tolist() == [-1]
+    assert t["s"].tolist() == [1]
+    assert t["d"].tolist() == [0]
 
 
 def test_identical_vectors_collapse_to_one_leaf():
     t = build_tree([[0.3, 0.7], [0.3, 0.7]], np.random.default_rng(0), height_limit=8)
-    assert t.n_nodes == 1
-    assert t.size == [2]
-    assert t.depth == [0]
+    assert len(t) == 1
+    assert t["s"].tolist() == [2]
+    assert t["d"].tolist() == [0]
 
 
 def test_four_points_route_to_a_partition():
@@ -79,31 +88,31 @@ def test_four_points_route_to_a_partition():
     for p in pts:
         j = leaf_for(t, p)
         hits[j] = hits.get(j, 0) + 1
-    leaves = [j for j in range(t.n_nodes) if t.feature[j] < 0]
-    assert sum(t.size[j] for j in leaves) == 4
+    leaves = [j for j in range(len(t)) if t["f"][j] < 0]
+    assert sum(t["s"][j] for j in leaves) == 4
     for j in leaves:
-        assert hits.get(j, 0) == t.size[j]
+        assert hits.get(j, 0) == t["s"][j]
 
 
 def test_flattened_layout_invariants(pipe):
     _, _, vectors, forest = pipe
     for t in forest.trees:
-        for j in range(t.n_nodes):
-            if t.feature[j] >= 0:
-                assert t.left[j] > j and t.right[j] > j
-                assert t.size[j] == 0 and t.depth[j] == 0
-                assert t.feature[j] < forest.n_features
+        for j in range(len(t)):
+            if t["f"][j] >= 0:
+                assert t["l"][j] > j and t["r"][j] > j
+                assert t["s"][j] == 0 and t["d"][j] == 0
+                assert t["f"][j] < forest.n_features
             else:
-                assert t.left[j] == -1 and t.right[j] == -1
-                assert t.threshold[j] == 0.0
-                assert t.depth[j] <= forest.height_limit
+                assert t["l"][j] == -1 and t["r"][j] == -1
+                assert t["t"][j] == 0.0
+                assert t["d"][j] <= forest.height_limit
 
 
 def test_build_tree_deterministic():
     pts = np.random.default_rng(5).uniform(size=(30, 3))
     a = build_tree(pts, np.random.default_rng(99), height_limit=5)
     b = build_tree(pts, np.random.default_rng(99), height_limit=5)
-    assert a == b
+    assert a.tobytes() == b.tobytes()
 
 
 def test_leaf_sizes_partition_subsample():
@@ -114,45 +123,23 @@ def test_leaf_sizes_partition_subsample():
     for p in pts:
         j = leaf_for(t, p)
         hits[j] = hits.get(j, 0) + 1
-    leaves = {j for j in range(t.n_nodes) if t.feature[j] < 0}
-    assert sum(t.size[j] for j in leaves) == 64
-    assert all(hits.get(j, 0) == t.size[j] for j in leaves)
+    leaves = {j for j in range(len(t)) if t["f"][j] < 0}
+    assert sum(t["s"][j] for j in leaves) == 64
+    assert all(hits.get(j, 0) == t["s"][j] for j in leaves)
 
 
 # --- path_length / tree_proba -------------------------------------------------
 
 def chain_tree(depth, leaf_size):
     """Internal chain: left child is the next internal, right child a leaf."""
-    feature, threshold, left, right, size, dep = [], [], [], [], [], []
-    for d in range(depth):
-        node = len(feature)
-        feature.append(0)
-        threshold.append(0.5)
-        left.append(node + 1)
-        right.append(depth + 1 + d)  # filled as leaves below
-        size.append(0)
-        dep.append(0)
-    # the deep leaf
-    feature.append(-1)
-    threshold.append(0.0)
-    left.append(-1)
-    right.append(-1)
-    size.append(leaf_size)
-    dep.append(depth)
-    # right-side leaves
-    for d in range(depth):
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        size.append(1)
-        dep.append(d + 1)
-    return IsolationTree(feature, threshold, left, right, size, dep)
+    internal = [(0, 0.5, d + 1, depth + 1 + d, 0, 0) for d in range(depth)]
+    deep_leaf = [(-1, 0.0, -1, -1, leaf_size, depth)]
+    right_leaves = [(-1, 0.0, -1, -1, 1, d + 1) for d in range(depth)]
+    return records(*internal, *deep_leaf, *right_leaves)
 
 
 def test_path_length_single_leaf_zero():
-    t = IsolationTree([-1], [0.0], [-1], [-1], [1], [0])
-    assert path_length(t, [0.4]) == 0.0
+    assert path_length(LEAF, [0.4]) == 0.0
 
 
 def test_path_length_depth3_leaf_of_two():
@@ -161,8 +148,7 @@ def test_path_length_depth3_leaf_of_two():
 
 
 def test_tree_proba_anchors():
-    t = IsolationTree([-1], [0.0], [-1], [-1], [1], [0])
-    assert tree_proba(t, [0.1], c_psi=10.0) == 1.0  # path 0
+    assert tree_proba(LEAF, [0.1], c_psi=10.0) == 1.0  # path 0
     t2 = chain_tree(3, 2)  # path 4.0
     assert tree_proba(t2, [0.0], c_psi=4.0) == pytest.approx(0.5, abs=1e-15)
 
@@ -224,8 +210,8 @@ def test_forest_guards():
 
 
 def test_forest_score_of_single_leaf_trees_is_one():
-    leaf = IsolationTree([-1], [0.0], [-1], [-1], [1], [0])
-    f = IsolationForest(trees=[leaf, leaf], psi=2, c_psi=1.0, height_limit=1, n_features=1)
+    f = IsolationForest(trees=[LEAF, LEAF], psi=2, n_features=1)
+    assert f.c_psi == 1.0 and f.height_limit == 1
     assert forest_score(f, [0.3]) == 1.0
 
 
@@ -250,10 +236,46 @@ def test_outlier_isolates_faster_than_cluster_median():
     assert forest_score(f, outlier) > forest_score(f, median)
 
 
-def test_recursive_reference_matches_flat_traversal():
-    rng = np.random.default_rng(21)
-    data = rng.uniform(size=(64, 4))
+def oracle_inputs():
+    """Uniform points plus points sitting exactly on split thresholds."""
+    data = np.random.default_rng(21).uniform(size=(64, 4))
     f = build_forest(data, T=10, psi=64, seed=21)
+    on_split = []
     for t in f.trees:
-        for x in data:
+        for j in np.flatnonzero(t["f"] >= 0)[:4]:
+            x = data[j].copy()
+            x[t["f"][j]] = t["t"][j]
+            on_split.append(x)
+    return f, [*data, *on_split]
+
+
+def test_recursive_reference_matches_flat_traversal():
+    f, inputs = oracle_inputs()
+    for t in f.trees:
+        for x in inputs:
             assert path_length(t, x) == recursive_path(t, x)
+
+
+def test_threshold_ties_go_right():
+    t = chain_tree(1, 2)  # left: leaf of 2 at depth 1, right: leaf of 1 at depth 1
+    f = IsolationForest(trees=[t], psi=4, n_features=1)
+    assert path_length(t, [0.5]) == 1.0
+    assert forest_probas(f, [0.5]).tolist() == [tree_proba(t, [0.5], f.c_psi)]
+    assert path_length(t, [0.4999]) == 2.0
+
+
+def test_forest_walk_equals_scalar_oracle_exactly():
+    built, inputs = oracle_inputs()
+    # single-leaf trees and chains of unequal depth share the walk with built trees
+    mixed = IsolationForest(
+        trees=[LEAF, chain_tree(1, 2), *built.trees, chain_tree(6, 3), LEAF],
+        psi=64, n_features=4,
+    )
+    inputs += [np.full(4, 0.5), np.zeros(4), np.ones(4)]
+    for f in (built, mixed):
+        for x in inputs:
+            assert forest_probas(f, x).tolist() == [tree_proba(t, x, f.c_psi) for t in f.trees]
+            total = 0.0
+            for t in f.trees:
+                total += path_length(t, x)
+            assert forest_score(f, x) == 2.0 ** (-(total / f.n_trees) / f.c_psi)

@@ -71,8 +71,9 @@ def test_parse_field_count_mismatch():
 
 
 def test_parse_numeric_validation():
-    with pytest.raises(NumericParse):
-        parse_record(mk_line({0: "abc"}))
+    for token in ("abc", "nan", "NaN", "inf", "-Infinity", "1e999"):
+        with pytest.raises(NumericParse):
+            parse_record(mk_line({0: token}))
     # categorical slots are exempt
     parse_record(mk_line({2: "weird_service"}))
     with pytest.raises(NumericParse):
