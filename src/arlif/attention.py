@@ -1,8 +1,12 @@
 """Single query/key/value attention layer over the T x k history matrix.
 
-Exactly 3*k*(k+1) trainable scalars: three affine maps k -> k. The forward
-pass keeps every intermediate in a cache; the backward pass is
-hand-differentiated (readout mean -> E = A.V -> row softmax -> 1/sqrt(k)
+Exactly 3*k*(k+1) scalars: three affine maps k -> k. The readout is the
+mean over trees of the most-recent column of A.V, so the forward pass
+computes only that value column, v = H.Wv[:, -1] + bv[-1], and e = A.v.
+The other k-1 columns of Wv and entries of bv, (k-1)*(k+1) scalars, never
+reach a score and never get a gradient: they are inert, kept in the model
+file and in param_count but never computed with. The backward pass is
+hand-differentiated (readout mean -> e = A.v -> row softmax -> 1/sqrt(k)
 scaled logits -> the affine maps) and is verified against central finite
 differences in the test suite.
 """
@@ -78,9 +82,9 @@ class ForwardCache:
     H: np.ndarray
     Q: np.ndarray
     K: np.ndarray
-    V: np.ndarray
     A: np.ndarray
-    E: np.ndarray
+    v: np.ndarray  # the value column the readout reads, H.Wv[:, -1] + bv[-1]
+    e: np.ndarray  # A.v
     r: float
     s: float
 
@@ -88,9 +92,9 @@ class ForwardCache:
 def forward(params: AttentionParams, H) -> tuple[float, ForwardCache]:
     """Score the current history matrix.
 
-    Q/K/V are affine images of H, A = softmax_rows(Q.K^T / sqrt(k)),
-    E = A.V; the readout is the mean over trees of E's most-recent column,
-    clamped into [EPS, 1 - EPS].
+    Q/K are affine images of H, A = softmax_rows(Q.K^T / sqrt(k)) and
+    e = A.v with v the last value column; the readout is the mean of e over
+    trees, clamped into [EPS, 1 - EPS].
     """
     H = np.array(H, dtype=np.float64)  # snapshot: the caller's buffer may mutate
     if H.ndim != 2 or H.shape[0] < 1:
@@ -99,12 +103,12 @@ def forward(params: AttentionParams, H) -> tuple[float, ForwardCache]:
         raise DimensionMismatch(f"H has {H.shape[1]} columns, params expect k={params.k}")
     Q = H @ params.Wq + params.bq
     K = H @ params.Wk + params.bk
-    V = H @ params.Wv + params.bv
+    v = H @ params.Wv[:, -1] + params.bv[-1]
     A = softmax_rows(Q @ K.T / math.sqrt(params.k))
-    E = A @ V
-    r = float(E[:, -1].mean())
+    e = A @ v
+    r = float(e.mean())
     s = min(max(r, EPS), 1.0 - EPS)
-    return s, ForwardCache(H=H, Q=Q, K=K, V=V, A=A, E=E, r=r, s=s)
+    return s, ForwardCache(H=H, Q=Q, K=K, A=A, v=v, e=e, r=r, s=s)
 
 
 def bce_loss(s: float, label: int) -> float:
@@ -124,39 +128,35 @@ def backward(params: AttentionParams, cache: ForwardCache, label: int) -> Attent
     """Gradients of BCE(score, label) w.r.t. all six parameter blocks.
 
     Returns an AttentionParams holding the gradients. The gradient is zero
-    whenever the readout was clamped (s != r).
+    whenever the readout was clamped (s != r), and always zero on the inert
+    Wv/bv entries.
     """
     if cache.H.shape[1] != params.k or cache.Q.shape != cache.H.shape:
         raise StaleCache(
             f"cache built for k={cache.H.shape[1]}, params expect k={params.k}"
         )
+    grads = _zero_grads(params)
     if cache.s != cache.r:
-        return _zero_grads(params)
-    H, Q, K, V, A, E = cache.H, cache.Q, cache.K, cache.V, cache.A, cache.E
+        return grads
+    H, Q, K, A, v, e = cache.H, cache.Q, cache.K, cache.A, cache.v, cache.e
     T, k = H.shape
     s, y = cache.s, label
-    g = (s - y) / (s * (1.0 - s))  # dL/ds
+    g = (s - y) / (s * (1.0 - s)) / T  # dL/de_i: dL/ds over the mean's T terms
 
-    dE = np.zeros_like(E)
-    dE[:, -1] = g / T  # readout touches only the most-recent column
-
-    dV = A.T @ dE
-    dA = dE @ V.T
-    # row-wise softmax Jacobian: dz_j = a_j * (dA_j - <dA_j, a_j>)
-    dlogits = A * (dA - (dA * A).sum(axis=1, keepdims=True))
-    dlogits /= math.sqrt(k)
+    dv = g * A.sum(axis=0)
+    # row-wise softmax Jacobian with dA_ij = g * v_j: dz_ij = a_ij * g * (v_j - e_i)
+    dlogits = A * (v - e[:, None])
+    dlogits *= g / math.sqrt(k)
     dQ = dlogits @ K
     dK = dlogits.T @ Q
 
-    return AttentionParams(
-        Wq=H.T @ dQ,
-        Wk=H.T @ dK,
-        Wv=H.T @ dV,
-        bq=dQ.sum(axis=0),
-        bk=dK.sum(axis=0),
-        bv=dV.sum(axis=0),
-        k=k,
-    )
+    grads.Wq = H.T @ dQ
+    grads.Wk = H.T @ dK
+    grads.bq = dQ.sum(axis=0)
+    grads.bk = dK.sum(axis=0)
+    grads.Wv[:, -1] = H.T @ dv
+    grads.bv[-1] = dv.sum()
+    return grads
 
 
 def sgd_step(params: AttentionParams, grads: AttentionParams, eta: float) -> AttentionParams:

@@ -8,6 +8,7 @@ text and as one-line key=value records.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -62,8 +63,8 @@ class RunConfig:
             v = getattr(self, name)
             if v is not None and v < 1:
                 raise ValueError(f"{name} must be >= 1, got {v}")
-        if self.eta <= 0:
-            raise ValueError(f"eta must be > 0, got {self.eta}")
+        if not 0.0 < self.eta < math.inf:
+            raise ValueError(f"eta must be a finite number > 0, got {self.eta}")
         if not 0.0 < self.tau < 1.0:
             raise ValueError(f"tau must lie in (0,1), got {self.tau}")
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import AttentionParams, backward, bce_loss, forward, sgd_step
+from .attention import AttentionParams, ForwardCache, backward, bce_loss, forward, sgd_step
 from .errors import (
     BadMagic,
     CorruptModel,
@@ -57,6 +57,7 @@ class DetectionResult:
     score: float
     predicted: int
     latency_ns: int
+    cache: ForwardCache = field(repr=False, compare=False)
 
 
 @dataclass
@@ -74,7 +75,6 @@ class Detector:
     tau: float
     eta: float
     samples_seen: int = 0
-    _cache: object = field(default=None, repr=False, compare=False)
 
 
 def new_detector(
@@ -87,8 +87,8 @@ def new_detector(
     """Fresh detector; every history slot starts at the neutral 0.5."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0,1), got {tau}")
-    if eta <= 0.0:
-        raise ValueError(f"eta must be > 0, got {eta}")
+    if not 0.0 < eta < np.inf:
+        raise ValueError(f"eta must be a finite number > 0, got {eta}")
     if pre.m != forest.n_features:
         raise DimensionMismatch(
             f"preprocessor emits {pre.m} features, forest was built on {forest.n_features}"
@@ -100,8 +100,8 @@ def new_detector(
 
 def observe(det: Detector, r: Record) -> DetectionResult:
     """Score one record: push per-tree probas into the histories, run the
-    attention forward pass, threshold at tau. The forward cache is retained
-    for an immediately following learn() on the same record."""
+    attention forward pass, threshold at tau. The result carries the forward
+    cache, which learn() differentiates."""
     t0 = time.perf_counter_ns()
     x = transform(det.pre, r)
     probas = forest_probas(det.forest, x)
@@ -111,17 +111,16 @@ def observe(det: Detector, r: Record) -> DetectionResult:
     s, cache = forward(det.params, H)
     latency = time.perf_counter_ns() - t0
     det.samples_seen += 1
-    det._cache = cache
-    return DetectionResult(score=s, predicted=1 if s >= det.tau else 0, latency_ns=latency)
+    return DetectionResult(score=s, predicted=1 if s >= det.tau else 0, latency_ns=latency,
+                           cache=cache)
 
 
 def learn(det: Detector, r: Record, label: int) -> float:
     """observe, then one BCE/SGD update of the attention layer only."""
-    observe(det, r)
-    cache = det._cache
-    grads = backward(det.params, cache, label)
+    res = observe(det, r)
+    grads = backward(det.params, res.cache, label)
     sgd_step(det.params, grads, det.eta)
-    return bce_loss(cache.s, label)
+    return bce_loss(res.score, label)
 
 
 def train_online(det: Detector, records, epochs: int = 1) -> TrainingReport:
@@ -242,6 +241,8 @@ def from_bytes(data: bytes) -> Detector:
         raise VersionUnsupported(
             "forest-only payload (flags bit 0 clear) cannot back a streaming detector"
         )
+    if not (0.0 < tau < 1.0 and 0.0 < eta < np.inf):
+        raise CorruptModel(f"need tau in (0,1) and a finite eta > 0, got tau={tau}, eta={eta}")
 
     selected = np.frombuffer(rd.take(4 * m), dtype="<u4").astype(int).tolist()
     if k < 1 or not 0 < len(set(selected)) == m or max(selected) >= N_FEATURES:
@@ -277,6 +278,10 @@ def from_bytes(data: bytes) -> Detector:
     histories = rd.f64_array(T * k, (T, k))
     if rd.pos != len(data):
         raise TruncatedFile(f"{len(data) - rd.pos} trailing bytes after model payload")
+    if not all(np.isfinite(b).all() for b in params.blocks()):
+        raise CorruptModel("attention parameters must be finite")
+    if not ((histories >= 0.0) & (histories <= 1.0)).all():
+        raise CorruptModel("histories must lie in [0,1]")
     return Detector(
         forest=forest,
         params=params,

@@ -1,15 +1,15 @@
 """Quality, timing, and size measurement for ARLIF and the plain-forest baseline.
 
-evaluate() is detection-only: it resets the histories to 0.5 for a
-reproducible run, streams the test set in order, and then restores the
-detector's histories and sample counter, so the serialized model is
+evaluate() is detection-only: it streams the test set in order through a
+copy of the detector whose histories start at 0.5, for a reproducible run.
+The detector itself is never mutated, so the serialized model is
 byte-identical before and after an evaluation.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,31 +109,23 @@ def evaluate(det: Detector, test, mode: str = "arlif", baseline_tau: float | Non
     if not test:
         raise Empty("test set is empty")
 
-    saved_histories = det.histories.copy()
-    saved_seen = det.samples_seen
-    saved_cache = det._cache
-    det.histories[:] = 0.5
-    try:
-        preds = []
-        lats = []
-        if mode == "arlif":
-            for r in test:
-                res = observe(det, r)
-                preds.append(res.predicted)
-                lats.append(res.latency_ns)
-        else:
-            tau_b = det.tau if baseline_tau is None else baseline_tau
-            forest = det.forest
-            pre = det.pre
-            for r in test:
-                t0 = time.perf_counter_ns()
-                s = forest_score(forest, transform(pre, r))
-                lats.append(time.perf_counter_ns() - t0)
-                preds.append(1 if s >= tau_b else 0)
-    finally:
-        det.histories[:] = saved_histories
-        det.samples_seen = saved_seen
-        det._cache = saved_cache
+    preds = []
+    lats = []
+    if mode == "arlif":
+        run = replace(det, histories=np.full_like(det.histories, 0.5))
+        for r in test:
+            res = observe(run, r)
+            preds.append(res.predicted)
+            lats.append(res.latency_ns)
+    else:
+        tau_b = det.tau if baseline_tau is None else baseline_tau
+        forest = det.forest
+        pre = det.pre
+        for r in test:
+            t0 = time.perf_counter_ns()
+            s = forest_score(forest, transform(pre, r))
+            lats.append(time.perf_counter_ns() - t0)
+            preds.append(1 if s >= tau_b else 0)
 
     conf = confusion_matrix(preds, [r.label for r in test])
     arr = np.asarray(lats)

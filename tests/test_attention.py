@@ -101,12 +101,14 @@ def test_softmax_constant_row_is_uniform():
 # --- forward -------------------------------------------------------------------
 
 def test_forward_hand_example():
-    # zero logits -> uniform attention; V = H, so E rows are the column means
+    # zero logits -> uniform attention; Wv = I, so v = H[:, -1] and every
+    # entry of e = A.v is that column's mean
     p = init_params(2, seed=0, scale=0.0)
     H = np.array([[0.2, 0.8], [0.4, 0.6]])
     s, cache = forward(p, H)
     assert s == pytest.approx(0.7, abs=1e-15)
-    assert np.allclose(cache.E, [[0.3, 0.7], [0.3, 0.7]], atol=1e-15)
+    assert np.allclose(cache.v, [0.8, 0.6], atol=1e-15)
+    assert np.allclose(cache.e, [0.7, 0.7], atol=1e-15)
     assert np.allclose(cache.A, 0.5, atol=1e-15)
 
 

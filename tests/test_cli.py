@@ -75,7 +75,8 @@ def test_train_missing_file_is_runtime_error(capsys, tmp_path):
 def test_bad_flag_values_are_usage_errors(cli_env, tmp_path):
     model = str(tmp_path / "m.arlf")
     base = ["train", "--train", str(cli_env["train"]), "--model", model]
-    assert main(base + ["--eta", "0"]) == 2
+    for eta in ("0", "nan", "inf"):
+        assert main(base + ["--eta", eta]) == 2
     assert main(base + ["--tau", "1.5"]) == 2
     assert main(base + ["--trees", "0"]) == 2
     assert main(base + ["--epochs", "0"]) == 2
@@ -151,9 +152,17 @@ def without_trees(data, det):
     return data[: len(data) - det.histories.nbytes]
 
 
+def attention_start(data, det):
+    """Offset of the attention segment (parameters, then histories)."""
+    return len(data) - len(attention_params_bytes(det.params)) - det.histories.nbytes
+
+
 def without_attention(data, det):
-    tail = len(attention_params_bytes(det.params)) + det.histories.nbytes
-    return with_header(data, k=0)[: len(data) - tail]
+    return with_header(data, k=0)[: attention_start(data, det)]
+
+
+def with_f64(data, offset, value):
+    return data[:offset] + struct.pack("<d", value) + data[offset + 8:]
 
 
 CRAFTED = {
@@ -173,6 +182,14 @@ CRAFTED = {
     "selected_past_41": (lambda b, d: selected(b, d, [41]), "< 41"),
     "vocab_not_utf8": (lambda b, d: b.replace(b"\x03\x00\x00\x00tcp", b"\x03\x00\x00\x00\xfftc"),
                        "not valid UTF-8"),
+    "tau_above_one": (lambda b, d: with_header(b, tau=2.0), "tau in (0,1)"),
+    "tau_nan": (lambda b, d: with_header(b, tau=float("nan")), "tau in (0,1)"),
+    "eta_zero": (lambda b, d: with_header(b, eta=0.0), "finite eta > 0"),
+    "eta_inf": (lambda b, d: with_header(b, eta=float("inf")), "finite eta > 0"),
+    "param_nan": (lambda b, d: with_f64(b, attention_start(b, d), float("nan")),
+                  "parameters must be finite"),
+    "history_inf": (lambda b, d: with_f64(b, len(b) - 8, float("inf")), "lie in [0,1]"),
+    "history_negative": (lambda b, d: with_f64(b, len(b) - 8, -0.25), "lie in [0,1]"),
 }
 
 

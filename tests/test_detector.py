@@ -29,7 +29,8 @@ from arlif.errors import (
     VersionUnsupported,
 )
 from arlif.iforest import IsolationForest, build_forest, tree_proba
-from arlif.ingest import transform
+from arlif.ingest import fit_preprocessor, transform
+from conftest import synth_records
 
 
 def mk_detector(pipe, k=4, tau=0.5, eta=0.05, seed=0, scale=0.01):
@@ -58,8 +59,9 @@ def test_new_detector_guards(pipe):
     for tau in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError):
             new_detector(forest, params, pre, tau=tau)
-    with pytest.raises(ValueError):
-        new_detector(forest, params, pre, eta=0.0)
+    for eta in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            new_detector(forest, params, pre, eta=eta)
     with pytest.raises(ValueError):
         IsolationForest(trees=[], psi=64, n_features=pre.m)
     narrow = build_forest(np.asarray(vectors)[:, :3], T=2, psi=32, seed=0)
@@ -165,6 +167,21 @@ def test_train_online_equals_manual_loop(pipe):
     assert report.samples_per_epoch == 60
     assert report.mean_losses == pytest.approx(manual, abs=1e-12)
     assert to_bytes(a) == to_bytes(b)
+
+
+def test_training_leaves_inert_value_parameters_untouched():
+    # the readout reads only the last value column, so the other Wv columns
+    # and bv entries keep their init bytes (benchmark shape and eta)
+    records = synth_records(2000, seed=0, attack_rate=0.5)
+    pre = fit_preprocessor(records, 10)
+    forest = build_forest([transform(pre, r) for r in records], T=100, psi=256, seed=0)
+    init = init_params(10, seed=0)
+    det = new_detector(forest, init_params(10, seed=0), pre, eta=0.001)
+    train_online(det, records)
+    assert det.params.Wv[:, :-1].tobytes() == init.Wv[:, :-1].tobytes()
+    assert det.params.bv[:-1].tobytes() == init.bv[:-1].tobytes()
+    assert not np.array_equal(det.params.Wv[:, -1], init.Wv[:, -1])
+    assert det.params.bv[-1] != init.bv[-1]
 
 
 def test_train_online_counts_and_guards(pipe):
