@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 from .attention import init_params
 from .detector import (
@@ -36,58 +35,25 @@ from .ingest import (
 from .metrics import EvalReport, evaluate, tune_baseline_threshold
 
 
-@dataclass
-class RunConfig:
-    format: str = "nsl-kdd"
-    train: str | None = None
-    test: str | None = None
-    model: str | None = None
-    m: int = 10
-    trees: int = 100
-    psi: int = 256
-    k: int = 10
-    eta: float = 0.05
-    tau: float = 0.5
-    epochs: int = 1
-    seed: int = 0
-    train_limit: int | None = None
-    test_limit: int | None = None
-
-    def __post_init__(self):
-        if self.format not in FORMATS:
-            raise ValueError(f"format must be one of {FORMATS}, got {self.format!r}")
-        for name in ("m", "trees", "psi", "k", "epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("train_limit", "test_limit"):
-            v = getattr(self, name)
-            if v is not None and v < 1:
-                raise ValueError(f"{name} must be >= 1, got {v}")
-        if not 0.0 < self.eta < math.inf:
-            raise ValueError(f"eta must be a finite number > 0, got {self.eta}")
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError(f"tau must lie in (0,1), got {self.tau}")
-
-
-def _train_detector(cfg: RunConfig) -> tuple[Detector, object, list, list]:
+def _train_detector(args: argparse.Namespace) -> tuple[Detector, object, list, list]:
     """Shared train pipeline; returns (detector, report, train vectors, labels)."""
-    records = load_records(cfg.train, cfg.format, cfg.train_limit)
-    pre = fit_preprocessor(records, cfg.m)
+    records = load_records(args.train, args.format, args.train_limit)
+    pre = fit_preprocessor(records, args.m)
     vectors = [transform(pre, r) for r in records]
-    forest = build_forest(vectors, cfg.trees, cfg.psi, cfg.seed)
-    params = init_params(cfg.k, cfg.seed)
-    det = new_detector(forest, params, pre, tau=cfg.tau, eta=cfg.eta)
-    report = train_online(det, records, cfg.epochs)
+    forest = build_forest(vectors, args.trees, args.psi, args.seed)
+    params = init_params(args.k, args.seed)
+    det = new_detector(forest, params, pre, tau=args.tau, eta=args.eta)
+    report = train_online(det, records, args.epochs)
     return det, report, vectors, [r.label for r in records]
 
 
-def cmd_train(cfg: RunConfig) -> int:
-    det, report, _, _ = _train_detector(cfg)
-    save_model(det, cfg.model)
+def cmd_train(args: argparse.Namespace) -> int:
+    det, report, _, _ = _train_detector(args)
+    save_model(det, args.model)
     for i, loss in enumerate(report.mean_losses, start=1):
         print(f"epoch={i} mean_loss={loss:.6f}")
     print(
-        f"model={cfg.model} model_bytes={model_size_bytes(det)} "
+        f"model={args.model} model_bytes={model_size_bytes(det)} "
         f"samples_seen={det.samples_seen}"
     )
     return 0
@@ -103,10 +69,10 @@ def _print_report(rep: EvalReport) -> None:
     print(rep.key_value_line())
 
 
-def cmd_eval(cfg: RunConfig, mode: str) -> int:
-    det = load_model(cfg.model)
-    test = load_records(cfg.test, cfg.format, cfg.test_limit)
-    rep = evaluate(det, test, mode)
+def cmd_eval(args: argparse.Namespace) -> int:
+    det = load_model(args.model)
+    test = load_records(args.test, args.format, args.test_limit)
+    rep = evaluate(det, test, args.mode)
     _print_report(rep)
     return 0
 
@@ -123,14 +89,14 @@ def _parse_stream_line(line: str, fmt: str) -> Record:
         raise
 
 
-def cmd_stream(cfg: RunConfig) -> int:
-    det = load_model(cfg.model)
+def cmd_stream(args: argparse.Namespace) -> int:
+    det = load_model(args.model)
     cumulative_ns = 0
     for lineno, line in enumerate(sys.stdin, start=1):
         if not line.strip():
             continue
         try:
-            r = _parse_stream_line(line, cfg.format)
+            r = _parse_stream_line(line, args.format)
         except ArlifError as exc:
             print(f"line {lineno}: {exc}", file=sys.stderr)
             continue
@@ -140,10 +106,10 @@ def cmd_stream(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    det, report, vectors, labels = _train_detector(cfg)
+def cmd_bench(args: argparse.Namespace) -> int:
+    det, report, vectors, labels = _train_detector(args)
     tuned = tune_baseline_threshold(det.forest, vectors, labels)
-    test = load_records(cfg.test, cfg.format, cfg.test_limit)
+    test = load_records(args.test, args.format, args.test_limit)
     rep_a = evaluate(det, test, "arlif")
     rep_b = evaluate(det, test, "baseline-if", baseline_tau=tuned)
 
@@ -163,6 +129,20 @@ def cmd_bench(cfg: RunConfig) -> int:
     return 0
 
 
+def _number(kind, ok, bound: str):
+    """argparse type: a `kind` value for which `ok` holds, else a usage error."""
+    def parse(text: str):
+        value = kind(text)  # a ValueError reads "invalid int/float value"
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_POSITIVE = _number(int, lambda v: v >= 1, ">= 1")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arlif",
@@ -171,85 +151,64 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=FORMATS, default="nsl-kdd")
-    common.add_argument("-m", "--features", type=int, default=10, dest="m",
-                        help="feature columns kept after ranking (default 10)")
-    common.add_argument("--trees", type=int, default=100, help="forest size T (default 100)")
-    common.add_argument("--psi", type=int, default=256, help="per-tree subsample (default 256)")
-    common.add_argument("-k", "--window", type=int, default=10, dest="k",
-                        help="history window length (default 10)")
-    common.add_argument("--eta", type=float, default=0.05, help="SGD learning rate (default 0.05)")
-    common.add_argument("--tau", type=float, default=0.5, help="decision threshold (default 0.5)")
-    common.add_argument("--epochs", type=int, default=1)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--train-limit", type=int, default=None,
-                        help="keep only the first N training rows")
-    common.add_argument("--test-limit", type=int, default=None,
-                        help="keep only the first N test rows")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=FORMATS, default="nsl-kdd")
 
-    p_train = sub.add_parser("train", parents=[common], help="fit everything, write a model file")
-    p_train.add_argument("--train", required=True, help="training record file")
+    fit = argparse.ArgumentParser(add_help=False, parents=[fmt])
+    fit.add_argument("-m", "--features", dest="m", default=10,
+                     type=_number(int, lambda v: 1 <= v <= N_FEATURES, f"in 1..{N_FEATURES}"),
+                     help="feature columns kept after ranking (default %(default)s)")
+    fit.add_argument("--trees", type=_POSITIVE, default=100,
+                     help="forest size T (default %(default)s)")
+    fit.add_argument("--psi", type=_number(int, lambda v: v >= 2, ">= 2"), default=256,
+                     help="per-tree subsample (default %(default)s)")
+    fit.add_argument("-k", "--window", type=_POSITIVE, default=10, dest="k",
+                     help="history window length (default %(default)s)")
+    fit.add_argument("--eta", type=_number(float, lambda v: 0.0 < v < math.inf,
+                                           "a finite number > 0"), default=0.05,
+                     help="SGD learning rate (default %(default)s)")
+    fit.add_argument("--tau", type=_number(float, lambda v: 0.0 < v < 1.0, "in (0,1)"),
+                     default=0.5, help="decision threshold (default %(default)s)")
+    fit.add_argument("--epochs", type=_POSITIVE, default=1)
+    fit.add_argument("--seed", type=_number(int, lambda v: v >= 0, ">= 0"), default=0)
+    fit.add_argument("--train", required=True, help="training record file")
+    fit.add_argument("--train-limit", type=_POSITIVE,
+                     help="keep only the first N training rows")
+
+    test = argparse.ArgumentParser(add_help=False)
+    test.add_argument("--test", required=True, help="labeled test record file")
+    test.add_argument("--test-limit", type=_POSITIVE, help="keep only the first N test rows")
+
+    p_train = sub.add_parser("train", parents=[fit], help="fit everything, write a model file")
     p_train.add_argument("--model", required=True, help="output model path")
 
-    p_eval = sub.add_parser("eval", parents=[common], help="evaluate a saved model")
+    p_eval = sub.add_parser("eval", parents=[fmt, test], help="evaluate a saved model")
     p_eval.add_argument("--model", required=True)
-    p_eval.add_argument("--test", required=True)
     p_eval.add_argument("--mode", choices=("arlif", "baseline-if"), default="arlif",
                         help="baseline-if bypasses attention and thresholds the "
-                        "forest score at tau")
+                        "forest score at the model's tau")
 
-    p_stream = sub.add_parser("stream", parents=[common],
+    p_stream = sub.add_parser("stream", parents=[fmt],
                               help="score records from stdin, one line per record")
     p_stream.add_argument("--model", required=True)
 
-    p_bench = sub.add_parser("bench", parents=[common],
-                             help="train once, compare ARLIF vs the plain forest")
-    p_bench.add_argument("--train", required=True)
-    p_bench.add_argument("--test", required=True)
+    sub.add_parser("bench", parents=[fit, test],
+                   help="train once, compare ARLIF vs the plain forest")
 
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        format=args.format,
-        train=getattr(args, "train", None),
-        test=getattr(args, "test", None),
-        model=getattr(args, "model", None),
-        m=args.m,
-        trees=args.trees,
-        psi=args.psi,
-        k=args.k,
-        eta=args.eta,
-        tau=args.tau,
-        epochs=args.epochs,
-        seed=args.seed,
-        train_limit=args.train_limit,
-        test_limit=args.test_limit,
-    )
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error (2) or --help (0)
+        return exc.code
+    commands = {"train": cmd_train, "eval": cmd_eval, "stream": cmd_stream, "bench": cmd_bench}
     try:
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.mode)
-        if args.command == "stream":
-            return cmd_stream(cfg)
-        if args.command == "bench":
-            return cmd_bench(cfg)
+        return commands[args.command](args)
     except (ArlifError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

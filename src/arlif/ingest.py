@@ -101,11 +101,10 @@ def _build_vocab(records: list[Record]) -> dict[int, list[str]]:
     return vocab
 
 
-def _encode_matrix(records: list[Record], vocab: dict[int, list[str]]) -> np.ndarray:
-    """Records -> (n, 41) float matrix; categoricals as vocab indices."""
-    index = {col: {tok: i for i, tok in enumerate(vocab[col])} for col in vocab}
-    n = len(records)
-    X = np.empty((n, N_FEATURES), dtype=np.float64)
+def _encode_matrix(records: list[Record], pre: Preprocessor) -> np.ndarray:
+    """Records -> (n, 41) float matrix; categoricals as indices into pre's vocab."""
+    index = pre._index
+    X = np.empty((len(records), N_FEATURES), dtype=np.float64)
     for i, r in enumerate(records):
         for col in range(N_FEATURES):
             tok = r.features[col]
@@ -117,16 +116,10 @@ def _encode_matrix(records: list[Record], vocab: dict[int, list[str]]) -> np.nda
     return X
 
 
-def rank_features(records: list[Record]) -> list[tuple[int, float]]:
-    """Rank all 41 columns by absolute point-biserial correlation with the label.
-
-    Returns (column, score) pairs sorted by descending score, ties broken by
-    ascending column index. Zero-variance columns score 0.
-    """
+def _rank_columns(X: np.ndarray, records: list[Record]) -> list[tuple[int, float]]:
     labels = [r.label for r in records]
     if len(set(labels)) < 2:
         raise SingleClass("feature ranking needs both classes present")
-    X = _encode_matrix(records, _build_vocab(records))
     y = np.asarray(labels, dtype=np.float64)
     Xc = X - X.mean(axis=0)
     yc = y - y.mean()
@@ -158,18 +151,25 @@ class Preprocessor:
         }
 
 
+def rank_features(records: list[Record]) -> list[tuple[int, float]]:
+    """Rank all 41 columns by absolute point-biserial correlation with the label.
+
+    Returns (column, score) pairs sorted by descending score, ties broken by
+    ascending column index. Zero-variance columns score 0.
+    """
+    vocab_only = Preprocessor(vocab=_build_vocab(records), min_max=[], selected=[], m=0)
+    return _rank_columns(_encode_matrix(records, vocab_only), records)
+
+
 def fit_preprocessor(records: list[Record], m: int) -> Preprocessor:
     """Fit vocab, select the top-m ranked columns, record per-column min/max."""
     if not 1 <= m <= N_FEATURES:
         raise ValueError(f"m must be in 1..{N_FEATURES}, got {m}")
-    vocab = _build_vocab(records)
-    ranking = rank_features(records)
-    selected = [col for col, _ in ranking[:m]]
-    X = _encode_matrix(records, vocab)
-    lo = X.min(axis=0)
-    hi = X.max(axis=0)
-    min_max = [(float(lo[c]), float(hi[c])) for c in range(N_FEATURES)]
-    return Preprocessor(vocab=vocab, min_max=min_max, selected=selected, m=m)
+    pre = Preprocessor(vocab=_build_vocab(records), min_max=[], selected=[], m=m)
+    X = _encode_matrix(records, pre)
+    pre.selected = [col for col, _ in _rank_columns(X, records)[:m]]
+    pre.min_max = [(float(lo), float(hi)) for lo, hi in zip(X.min(axis=0), X.max(axis=0))]
+    return pre
 
 
 def transform(pre: Preprocessor, r: Record) -> list[float]:

@@ -35,23 +35,16 @@ class Confusion:
 
 def confusion_matrix(predictions, labels) -> Confusion:
     """Tally counts with attack (1) as the positive class."""
-    predictions = list(predictions)
-    labels = list(labels)
-    if len(predictions) != len(labels):
-        raise LengthMismatch(f"{len(predictions)} predictions vs {len(labels)} labels")
-    if not predictions:
+    p = np.asarray(predictions) == 1
+    y = np.asarray(labels) == 1
+    if len(p) != len(y):
+        raise LengthMismatch(f"{len(p)} predictions vs {len(y)} labels")
+    if not len(p):
         raise Empty("no samples to tally")
-    tp = fp = fn = tn = 0
-    for p, y in zip(predictions, labels):
-        if p == 1 and y == 1:
-            tp += 1
-        elif p == 1:
-            fp += 1
-        elif y == 1:
-            fn += 1
-        else:
-            tn += 1
-    return Confusion(tp=tp, fp=fp, fn=fn, tn=tn)
+    tp = int((p & y).sum())
+    fp = int(p.sum()) - tp
+    fn = int(y.sum()) - tp
+    return Confusion(tp=tp, fp=fp, fn=fn, tn=len(p) - tp - fp - fn)
 
 
 def precision_score(c: Confusion) -> float:
@@ -63,12 +56,12 @@ def recall_score(c: Confusion) -> float:
 
 
 def f1_score(c: Confusion) -> float:
-    """Harmonic mean of precision and recall; 0 whenever tp == 0."""
-    if c.tp == 0:
-        return 0.0
-    p = precision_score(c)
-    r = recall_score(c)
-    return 2.0 * p * r / (p + r)
+    """Harmonic mean of precision and recall, 2tp / (2tp + fp + fn); 0 whenever tp == 0.
+
+    The integer form gives exactly equal floats for equal F1, so threshold
+    tuning's ties-low rule sees every tie.
+    """
+    return 2.0 * c.tp / (2 * c.tp + c.fp + c.fn) if c.tp else 0.0
 
 
 @dataclass
@@ -150,16 +143,5 @@ def tune_baseline_threshold(forest: IsolationForest, vectors, labels) -> float:
         raise SingleClass("baseline threshold tuning needs both classes")
     scores = np.asarray([forest_score(forest, x) for x in vectors])
     y = np.asarray(labels)
-    best_t = 0.01
-    best_f1 = -1.0
-    for i in range(1, 100):
-        t = i / 100.0
-        preds = (scores >= t).astype(int)
-        tp = int(((preds == 1) & (y == 1)).sum())
-        fp = int(((preds == 1) & (y == 0)).sum())
-        fn = int(((preds == 0) & (y == 1)).sum())
-        f1 = 0.0 if tp == 0 else 2.0 * tp / (2.0 * tp + fp + fn)
-        if f1 > best_f1:
-            best_f1 = f1
-            best_t = t
-    return best_t
+    f1s = [f1_score(confusion_matrix(scores >= i / 100.0, y)) for i in range(1, 100)]
+    return (1 + int(np.argmax(f1s))) / 100.0

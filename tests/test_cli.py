@@ -72,7 +72,7 @@ def test_train_missing_file_is_runtime_error(capsys, tmp_path):
     assert "nope.txt" in capsys.readouterr().err
 
 
-def test_bad_flag_values_are_usage_errors(cli_env, tmp_path):
+def test_bad_flag_values_are_usage_errors(cli_env, capsys, tmp_path):
     model = str(tmp_path / "m.arlf")
     base = ["train", "--train", str(cli_env["train"]), "--model", model]
     for eta in ("0", "nan", "inf"):
@@ -80,6 +80,28 @@ def test_bad_flag_values_are_usage_errors(cli_env, tmp_path):
     assert main(base + ["--tau", "1.5"]) == 2
     assert main(base + ["--trees", "0"]) == 2
     assert main(base + ["--epochs", "0"]) == 2
+    capsys.readouterr()
+    # ranges the library requires: build_forest, fit_preprocessor, numpy seeding
+    for flags in (["--psi", "1"], ["-m", "42"], ["-m", "0"], ["--seed", "-1"]):
+        assert main(base + flags) == 2, flags
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+    assert not (tmp_path / "m.arlf").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--tau", "0.3"],
+    ["eval", "--trees", "5"],
+    ["stream", "--eta", "0.1"],
+    ["stream", "--test-limit", "3"],
+    ["train", "--test-limit", "3"],
+], ids=lambda argv: "_".join(argv).replace("-", ""))
+def test_flags_a_command_does_not_read_are_usage_errors(cli_env, capsys, tmp_path, argv):
+    files = {"train": ["--train", str(cli_env["train"]), "--model", str(tmp_path / "m.arlf")],
+             "eval": ["--model", str(cli_env["model"]), "--test", str(cli_env["test"])],
+             "stream": ["--model", str(cli_env["model"])]}
+    assert main(argv[:1] + files[argv[0]] + argv[1:]) == 2
+    assert "unrecognized arguments: " + " ".join(argv[1:]) in capsys.readouterr().err
 
 
 # --- eval -----------------------------------------------------------------------
