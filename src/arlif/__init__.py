@@ -37,6 +37,7 @@ from .errors import (
     BadMagic,
     CorruptModel,
     DimensionMismatch,
+    Diverged,
     Empty,
     EmptyStream,
     FieldCountMismatch,

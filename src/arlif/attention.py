@@ -30,21 +30,35 @@ def param_count(k: int) -> int:
     return 3 * k * (k + 1)
 
 
+def _block(i: int) -> property:
+    """Block i of AttentionParams.flat in file order (Wq, Wk, Wv: k x k; then
+    bq, bk, bv: k). Reading gives a view; assigning copies into the vector,
+    the only storage, so a copy or pickle of the params keeps them in step."""
+    def view(p: AttentionParams) -> np.ndarray:
+        k = p.k
+        if i < 3:
+            return p.flat[i * k * k:(i + 1) * k * k].reshape(k, k)
+        return p.flat[3 * k * k + (i - 3) * k:3 * k * k + (i - 2) * k]
+
+    def assign(p: AttentionParams, value) -> None:
+        view(p)[...] = value
+
+    return property(view, assign)
+
+
 @dataclass
 class AttentionParams:
-    Wq: np.ndarray
-    Wk: np.ndarray
-    Wv: np.ndarray
-    bq: np.ndarray
-    bk: np.ndarray
-    bv: np.ndarray
+    """All param_count(k) scalars as one float64 vector, in model-file order."""
+
+    flat: np.ndarray
     k: int
 
-    def blocks(self) -> tuple[np.ndarray, ...]:
-        return (self.Wq, self.Wk, self.Wv, self.bq, self.bk, self.bv)
+    Wq, Wk, Wv, bq, bk, bv = (_block(i) for i in range(6))
 
-    def n_scalars(self) -> int:
-        return sum(b.size for b in self.blocks())
+    def __post_init__(self):
+        if self.flat.shape != (param_count(self.k),):
+            raise DimensionMismatch(f"k={self.k} takes {param_count(self.k)} scalars, "
+                                    f"got shape {self.flat.shape}")
 
 
 def init_params(k: int, seed: int, scale: float = 0.01) -> AttentionParams:
@@ -53,20 +67,14 @@ def init_params(k: int, seed: int, scale: float = 0.01) -> AttentionParams:
     scale = 0 gives exactly-zero logits, i.e. uniform attention on the
     first forward pass.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     if scale < 0:
         raise ValueError(f"scale must be >= 0, got {scale}")
     rng = np.random.default_rng(seed)
-    return AttentionParams(
-        Wq=rng.uniform(-scale, scale, (k, k)),
-        Wk=rng.uniform(-scale, scale, (k, k)),
-        Wv=np.eye(k),
-        bq=np.zeros(k),
-        bk=np.zeros(k),
-        bv=np.zeros(k),
-        k=k,
-    )
+    params = AttentionParams(np.zeros(param_count(k)), k)
+    params.Wq = rng.uniform(-scale, scale, (k, k))
+    params.Wk = rng.uniform(-scale, scale, (k, k))
+    params.Wv = np.eye(k)
+    return params
 
 
 def softmax_rows(M: np.ndarray) -> np.ndarray:
@@ -116,16 +124,8 @@ def bce_loss(s: float, label: int) -> float:
     return -(label * math.log(s) + (1 - label) * math.log(1.0 - s))
 
 
-def _zero_grads(params: AttentionParams) -> AttentionParams:
-    k = params.k
-    return AttentionParams(
-        Wq=np.zeros((k, k)), Wk=np.zeros((k, k)), Wv=np.zeros((k, k)),
-        bq=np.zeros(k), bk=np.zeros(k), bv=np.zeros(k), k=k,
-    )
-
-
 def backward(params: AttentionParams, cache: ForwardCache, label: int) -> AttentionParams:
-    """Gradients of BCE(score, label) w.r.t. all six parameter blocks.
+    """Gradients of BCE(score, label) w.r.t. every parameter.
 
     Returns an AttentionParams holding the gradients. The gradient is zero
     whenever the readout was clamped (s != r), and always zero on the inert
@@ -135,7 +135,7 @@ def backward(params: AttentionParams, cache: ForwardCache, label: int) -> Attent
         raise StaleCache(
             f"cache built for k={cache.H.shape[1]}, params expect k={params.k}"
         )
-    grads = _zero_grads(params)
+    grads = AttentionParams(np.zeros(param_count(params.k)), params.k)
     if cache.s != cache.r:
         return grads
     H, Q, K, A, v, e = cache.H, cache.Q, cache.K, cache.A, cache.v, cache.e
@@ -161,14 +161,9 @@ def backward(params: AttentionParams, cache: ForwardCache, label: int) -> Attent
 
 def sgd_step(params: AttentionParams, grads: AttentionParams, eta: float) -> AttentionParams:
     """Plain SGD: p <- p - eta * g, in place; returns params."""
-    if eta <= 0:
-        raise ValueError(f"eta must be > 0, got {eta}")
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"eta must be a finite number > 0, got {eta}")
     if grads.k != params.k:
         raise DimensionMismatch(f"gradient k={grads.k} vs params k={params.k}")
-    params.Wq -= eta * grads.Wq
-    params.Wk -= eta * grads.Wk
-    params.Wv -= eta * grads.Wv
-    params.bq -= eta * grads.bq
-    params.bk -= eta * grads.bk
-    params.bv -= eta * grads.bv
+    params.flat -= eta * grads.flat
     return params

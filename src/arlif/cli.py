@@ -186,7 +186,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--mode", choices=("arlif", "baseline-if"), default="arlif",
                         help="baseline-if bypasses attention and thresholds the "
-                        "forest score at the model's tau")
+                        "forest score at the model's tau (bench instead tunes a threshold "
+                        "on the training rows, so its forest F1 can differ)")
 
     p_stream = sub.add_parser("stream", parents=[fmt],
                               help="score records from stdin, one line per record")

@@ -17,27 +17,29 @@ reals throughout:
     forest      per tree: n_nodes u32 + n_nodes * 28-byte iforest.NODE_DTYPE
                 records (feature i32, threshold f64, left i32, right i32,
                 size i32, depth i32), written and read as the tree array
-    attention   Wq, Wk, Wv (k*k f64 each), bq, bk, bv (k f64),
-                histories (T*k f64)   -- present iff flags bit 0
+    attention   params: AttentionParams.flat, 3k(k+1) f64 (Wq, Wk, Wv k*k
+                each, then bq, bk, bv k each); histories (T*k f64)
 
-flags bit 0 cleared writes a forest-only payload: it exists so baseline
-model size can be measured on real bytes, and such files are not loadable
-back into a streaming detector.
+flags bit 0 marks the attention segment present; every file this program
+writes sets it, and a file with it clear is rejected on load.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import AttentionParams, ForwardCache, backward, bce_loss, forward, sgd_step
+from .attention import (AttentionParams, ForwardCache, backward, bce_loss, forward,
+                        param_count, sgd_step)
 from .errors import (
     BadMagic,
     CorruptModel,
     DimensionMismatch,
+    Diverged,
     EmptyStream,
     TruncatedFile,
     VersionUnsupported,
@@ -116,10 +118,13 @@ def observe(det: Detector, r: Record) -> DetectionResult:
 
 
 def learn(det: Detector, r: Record, label: int) -> float:
-    """observe, then one BCE/SGD update of the attention layer only."""
+    """observe, then one BCE/SGD update of the attention layer only. Raises
+    Diverged once the readout or the parameters are no longer finite."""
     res = observe(det, r)
-    grads = backward(det.params, res.cache, label)
-    sgd_step(det.params, grads, det.eta)
+    sgd_step(det.params, backward(det.params, res.cache, label), det.eta)
+    if not (math.isfinite(res.cache.r) and np.isfinite(det.params.flat).all()):
+        raise Diverged(f"attention layer diverged at sample {det.samples_seen} "
+                       f"(readout {res.cache.r}, eta={det.eta})")
     return bce_loss(res.score, label)
 
 
@@ -163,18 +168,15 @@ def forest_bytes(forest: IsolationForest) -> bytes:
 
 
 def attention_params_bytes(params: AttentionParams) -> bytes:
-    """The parameter segment: 8 * 3k(k+1) bytes of 64-bit reals."""
-    return b"".join(
-        np.ascontiguousarray(b, dtype="<f8").tobytes() for b in params.blocks()
-    )
+    """The parameter segment: the layer's vector, 8 * 3k(k+1) bytes of 64-bit reals."""
+    return params.flat.astype("<f8", copy=False).tobytes()
 
 
-def to_bytes(det: Detector, include_attention: bool = True) -> bytes:
-    flags = _FLAG_ATTENTION if include_attention else 0
+def to_bytes(det: Detector) -> bytes:
     header = _HEADER.pack(
         MAGIC,
         FORMAT_VERSION,
-        flags,
+        _FLAG_ATTENTION,
         det.params.k,
         det.forest.n_trees,
         det.forest.psi,
@@ -183,16 +185,14 @@ def to_bytes(det: Detector, include_attention: bool = True) -> bytes:
         det.eta,
         det.samples_seen,
     )
-    parts = [header, _pre_bytes(det.pre), forest_bytes(det.forest)]
-    if include_attention:
-        parts.append(attention_params_bytes(det.params))
-        parts.append(np.ascontiguousarray(det.histories, dtype="<f8").tobytes())
-    return b"".join(parts)
+    return b"".join([header, _pre_bytes(det.pre), forest_bytes(det.forest),
+                     attention_params_bytes(det.params),
+                     np.ascontiguousarray(det.histories, dtype="<f8").tobytes()])
 
 
-def model_size_bytes(det: Detector, include_attention: bool = True) -> int:
+def model_size_bytes(det: Detector) -> int:
     """Exact byte length of the serialized model."""
-    return len(to_bytes(det, include_attention))
+    return len(to_bytes(det))
 
 
 def save_model(det: Detector, sink) -> None:
@@ -261,24 +261,16 @@ def from_bytes(data: bytes) -> Detector:
             except UnicodeDecodeError:
                 raise CorruptModel(f"column {col} vocabulary is not valid UTF-8") from None
         vocab[col] = toks
-    pre = Preprocessor(vocab=vocab, min_max=min_max, selected=selected, m=m)
+    pre = Preprocessor(vocab=vocab, min_max=min_max, selected=selected)
 
     trees = [np.frombuffer(rd.take(rd.u32() * NODE_DTYPE.itemsize), NODE_DTYPE) for _ in range(T)]
     forest = IsolationForest(trees=trees, psi=psi, n_features=m)
 
-    params = AttentionParams(
-        Wq=rd.f64_array(k * k, (k, k)),
-        Wk=rd.f64_array(k * k, (k, k)),
-        Wv=rd.f64_array(k * k, (k, k)),
-        bq=rd.f64_array(k),
-        bk=rd.f64_array(k),
-        bv=rd.f64_array(k),
-        k=k,
-    )
+    params = AttentionParams(rd.f64_array(param_count(k)), k)
     histories = rd.f64_array(T * k, (T, k))
     if rd.pos != len(data):
         raise TruncatedFile(f"{len(data) - rd.pos} trailing bytes after model payload")
-    if not all(np.isfinite(b).all() for b in params.blocks()):
+    if not np.isfinite(params.flat).all():
         raise CorruptModel("attention parameters must be finite")
     if not ((histories >= 0.0) & (histories <= 1.0)).all():
         raise CorruptModel("histories must lie in [0,1]")

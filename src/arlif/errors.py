@@ -43,6 +43,10 @@ class EmptyStream(ArlifError):
     """Online training requires at least one labeled sample."""
 
 
+class Diverged(ArlifError):
+    """Online SGD blew the attention layer up: its readout or parameters are not finite."""
+
+
 # --- model file -----------------------------------------------------------
 
 class BadMagic(ArlifError):

@@ -139,7 +139,6 @@ class Preprocessor:
     vocab: dict[int, list[str]]
     min_max: list[tuple[float, float]]
     selected: list[int]
-    m: int
     _index: dict[int, dict[str, int]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
@@ -150,6 +149,10 @@ class Preprocessor:
             for col, toks in self.vocab.items()
         }
 
+    @property
+    def m(self) -> int:  # length of a transformed vector
+        return len(self.selected)
+
 
 def rank_features(records: list[Record]) -> list[tuple[int, float]]:
     """Rank all 41 columns by absolute point-biserial correlation with the label.
@@ -157,7 +160,7 @@ def rank_features(records: list[Record]) -> list[tuple[int, float]]:
     Returns (column, score) pairs sorted by descending score, ties broken by
     ascending column index. Zero-variance columns score 0.
     """
-    vocab_only = Preprocessor(vocab=_build_vocab(records), min_max=[], selected=[], m=0)
+    vocab_only = Preprocessor(vocab=_build_vocab(records), min_max=[], selected=[])
     return _rank_columns(_encode_matrix(records, vocab_only), records)
 
 
@@ -165,7 +168,7 @@ def fit_preprocessor(records: list[Record], m: int) -> Preprocessor:
     """Fit vocab, select the top-m ranked columns, record per-column min/max."""
     if not 1 <= m <= N_FEATURES:
         raise ValueError(f"m must be in 1..{N_FEATURES}, got {m}")
-    pre = Preprocessor(vocab=_build_vocab(records), min_max=[], selected=[], m=m)
+    pre = Preprocessor(vocab=_build_vocab(records), min_max=[], selected=[])
     X = _encode_matrix(records, pre)
     pre.selected = [col for col, _ in _rank_columns(X, records)[:m]]
     pre.min_max = [(float(lo), float(hi)) for lo, hi in zip(X.min(axis=0), X.max(axis=0))]

@@ -93,8 +93,8 @@ def evaluate(det: Detector, test, mode: str = "arlif", baseline_tau: float | Non
 
     In baseline-if mode the attention layer is bypassed: the classical
     forest score is thresholded at baseline_tau (falling back to det.tau
-    when the caller has no tuned threshold), and model bytes count the
-    forest-only payload.
+    when the caller has no tuned threshold), and model bytes leave out the
+    attention parameters and the histories.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -120,6 +120,9 @@ def evaluate(det: Detector, test, mode: str = "arlif", baseline_tau: float | Non
             lats.append(time.perf_counter_ns() - t0)
             preds.append(1 if s >= tau_b else 0)
 
+    size = model_size_bytes(det)
+    if mode != "arlif":
+        size -= det.params.flat.nbytes + det.histories.nbytes
     conf = confusion_matrix(preds, [r.label for r in test])
     arr = np.asarray(lats)
     return EvalReport(
@@ -132,7 +135,7 @@ def evaluate(det: Detector, test, mode: str = "arlif", baseline_tau: float | Non
         latency_mean_ns=float(arr.mean()),
         latency_p50_ns=int(np.percentile(arr, 50, method="nearest")),
         latency_p99_ns=int(np.percentile(arr, 99, method="nearest")),
-        model_bytes=model_size_bytes(det, include_attention=(mode == "arlif")),
+        model_bytes=size,
     )
 
 

@@ -9,21 +9,17 @@ from arlif.attention import AttentionParams, bce_loss, forward
 
 def fd_grads(params: AttentionParams, H, label, h: float = 1e-6) -> AttentionParams:
     """Numerical gradient of BCE(forward(params, H), label), one scalar at a time."""
-    out = []
-    for block in params.blocks():
-        grad = np.zeros_like(block)
-        flat_b = block.ravel()
-        flat_g = grad.ravel()
-        for i in range(flat_b.size):
-            orig = flat_b[i]
-            flat_b[i] = orig + h
-            s_hi, _ = forward(params, H)
-            flat_b[i] = orig - h
-            s_lo, _ = forward(params, H)
-            flat_b[i] = orig
-            flat_g[i] = (bce_loss(s_hi, label) - bce_loss(s_lo, label)) / (2.0 * h)
-        out.append(grad)
-    return AttentionParams(*out, k=params.k)
+    grad = AttentionParams(np.zeros_like(params.flat), params.k)
+    flat = params.flat
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        s_hi, _ = forward(params, H)
+        flat[i] = orig - h
+        s_lo, _ = forward(params, H)
+        flat[i] = orig
+        grad.flat[i] = (bce_loss(s_hi, label) - bce_loss(s_lo, label)) / (2.0 * h)
+    return grad
 
 
 def grad_errors(analytic: AttentionParams, numeric: AttentionParams,
@@ -34,15 +30,10 @@ def grad_errors(analytic: AttentionParams, numeric: AttentionParams,
     return only rounding noise — out of the relative statistic; those
     entries are held to an absolute bound instead.
     """
-    max_rel = 0.0
-    max_abs_small = 0.0
-    for a, n in zip(analytic.blocks(), numeric.blocks()):
-        a = a.ravel()
-        n = n.ravel()
-        denom = np.maximum(np.abs(a), np.abs(n))
-        big = denom > floor
-        if big.any():
-            max_rel = max(max_rel, float((np.abs(a - n)[big] / denom[big]).max()))
-        if (~big).any():
-            max_abs_small = max(max_abs_small, float(np.abs(a - n)[~big].max()))
+    a, n = analytic.flat, numeric.flat
+    err = np.abs(a - n)
+    denom = np.maximum(np.abs(a), np.abs(n))
+    big = denom > floor
+    max_rel = float((err[big] / denom[big]).max()) if big.any() else 0.0
+    max_abs_small = float(err[~big].max()) if (~big).any() else 0.0
     return max_rel, max_abs_small

@@ -77,7 +77,7 @@ def test_criterion_1_parameter_count_law():
         expected = 3 * k * (k + 1)
         assert param_count(k) == expected
         p = init_params(k, seed=0)
-        assert p.n_scalars() == expected
+        assert p.flat.size == expected
         assert len(attention_params_bytes(p)) == 8 * expected
     assert time.perf_counter() - t0 < 1.0
 

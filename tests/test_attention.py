@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from arlif.attention import (
     sgd_step,
     softmax_rows,
 )
+from arlif.detector import attention_params_bytes
 from arlif.errors import DimensionMismatch, StaleCache
 from grad_check import fd_grads, grad_errors
 
@@ -21,15 +24,21 @@ from grad_check import fd_grads, grad_errors
 def rand_params(k, seed):
     """Dense random parameters, centered so probability histories stay unclamped."""
     rng = np.random.default_rng(seed)
-    return AttentionParams(
-        Wq=rng.normal(0, 0.3, (k, k)),
-        Wk=rng.normal(0, 0.3, (k, k)),
-        Wv=np.eye(k) + rng.normal(0, 0.1, (k, k)),
-        bq=rng.normal(0, 0.1, k),
-        bk=rng.normal(0, 0.1, k),
-        bv=rng.normal(0, 0.05, k),
-        k=k,
-    )
+    p = AttentionParams(np.zeros(param_count(k)), k)
+    p.Wq = rng.normal(0, 0.3, (k, k))
+    p.Wk = rng.normal(0, 0.3, (k, k))
+    p.Wv = np.eye(k) + rng.normal(0, 0.1, (k, k))
+    p.bq = rng.normal(0, 0.1, k)
+    p.bk = rng.normal(0, 0.1, k)
+    p.bv = rng.normal(0, 0.05, k)
+    return p
+
+
+def shifted(p, bv_shift):
+    """A copy of p with every bv entry moved by bv_shift."""
+    q = AttentionParams(p.flat.copy(), p.k)
+    q.bv += bv_shift
+    return q
 
 
 # --- parameter count / init ----------------------------------------------------
@@ -54,7 +63,7 @@ def test_init_params_structure():
     assert np.array_equal(p.Wv, np.eye(5))
     assert np.all(p.bq == 0) and np.all(p.bk == 0) and np.all(p.bv == 0)
     assert np.all(np.abs(p.Wq) <= 0.01) and np.all(np.abs(p.Wk) <= 0.01)
-    assert p.n_scalars() == param_count(5)
+    assert p.flat.size == param_count(5)
 
 
 def test_init_params_scale_zero_is_exactly_zero():
@@ -66,7 +75,7 @@ def test_init_params_deterministic():
     a = init_params(6, seed=42)
     b = init_params(6, seed=42)
     c = init_params(6, seed=43)
-    assert all(np.array_equal(x, y) for x, y in zip(a.blocks(), b.blocks()))
+    assert np.array_equal(a.flat, b.flat)
     assert not np.array_equal(a.Wq, c.Wq)
 
 
@@ -75,6 +84,45 @@ def test_init_params_guards():
         init_params(0, seed=0)
     with pytest.raises(ValueError):
         init_params(3, seed=0, scale=-0.1)
+
+
+# --- the parameter vector ------------------------------------------------------
+
+def test_params_bytes_are_the_blocks_in_file_order():
+    p = rand_params(4, seed=21)
+    expected = b"".join(np.asarray(getattr(p, name), dtype="<f8").tobytes()
+                        for name in ("Wq", "Wk", "Wv", "bq", "bk", "bv"))
+    assert attention_params_bytes(p) == expected
+    assert len(set(p.flat.tolist())) == param_count(4)  # distinct: a misplaced block shows
+
+
+def test_assigning_a_block_writes_the_vector():
+    p = rand_params(3, seed=22)
+    X = np.arange(9.0).reshape(3, 3) + 0.5
+    p.Wq = X
+    assert np.array_equal(p.flat[:9], X.ravel())
+    assert attention_params_bytes(p)[:72] == X.astype("<f8").tobytes()
+    p.bv[-1] = 7.25  # a view of a block writes through too
+    assert p.flat[-1] == 7.25
+
+
+def test_deepcopy_keeps_blocks_and_vector_in_step():
+    p = rand_params(3, seed=23)
+    before = p.Wq.copy()
+    q = copy.deepcopy(p)
+    g = AttentionParams(np.ones(param_count(3)), 3)
+    sgd_step(q, g, 1.0)
+    assert np.array_equal(q.Wq, before - 1.0)
+    assert np.array_equal(p.Wq, before)
+    r = pickle.loads(pickle.dumps(q))
+    assert np.array_equal(r.Wq, q.Wq) and np.array_equal(r.flat, q.flat)
+    sgd_step(r, g, 1.0)
+    assert np.array_equal(r.Wq, before - 1.0 - 1.0)
+
+
+def test_params_reject_a_vector_of_the_wrong_size():
+    with pytest.raises(DimensionMismatch):
+        AttentionParams(np.zeros(param_count(3) - 1), 3)
 
 
 # --- softmax -------------------------------------------------------------------
@@ -143,9 +191,9 @@ def test_forward_snapshots_history():
 
 def test_forward_does_not_touch_params():
     p = rand_params(4, seed=8)
-    before = [b.copy() for b in p.blocks()]
+    before = p.flat.copy()
     forward(p, np.random.default_rng(0).uniform(size=(7, 4)))
-    assert all(np.array_equal(a, b) for a, b in zip(before, p.blocks()))
+    assert np.array_equal(before, p.flat)
 
 
 def test_forward_shape_guards():
@@ -161,10 +209,10 @@ def test_forward_shape_guards():
 def test_forward_clamps_readout():
     p = init_params(2, seed=0, scale=0.0)
     H = np.full((3, 2), 0.5)
-    hot = AttentionParams(p.Wq, p.Wk, p.Wv, p.bq, p.bk, p.bv + 100.0, k=2)
+    hot = shifted(p, 100.0)
     s, cache = forward(hot, H)
     assert s == 1.0 - EPS and cache.r > s
-    cold = AttentionParams(p.Wq, p.Wk, p.Wv, p.bq, p.bk, p.bv - 100.0, k=2)
+    cold = shifted(p, -100.0)
     s, cache = forward(cold, H)
     assert s == EPS and cache.r < s
 
@@ -181,10 +229,10 @@ def test_bce_loss_values():
 
 def test_backward_zero_when_clamped():
     p = init_params(2, seed=0, scale=0.0)
-    hot = AttentionParams(p.Wq, p.Wk, p.Wv, p.bq, p.bk, p.bv + 100.0, k=2)
+    hot = shifted(p, 100.0)
     _, cache = forward(hot, np.full((3, 2), 0.5))
     g = backward(hot, cache, label=0)
-    assert all(np.all(b == 0.0) for b in g.blocks())
+    assert np.all(g.flat == 0.0)
 
 
 def test_backward_single_row_leaves_query_key_untouched():
@@ -224,18 +272,18 @@ def test_backward_gradient_shapes():
     _, cache = forward(p, np.random.default_rng(3).uniform(size=(6, 5)))
     g = backward(p, cache, label=0)
     assert g.k == 5
-    for gb, pb in zip(g.blocks(), p.blocks()):
-        assert gb.shape == pb.shape
+    assert g.flat.shape == p.flat.shape
+    for name in ("Wq", "Wk", "Wv", "bq", "bk", "bv"):
+        assert getattr(g, name).shape == getattr(p, name).shape
 
 
 # --- sgd_step ------------------------------------------------------------------
 
 def test_sgd_step_hand_example():
     p = init_params(3, seed=0, scale=0.0)
-    g = AttentionParams(
-        Wq=np.eye(3), Wk=np.zeros((3, 3)), Wv=np.zeros((3, 3)),
-        bq=np.zeros(3), bk=np.zeros(3), bv=np.ones(3), k=3,
-    )
+    g = AttentionParams(np.zeros(param_count(3)), 3)
+    g.Wq = np.eye(3)
+    g.bv = np.ones(3)
     out = sgd_step(p, g, eta=1.0)
     assert out is p  # updates in place
     assert np.array_equal(p.Wq, -np.eye(3))
@@ -246,9 +294,10 @@ def test_sgd_step_hand_example():
 def test_sgd_step_guards():
     p = init_params(2, seed=0)
     g = init_params(2, seed=1)
-    for eta in (0.0, -0.5):
+    for eta in (0.0, -0.5, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             sgd_step(p, g, eta=eta)
+    assert np.array_equal(p.flat, init_params(2, seed=0).flat)  # refused steps change nothing
     with pytest.raises(DimensionMismatch):
         sgd_step(p, init_params(3, seed=0), eta=0.1)
 

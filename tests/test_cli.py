@@ -89,6 +89,18 @@ def test_bad_flag_values_are_usage_errors(cli_env, capsys, tmp_path):
     assert not (tmp_path / "m.arlf").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow being tested
+@pytest.mark.parametrize("eta", ["1e300", "1e308"])
+def test_train_diverging_sgd_fails_without_model(cli_env, capsys, tmp_path, eta):
+    model = tmp_path / "m.arlf"
+    rc = main(["train", "--train", str(cli_env["train"]), "--model", str(model)]
+              + SMALL + ["--eta", eta])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "error: " in err and "diverged" in err and "Traceback" not in err
+    assert not model.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "--tau", "0.3"],
     ["eval", "--trees", "5"],

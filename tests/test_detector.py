@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from arlif.attention import init_params
+from arlif.attention import forward, init_params
 from arlif.detector import (
     Detector,
     attention_params_bytes,
@@ -24,12 +24,14 @@ from arlif.errors import (
     ArlifError,
     BadMagic,
     DimensionMismatch,
+    Diverged,
     EmptyStream,
     TruncatedFile,
     VersionUnsupported,
 )
 from arlif.iforest import IsolationForest, build_forest, tree_proba
 from arlif.ingest import fit_preprocessor, transform
+from arlif.metrics import evaluate
 from conftest import synth_records
 
 
@@ -184,6 +186,20 @@ def test_training_leaves_inert_value_parameters_untouched():
     assert det.params.bv[-1] != init.bv[-1]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow being tested
+def test_learn_raises_diverged_instead_of_training_a_dead_layer(pipe):
+    r = pipe[0][0]
+    det = mk_detector(pipe)
+    det.params.Wq = det.params.Wk = 1e300  # Q.K^T overflows: the readout is NaN
+    with pytest.raises(Diverged):
+        learn(det, r, r.label)
+    det = mk_detector(pipe)
+    det.params.bv[0] = np.inf  # an inert entry: the readout stays finite, the layer does not
+    assert np.isfinite(forward(det.params, det.histories)[1].r)
+    with pytest.raises(Diverged):
+        learn(det, r, r.label)
+
+
 def test_train_online_counts_and_guards(pipe):
     records, _, _, _ = pipe
     det = mk_detector(pipe)
@@ -248,8 +264,11 @@ def test_attention_segment_sizes():
 def test_model_size_accounting(pipe):
     det = mk_detector(pipe, k=4)  # T=10 trees
     assert model_size_bytes(det) == len(to_bytes(det))
-    slim = model_size_bytes(det, include_attention=False)
-    assert model_size_bytes(det) - slim == 8 * (60 + 10 * 4)
+    # the plain-forest baseline is counted without the parameters and histories
+    full = model_size_bytes(det)
+    reports = {mode: evaluate(det, pipe[0][:20], mode) for mode in ("arlif", "baseline-if")}
+    assert reports["arlif"].model_bytes == full
+    assert full - reports["baseline-if"].model_bytes == 8 * (60 + 10 * 4)
 
 
 def test_model_size_grows_with_forest(pipe):
@@ -275,7 +294,10 @@ def test_from_bytes_unknown_version(pipe):
 
 
 def test_from_bytes_rejects_forest_only_payload(pipe):
-    data = to_bytes(mk_detector(pipe), include_attention=False)
+    det = mk_detector(pipe)
+    data = bytearray(to_bytes(det))
+    data[6:8] = (0).to_bytes(2, "little")  # flags: attention segment absent
+    data = bytes(data[: len(data) - len(attention_params_bytes(det.params)) - det.histories.nbytes])
     with pytest.raises(VersionUnsupported):
         from_bytes(data)
 
