@@ -28,6 +28,7 @@ from .detector import (
     model_size_bytes,
     new_detector,
     observe,
+    observe_block,
     save_model,
     to_bytes,
     train_online,

@@ -30,15 +30,19 @@ def param_count(k: int) -> int:
     return 3 * k * (k + 1)
 
 
+def _blocks(flat: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """Wq, Wk, Wv (k x k) and bq, bk, bv (k) as views of a parameter vector,
+    in file order."""
+    W, b = flat[:3 * k * k].reshape(3, k, k), flat[3 * k * k:].reshape(3, k)
+    return W[0], W[1], W[2], b[0], b[1], b[2]
+
+
 def _block(i: int) -> property:
-    """Block i of AttentionParams.flat in file order (Wq, Wk, Wv: k x k; then
-    bq, bk, bv: k). Reading gives a view; assigning copies into the vector,
-    the only storage, so a copy or pickle of the params keeps them in step."""
+    """Block i of AttentionParams.flat (see _blocks). Reading gives a view;
+    assigning copies into the vector, the only storage, so a copy or pickle
+    of the params keeps them in step."""
     def view(p: AttentionParams) -> np.ndarray:
-        k = p.k
-        if i < 3:
-            return p.flat[i * k * k:(i + 1) * k * k].reshape(k, k)
-        return p.flat[3 * k * k + (i - 3) * k:3 * k * k + (i - 2) * k]
+        return _blocks(p.flat, p.k)[i]
 
     def assign(p: AttentionParams, value) -> None:
         view(p)[...] = value
@@ -46,7 +50,7 @@ def _block(i: int) -> property:
     return property(view, assign)
 
 
-@dataclass
+@dataclass(eq=False)
 class AttentionParams:
     """All param_count(k) scalars as one float64 vector, in model-file order."""
 
@@ -77,12 +81,18 @@ def init_params(k: int, seed: int, scale: float = 0.01) -> AttentionParams:
     return params
 
 
+def _softmax_in_place(A: np.ndarray) -> np.ndarray:
+    """Exp-normalize A along its last axis, max subtracted first, in A's own
+    buffer: no temporary the size of A is made."""
+    A -= A.max(axis=-1, keepdims=True)
+    np.exp(A, out=A)
+    A /= A.sum(axis=-1, keepdims=True)
+    return A
+
+
 def softmax_rows(M: np.ndarray) -> np.ndarray:
     """Row-wise exp-normalization with max subtraction for stability."""
-    M = np.asarray(M, dtype=np.float64)
-    shifted = M - M.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return _softmax_in_place(np.array(M, dtype=np.float64))
 
 
 @dataclass
@@ -93,29 +103,42 @@ class ForwardCache:
     A: np.ndarray
     v: np.ndarray  # the value column the readout reads, H.Wv[:, -1] + bv[-1]
     e: np.ndarray  # A.v
-    r: float
-    s: float
+    r: float | np.ndarray  # one per matrix of a stack
+    s: float | np.ndarray
 
 
-def forward(params: AttentionParams, H) -> tuple[float, ForwardCache]:
-    """Score the current history matrix.
+def forward(params: AttentionParams, H) -> tuple[float | np.ndarray, ForwardCache]:
+    """Score the current history matrix, or each matrix of a stack.
 
     Q/K are affine images of H, A = softmax_rows(Q.K^T / sqrt(k)) and
     e = A.v with v the last value column; the readout is the mean of e over
-    trees, clamped into [EPS, 1 - EPS].
+    trees, clamped into [EPS, 1 - EPS]. H is one T x k matrix, giving a
+    float, or a stack (..., T, k), giving an array of readouts of shape (...):
+    each matrix of a stack gets the same BLAS calls, and so the same bits, as
+    it would alone.
     """
-    H = np.array(H, dtype=np.float64)  # snapshot: the caller's buffer may mutate
-    if H.ndim != 2 or H.shape[0] < 1:
-        raise DimensionMismatch(f"H must be a T x k matrix, got shape {H.shape}")
-    if H.shape[1] != params.k:
-        raise DimensionMismatch(f"H has {H.shape[1]} columns, params expect k={params.k}")
-    Q = H @ params.Wq + params.bq
-    K = H @ params.Wk + params.bk
-    v = H @ params.Wv[:, -1] + params.bv[-1]
-    A = softmax_rows(Q @ K.T / math.sqrt(params.k))
-    e = A @ v
-    r = float(e.mean())
-    s = min(max(r, EPS), 1.0 - EPS)
+    # a C-order snapshot: the caller's buffer may mutate, and a stack must lay
+    # each matrix out as a lone one is
+    H = np.array(H, dtype=np.float64, order="C")
+    if H.ndim < 2 or H.shape[-2] < 1:
+        raise DimensionMismatch(f"H must be a T x k matrix or a stack of them, got shape {H.shape}")
+    k = params.k
+    if H.shape[-1] != k:
+        raise DimensionMismatch(f"H has {H.shape[-1]} columns, params expect k={k}")
+    Wq, Wk, Wv, bq, bk, bv = _blocks(params.flat, k)
+    Q = H @ Wq + bq
+    K = H @ Wk + bk
+    v = H @ Wv[:, -1] + bv[-1]
+    A = Q @ K.swapaxes(-1, -2)
+    A /= math.sqrt(k)
+    _softmax_in_place(A)
+    e = (A @ v[..., None])[..., 0]
+    r = e.mean(axis=-1)
+    if r.ndim:
+        s = np.clip(r, EPS, 1.0 - EPS)
+    else:
+        r = float(r)
+        s = min(max(r, EPS), 1.0 - EPS)
     return s, ForwardCache(H=H, Q=Q, K=K, A=A, v=v, e=e, r=r, s=s)
 
 
@@ -131,13 +154,12 @@ def backward(params: AttentionParams, cache: ForwardCache, label: int) -> Attent
     whenever the readout was clamped (s != r), and always zero on the inert
     Wv/bv entries.
     """
-    if cache.H.shape[1] != params.k or cache.Q.shape != cache.H.shape:
-        raise StaleCache(
-            f"cache built for k={cache.H.shape[1]}, params expect k={params.k}"
-        )
-    grads = AttentionParams(np.zeros(param_count(params.k)), params.k)
+    if cache.H.ndim != 2 or cache.H.shape[1] != params.k or cache.Q.shape != cache.H.shape:
+        raise StaleCache(f"cache built for H of shape {cache.H.shape}, params expect "
+                         f"one T x {params.k} matrix")
+    grads = np.zeros(param_count(params.k))
     if cache.s != cache.r:
-        return grads
+        return AttentionParams(grads, params.k)
     H, Q, K, A, v, e = cache.H, cache.Q, cache.K, cache.A, cache.v, cache.e
     T, k = H.shape
     s, y = cache.s, label
@@ -150,13 +172,14 @@ def backward(params: AttentionParams, cache: ForwardCache, label: int) -> Attent
     dQ = dlogits @ K
     dK = dlogits.T @ Q
 
-    grads.Wq = H.T @ dQ
-    grads.Wk = H.T @ dK
-    grads.bq = dQ.sum(axis=0)
-    grads.bk = dK.sum(axis=0)
-    grads.Wv[:, -1] = H.T @ dv
-    grads.bv[-1] = dv.sum()
-    return grads
+    gWq, gWk, gWv, gbq, gbk, gbv = _blocks(grads, k)
+    gWq[...] = H.T @ dQ
+    gWk[...] = H.T @ dK
+    gbq[...] = dQ.sum(axis=0)
+    gbk[...] = dK.sum(axis=0)
+    gWv[:, -1] = H.T @ dv
+    gbv[-1] = dv.sum()
+    return AttentionParams(grads, k)
 
 
 def sgd_step(params: AttentionParams, grads: AttentionParams, eta: float) -> AttentionParams:

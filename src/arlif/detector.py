@@ -32,6 +32,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .attention import (AttentionParams, ForwardCache, backward, bce_loss, forward,
                         param_count, sgd_step)
@@ -68,7 +69,7 @@ class TrainingReport:
     samples_per_epoch: int
 
 
-@dataclass
+@dataclass(eq=False)
 class Detector:
     forest: IsolationForest
     params: AttentionParams
@@ -117,11 +118,33 @@ def observe(det: Detector, r: Record) -> DetectionResult:
                            cache=cache)
 
 
+def observe_block(det: Detector, records) -> np.ndarray:
+    """Score records in order, as len(records) calls of observe would: the
+    same scores, and the same histories and samples_seen afterwards.
+
+    One forest walk covers the whole block, and one forward call scores the
+    stack of history matrices the records produce in turn: window i of the
+    per-tree probability sequence (the current history, then each record's
+    probabilities) is the matrix observe would see at record i.
+    """
+    if not len(records):
+        return np.empty(0)
+    P = forest_probas(det.forest, np.array([transform(det.pre, r) for r in records]))
+    k = det.params.k
+    seq = np.concatenate([det.histories[:, 1:].T, P])  # (k - 1 + N) x T
+    scores, _ = forward(det.params, sliding_window_view(seq, k, axis=0))  # N x T x k
+    det.histories[...] = seq[-k:].T
+    det.samples_seen += len(records)
+    return scores
+
+
 def learn(det: Detector, r: Record, label: int) -> float:
     """observe, then one BCE/SGD update of the attention layer only. Raises
-    Diverged once the readout or the parameters are no longer finite."""
-    res = observe(det, r)
-    sgd_step(det.params, backward(det.params, res.cache, label), det.eta)
+    Diverged once the readout or the parameters are no longer finite; the
+    overflow that leads there is reported by that error alone."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = observe(det, r)
+        sgd_step(det.params, backward(det.params, res.cache, label), det.eta)
     if not (math.isfinite(res.cache.r) and np.isfinite(det.params.flat).all()):
         raise Diverged(f"attention layer diverged at sample {det.samples_seen} "
                        f"(readout {res.cache.r}, eta={det.eta})")

@@ -170,25 +170,39 @@ def build_forest(data, T: int, psi: int, seed: int) -> IsolationForest:
     return IsolationForest(trees=trees, psi=eff_psi, n_features=int(X.shape[1]))
 
 
-def _leaf_slots(forest: IsolationForest, x) -> np.ndarray:
-    """Slot of the leaf x reaches in each tree, in tree order: one walk for all T."""
-    x, j = np.asarray(x, dtype=np.float64), forest._roots
+def _leaf_slots(forest: IsolationForest, X) -> np.ndarray:
+    """Slot of the leaf each point reaches in each tree, in tree order: one walk
+    for all T trees, and for a block of points all N of them at once.
+
+    X is one vector (m,), giving (T,) slots, or a block (N, m), giving (N, T).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    rows = () if X.ndim == 1 else (np.arange(X.shape[0])[:, None],)
+    j = forest._roots
     for _ in range(forest.height_limit):
-        j = forest._next[2 * j + (x[forest._feature[j]] < forest._threshold[j])]
+        j = forest._next[2 * j + (X[(*rows, forest._feature[j])] < forest._threshold[j])]
     return forest._slot[j]
 
 
-def forest_probas(forest: IsolationForest, x) -> np.ndarray:
-    """Every tree's anomaly probability for x; entry i equals tree_proba(trees[i], ...)."""
-    return forest._proba[_leaf_slots(forest, x)]
+def forest_probas(forest: IsolationForest, X) -> np.ndarray:
+    """Every tree's anomaly probability for one vector (T,) or a block (N, T);
+    entry i equals tree_proba(trees[i], ...)."""
+    return forest._proba[_leaf_slots(forest, X)]
 
 
-def forest_score(forest: IsolationForest, x) -> float:
-    """Classical forest score 2^(-mean path length / c_psi)."""
-    total = 0.0
-    for h in forest._path[_leaf_slots(forest, x)].tolist():  # in tree order, like path_length
-        total += h
-    return 2.0 ** (-(total / len(forest.trees)) / forest.c_psi)
+def forest_score(forest: IsolationForest, X):
+    """Classical forest score 2^(-mean path length / c_psi): a float for one
+    vector, an (N,) array for a block (N, m).
+
+    cumsum adds each point's path lengths in tree order, as path_length's sum
+    would (np.sum adds pairwise), and ** runs per point on Python floats, since
+    numpy's vectorized ** may differ in the last ulp.
+    """
+    total = np.cumsum(forest._path[_leaf_slots(forest, X)], axis=-1)[..., -1]
+    e = -(total / len(forest.trees)) / forest.c_psi
+    if e.ndim == 0:
+        return 2.0 ** float(e)
+    return np.array([2.0 ** x for x in e.tolist()])
 
 
 def path_length(tree: np.ndarray, x) -> float:

@@ -56,3 +56,13 @@ def pipe():
     vectors = [transform(pre, r) for r in records]
     forest = build_forest(vectors, T=10, psi=64, seed=7)
     return records, pre, vectors, forest
+
+
+@pytest.fixture(scope="session")
+def default_shape():
+    """Default-sized pipeline (m=10, T=100, psi=256, k=10) built once."""
+    records = synth_records(2000, seed=0, attack_rate=0.5)
+    pre = fit_preprocessor(records, 10)
+    vectors = [transform(pre, r) for r in records]
+    forest = build_forest(vectors, T=100, psi=256, seed=0)
+    return records, pre, forest

@@ -45,16 +45,6 @@ def centered_params(k, seed):
     return p
 
 
-@pytest.fixture(scope="module")
-def default_shape():
-    """Default-sized pipeline (m=10, T=100, psi=256, k=10) built once."""
-    records = synth_records(2000, seed=0, attack_rate=0.5)
-    pre = fit_preprocessor(records, 10)
-    vectors = [transform(pre, r) for r in records]
-    forest = build_forest(vectors, T=100, psi=256, seed=0)
-    return records, pre, forest
-
-
 def bench_rows(capsys, argv):
     assert main(argv) == 0
     out = capsys.readouterr().out

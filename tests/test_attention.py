@@ -246,6 +246,27 @@ def test_backward_single_row_leaves_query_key_untouched():
     assert np.any(g.Wv != 0.0) and np.any(g.bv != 0.0)
 
 
+def test_forward_on_a_stack_equals_each_matrix_alone():
+    p = rand_params(3, seed=2)
+    Hs = np.random.default_rng(2).uniform(0.1, 0.9, size=(2, 5, 4, 3))
+    for params in (p, shifted(p, 100.0), shifted(p, -100.0)):  # clamped readouts too
+        s, cache = forward(params, Hs)
+        assert s.shape == cache.r.shape == (2, 5)
+        for idx in np.ndindex(2, 5):
+            one, alone = forward(params, Hs[idx])
+            assert s[idx] == one and cache.r[idx] == alone.r
+            for name in ("H", "Q", "K", "A", "v", "e"):
+                assert np.array_equal(getattr(cache, name)[idx], getattr(alone, name))
+
+
+def test_backward_rejects_a_cache_from_a_stacked_forward():
+    p = rand_params(3, seed=3)
+    for shape in ((2, 4, 3), (2, 3, 3)):  # T == k passes a check on H's column count alone
+        _, cache = forward(p, np.full(shape, 0.5))
+        with pytest.raises(StaleCache):
+            backward(p, cache, label=1)
+
+
 def test_backward_rejects_stale_cache():
     p3 = rand_params(3, seed=0)
     _, cache = forward(p3, np.random.default_rng(1).uniform(size=(5, 3)))

@@ -2,6 +2,7 @@ import io
 import re
 import struct
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -89,12 +90,14 @@ def test_bad_flag_values_are_usage_errors(cli_env, capsys, tmp_path):
     assert not (tmp_path / "m.arlf").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow being tested
 @pytest.mark.parametrize("eta", ["1e300", "1e308"])
 def test_train_diverging_sgd_fails_without_model(cli_env, capsys, tmp_path, eta):
     model = tmp_path / "m.arlf"
-    rc = main(["train", "--train", str(cli_env["train"]), "--model", str(model)]
-              + SMALL + ["--eta", eta])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["train", "--train", str(cli_env["train"]), "--model", str(model)]
+                  + SMALL + ["--eta", eta])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert rc == 1
     assert "error: " in err and "diverged" in err and "Traceback" not in err

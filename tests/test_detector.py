@@ -1,6 +1,7 @@
 import io
 import random
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from arlif.detector import (
     model_size_bytes,
     new_detector,
     observe,
+    observe_block,
     save_model,
     to_bytes,
     train_online,
@@ -136,6 +138,28 @@ def test_observe_result_fields(pipe):
     assert det.samples_seen == 1
 
 
+@pytest.mark.parametrize("trees, k, block", [
+    (10, 20, 7),   # the window spans several blocks
+    (10, 4, 1),    # blocks of one row
+    (10, 4, 13),   # the last block is short
+    (10, 4, 60),   # one block for every row
+    (1, 1, 5),     # one tree, a window of one step
+])
+def test_observe_block_equals_a_loop_of_observe(pipe, trees, k, block):
+    records, pre, vectors, _ = pipe
+    forest = build_forest(vectors, T=trees, psi=64, seed=7)
+    params = init_params(k, seed=3, scale=0.5)  # attention far from uniform
+    looped = new_detector(forest, params, pre)
+    blocked = new_detector(forest, params, pre)
+    rows = records[:60]
+    scores = [observe(looped, r).score for r in rows]
+    out = [observe_block(blocked, rows[i:i + block]) for i in range(0, len(rows), block)]
+    assert np.concatenate(out).tolist() == scores
+    assert blocked.histories.tolist() == looped.histories.tolist()
+    assert blocked.samples_seen == looped.samples_seen == len(rows)
+    assert observe_block(blocked, []).size == 0 and blocked.samples_seen == len(rows)
+
+
 # --- learn / train_online --------------------------------------------------------
 
 def test_learn_never_touches_forest(pipe):
@@ -186,13 +210,14 @@ def test_training_leaves_inert_value_parameters_untouched():
     assert det.params.bv[-1] != init.bv[-1]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow being tested
 def test_learn_raises_diverged_instead_of_training_a_dead_layer(pipe):
     r = pipe[0][0]
     det = mk_detector(pipe)
     det.params.Wq = det.params.Wk = 1e300  # Q.K^T overflows: the readout is NaN
-    with pytest.raises(Diverged):
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(Diverged):
+        warnings.simplefilter("always")
         learn(det, r, r.label)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     det = mk_detector(pipe)
     det.params.bv[0] = np.inf  # an inert entry: the readout stays finite, the layer does not
     assert np.isfinite(forward(det.params, det.histories)[1].r)
@@ -210,6 +235,14 @@ def test_train_online_counts_and_guards(pipe):
         train_online(det, records[:5], epochs=0)
     with pytest.raises(EmptyStream):
         train_online(det, [], epochs=1)
+
+
+def test_params_and_detectors_compare_by_identity(pipe):
+    a, b = init_params(3, seed=0), init_params(3, seed=0)
+    assert a == a and a != b  # the arrays are not compared, so nothing raises
+    det, twin = mk_detector(pipe), mk_detector(pipe)
+    assert det == det and det != twin
+    assert to_bytes(det) == to_bytes(twin)  # the model's equality
 
 
 # --- serialization ----------------------------------------------------------------

@@ -279,3 +279,13 @@ def test_forest_walk_equals_scalar_oracle_exactly():
             for t in f.trees:
                 total += path_length(t, x)
             assert forest_score(f, x) == 2.0 ** (-(total / f.n_trees) / f.c_psi)
+
+
+def test_block_walk_equals_each_row_walked_alone():
+    built, inputs = oracle_inputs()  # with points exactly on split thresholds
+    mixed = IsolationForest(trees=[LEAF, chain_tree(1, 2), *built.trees], psi=64, n_features=4)
+    X = np.array(inputs)
+    for f in (built, mixed):
+        assert forest_probas(f, X).tolist() == [forest_probas(f, x).tolist() for x in inputs]
+        assert forest_score(f, X).tolist() == [forest_score(f, x) for x in inputs]
+        assert forest_score(f, X[:1]).tolist() == [forest_score(f, X[0])]

@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from arlif.attention import init_params
-from arlif.detector import new_detector, observe, to_bytes
+from arlif.detector import new_detector, observe, to_bytes, train_online
 from arlif.errors import Empty, LengthMismatch, SingleClass
-from arlif.iforest import forest_score
+from arlif.iforest import build_forest, forest_score
 from arlif.ingest import transform
 from arlif.metrics import (
+    BLOCK,
     Confusion,
     confusion_matrix,
     evaluate,
@@ -15,6 +18,7 @@ from arlif.metrics import (
     recall_score,
     tune_baseline_threshold,
 )
+from conftest import synth_records
 
 
 def mk_detector(pipe, k=4, eta=0.01, seed=0):
@@ -92,6 +96,38 @@ def test_evaluate_arlif_matches_manual_stream(pipe):
         (c.tp, c.fp, c.fn, c.tn)
     assert rep.f1 == pytest.approx(f1_score(c), abs=1e-12)
     assert rep.mode == "arlif"
+
+
+def test_evaluate_across_blocks_and_a_window_longer_than_one(pipe):
+    records, _, _, _ = pipe
+    test = records[:2 * BLOCK + 5]  # the last block is short
+    det = mk_detector(pipe, k=BLOCK + 6)
+    twin = replace(det, histories=det.histories.copy())
+    scores = [observe(twin, r).score for r in test]
+    det.tau = float(np.median(scores))  # a threshold with many scores close on either side
+    c = confusion_matrix([int(s >= det.tau) for s in scores], [r.label for r in test])
+    rep = evaluate(det, test)
+    assert rep.confusion == c and rep.f1 == f1_score(c)
+
+
+def test_evaluate_equals_the_per_row_reference_at_the_default_shape(default_shape):
+    records, pre, forest = default_shape
+    det = new_detector(forest, init_params(10, seed=0), pre, eta=0.001)
+    train_online(det, records[:500])
+    test = synth_records(1000, seed=1, attack_rate=0.5)
+    labels = [r.label for r in test]
+    run = replace(det, histories=np.full_like(det.histories, 0.5))
+    scores = [observe(run, r).score for r in test]
+    det.tau = float(np.median(scores))  # a threshold with many scores close on either side
+    c = confusion_matrix([int(s >= det.tau) for s in scores], labels)
+    rep = evaluate(det, test)
+    assert rep.confusion == c and rep.f1 == f1_score(c)
+
+    tau_b = float(np.median([forest_score(forest, transform(pre, r)) for r in test]))
+    c = confusion_matrix([int(forest_score(forest, transform(pre, r)) >= tau_b) for r in test],
+                         labels)
+    rep = evaluate(det, test, "baseline-if", baseline_tau=tau_b)
+    assert rep.confusion == c and rep.f1 == f1_score(c)
 
 
 def test_evaluate_baseline_matches_manual_threshold(pipe):
@@ -190,6 +226,18 @@ def test_tune_matches_exhaustive_search(pipe):
         if integer_f1(t) == pytest.approx(best, abs=1e-12):
             assert tau == pytest.approx(t, abs=1e-12)
             break
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tune_equals_the_per_vector_reference(pipe, seed):
+    _, pre, _, _ = pipe
+    records = synth_records(300, seed=seed, attack_rate=0.4)
+    vectors = [transform(pre, r) for r in records]
+    labels = [r.label for r in records]
+    forest = build_forest(vectors, T=10, psi=64, seed=seed)
+    scores = np.array([forest_score(forest, x) for x in vectors])
+    f1s = [f1_score(confusion_matrix(scores >= i / 100.0, labels)) for i in range(1, 100)]
+    assert tune_baseline_threshold(forest, vectors, labels) == (1 + int(np.argmax(f1s))) / 100.0
 
 
 def test_tune_single_class_rejected(pipe):
