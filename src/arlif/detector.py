@@ -14,14 +14,13 @@ reals throughout:
                 psi u32 | m u32 | tau f64 | eta f64 | samples_seen u64
     pre         selected m*u32 | min_max 41*2 f64 | vocab: per categorical
                 column count u32 then (len u32 + utf-8 bytes) per token
-    forest      per tree: n_nodes u32 + n_nodes * 28-byte iforest.NODE_DTYPE
-                records (feature i32, threshold f64, left i32, right i32,
-                size i32, depth i32), written and read as the tree array
+    forest      per tree: n_nodes u32 + n_nodes 16-byte iforest.NODE_DTYPE records
+                in preorder (feature i32, threshold f64, right child or leaf size i32)
     attention   params: AttentionParams.flat, 3k(k+1) f64 (Wq, Wk, Wv k*k
                 each, then bq, bk, bv k each); histories (T*k f64)
 
 flags bit 0 marks the attention segment present; every file this program
-writes sets it, and a file with it clear is rejected on load.
+writes sets it, and a file with it clear is rejected on load, as is version 1 (28-byte nodes).
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from .iforest import NODE_DTYPE, IsolationForest, forest_probas
 from .ingest import CATEGORICAL_COLUMNS, N_FEATURES, Preprocessor, Record, transform
 
 MAGIC = b"ARLF"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _FLAG_ATTENTION = 0x0001
 
 _HEADER = struct.Struct("<4sHHIIIIddQ")

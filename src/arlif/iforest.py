@@ -16,14 +16,11 @@ from .errors import CorruptModel, InsufficientData
 
 EULER_GAMMA = 0.5772156649
 
-# Node j is a leaf iff f < 0. Internal nodes use (feature f, threshold t,
-# left l, right r); leaves use (size s, depth d). The unused half of each
-# record is canonically zeroed (f = -1, t = 0.0, l = r = -1 for leaves;
-# s = d = 0 for internal nodes) so the serialized form is unique.
-NODE_DTYPE = np.dtype(
-    [("f", "<i4"), ("t", "<f8"), ("l", "<i4"), ("r", "<i4"), ("s", "<i4"), ("d", "<i4")],
-    align=False,
-)
+# Node j is a leaf iff f < 0. Trees are in preorder, so an internal node's left
+# child is j + 1: it holds its feature f, threshold t and tree-relative right
+# child r. A leaf holds f = -1, t = +0.0 and its size in r. Depth is derived at
+# load as the walk's length, so a forest has exactly one serialized form.
+NODE_DTYPE = np.dtype([("f", "<i4"), ("t", "<f8"), ("r", "<i4")], align=False)
 
 
 def c_factor(n: int) -> float:
@@ -55,7 +52,7 @@ def build_tree(subsample, rng: np.random.Generator, height_limit: int) -> np.nda
 
     def grow(idx: np.ndarray, d: int) -> int:
         node = len(nodes)
-        nodes.append((-1, 0.0, -1, -1, int(idx.size), d))  # a leaf unless split below
+        nodes.append((-1, 0.0, int(idx.size)))  # a leaf unless split below
         if idx.size <= 1 or d >= height_limit:
             return node
         pts = X[idx]
@@ -67,9 +64,8 @@ def build_tree(subsample, rng: np.random.Generator, height_limit: int) -> np.nda
         col = int(splittable[rng.integers(splittable.size)])
         t = float(rng.uniform(lo[col], hi[col]))
         mask = pts[:, col] < t
-        li = grow(idx[mask], d + 1)
-        ri = grow(idx[~mask], d + 1)
-        nodes[node] = (col, t, li, ri, 0, 0)
+        grow(idx[mask], d + 1)  # preorder: the left child is node + 1
+        nodes[node] = (col, t, grow(idx[~mask], d + 1))
         return node
 
     grow(np.arange(X.shape[0]), 0)
@@ -97,47 +93,51 @@ class IsolationForest:
         sizes = np.array([len(t) for t in self.trees], dtype=np.int32)
         self._roots = roots = np.cumsum(sizes, dtype=np.int32) - sizes
         rec = np.frombuffer(b"".join(tree.tobytes() for tree in self.trees), NODE_DTYPE)
-        f, t, l, r, s, d = (rec[name].copy() for name in NODE_DTYPE.names)
+        f, t, r = (rec[name].copy() for name in NODE_DTYPE.names)
         j = np.arange(rec.size, dtype=np.int32)
         base = np.repeat(roots, sizes)
-        left, right = base + l, base + r  # an int32 wrap lands below j and is rejected
         inner = f >= 0
+        # A leaf links to itself (after reading x[-1]), so every walk takes h steps;
+        # an int32 wrap in base + r lands below j + 1 and is rejected.
+        left, right = j + inner, np.where(inner, base + r, j)
 
-        for bad, what in (
-            (inner & ((np.minimum(left, right) <= j)
-                      | (np.maximum(left, right) >= base + np.repeat(sizes, sizes))),
-             "children must satisfy parent < child < n_nodes"),
-            (inner & (f >= self.n_features), f"feature outside [0, {self.n_features})"),
-            # f, l and r all -1; a negative size or depth wraps above its bound
-            (~inner & ~(((f & l & r) == -1) & (t == 0.0) & (s.view(np.uint32) <= self.psi)
-                        & (d.view(np.uint32) <= h)), "non-canonical leaf"),
-        ):
+        def reject(bad, what):
             if bad.any():
                 tree = int(np.searchsorted(roots, np.argmax(bad), "right")) - 1
                 raise CorruptModel(f"tree {tree}: {what}")
+        reject(inner & ((right <= left) | (right >= base + np.repeat(sizes, sizes))),
+               "children must satisfy j + 1 < right < n_nodes")
+        reject(inner & (f >= self.n_features), f"feature outside [0, {self.n_features})")
+        # f is -1, t is +0.0 bit for bit, and a negative size wraps above psi
+        reject(~inner & ~((f == -1) & (t.view(np.uint64) == 0) & (r.view(np.uint32) <= self.psi)),
+               "non-canonical leaf")
 
-        # Leaves link to themselves (after reading x[-1]): every walk takes h steps.
-        np.copyto(left, j, where=~inner)
-        np.copyto(right, j, where=~inner)
-        level = roots
+        levels = [roots]  # the nodes the walk reaches in 0, 1, ..., h steps
         for _ in range(h):
-            level = level[inner[level]]
-            level = np.concatenate([left[level], right[level]])
-            if level.size > rec.size:
+            level = levels[-1][inner[levels[-1]]]
+            levels.append(np.concatenate([level + 1, right[level]]))
+            if sum(map(len, levels)) > rec.size:  # more visits than nodes
                 raise CorruptModel("a node has more than one parent")
-        if inner[level].any():
+        if inner[levels[-1]].any():
             raise CorruptModel(f"a leaf is not reached within {h} steps")
+        # If no node is missed, each is reached once: a tree, which is in preorder iff
+        # every left subtree (from j + 1 to the right child) has one more leaf than inner node.
+        seen = np.concatenate(levels)
+        balance = 2 * (np.cumsum(inner, dtype=np.int32) - inner) - j
+        reject((np.bincount(seen, minlength=rec.size) == 0) | (balance[right] != balance),
+               "nodes are not one tree in preorder")
         self._feature, self._threshold = f, t
         self._next = np.stack([right, left], axis=1).ravel()  # [2j] if x >= t, else [2j + 1]
 
         # Each node's slot in _path / _proba, which apply the scalar c_factor and
         # ** per distinct (depth, size): numpy's vectorized ** may differ in the last ulp.
-        at = np.flatnonzero(~inner)
-        key = d[at].astype(np.int64) << 32 | s[at]
+        depth = np.repeat(np.arange(h + 1), [level.size for level in levels])  # of each in seen
+        at = np.flatnonzero(~inner[seen])
+        key = depth[at] << 32 | r[seen[at]]
         keys = np.sort(key)
         keys = keys[np.diff(keys, prepend=-1) != 0]
         self._slot = np.zeros(rec.size, dtype=np.int32)
-        self._slot[at] = np.searchsorted(keys, key)
+        self._slot[seen[at]] = np.searchsorted(keys, key)
         paths = [kd + c_factor(ks) for kd, ks in (divmod(k, 1 << 32) for k in keys.tolist())]
         self._path = np.array(paths)
         self._proba = np.array([2.0 ** (-p / self.c_psi) for p in paths])
@@ -206,12 +206,13 @@ def forest_score(forest: IsolationForest, X):
 
 
 def path_length(tree: np.ndarray, x) -> float:
-    """Depth of the leaf reached by x, plus c_factor(leaf size): the scalar reference."""
-    feature, threshold, left, right = tree["f"], tree["t"], tree["l"], tree["r"]
-    j = 0
+    """Steps to the leaf reached by x, plus c_factor(leaf size): the scalar reference."""
+    feature, threshold, right = tree["f"], tree["t"], tree["r"]
+    j = depth = 0
     while feature[j] >= 0:
-        j = left[j] if x[feature[j]] < threshold[j] else right[j]
-    return int(tree["d"][j]) + c_factor(int(tree["s"][j]))
+        j = j + 1 if x[feature[j]] < threshold[j] else right[j]
+        depth += 1
+    return depth + c_factor(int(right[j]))
 
 
 def tree_proba(tree: np.ndarray, x, c_psi: float) -> float:

@@ -106,12 +106,12 @@ def test_criterion_3_uniform_attention_reduction():
 
 
 def test_criterion_4_isolation_forest_oracle():
-    def recursive(tree, x, node=0):
+    def recursive(tree, x, node=0, depth=0):
         if tree["f"][node] < 0:
-            return tree["d"][node] + c_factor(tree["s"][node])
+            return depth + c_factor(tree["r"][node])
         if x[tree["f"][node]] < tree["t"][node]:
-            return recursive(tree, x, tree["l"][node])
-        return recursive(tree, x, tree["r"][node])
+            return recursive(tree, x, node + 1, depth + 1)
+        return recursive(tree, x, tree["r"][node], depth + 1)
 
     data = np.random.default_rng(0).uniform(size=(64, 4))
     forest = build_forest(data, T=10, psi=64, seed=0)

@@ -171,12 +171,26 @@ def with_tree0(data, det, **node0_fields):
 
 
 def too_deep(data, det):
-    """Tree 0 replaced by a valid chain one node deeper than the height limit."""
+    """Tree 0 replaced by a preorder chain one node deeper than the height limit:
+    internal node i's right child is the leaf at 2 * depth - i."""
     depth = det.forest.height_limit + 1
-    chain = [(0, 0.5, i + 1, depth + 1 + i, 0, 0) for i in range(depth)]
-    leaves = [(-1, 0.0, -1, -1, 1, 1)] * (depth + 1)
+    chain = [(0, 0.5, 2 * depth - i) for i in range(depth)]
+    leaves = [(-1, 0.0, 1)] * (depth + 1)
     tree = np.array(chain + leaves, dtype=NODE_DTYPE)
     return with_trees(data, det, [tree, *det.forest.trees[1:]])
+
+
+def unreached_leaf(data, det):
+    """Tree 0 with one more leaf after its last node, which no walk reaches."""
+    tree = np.concatenate([det.forest.trees[0], np.array([(-1, 0.0, 1)], dtype=NODE_DTYPE)])
+    return with_trees(data, det, [tree, *det.forest.trees[1:]])
+
+
+def out_of_preorder(data, det):
+    """Tree 0 replaced by a tree whose root's right child (node 3) sits between
+    the nodes of its left subtree (1, 2 and 4)."""
+    nodes = [(0, 0.5, 3), (0, 0.25, 4), (-1, 0.0, 1), (-1, 0.0, 1), (-1, 0.0, 1)]
+    return with_trees(data, det, [np.array(nodes, dtype=NODE_DTYPE), *det.forest.trees[1:]])
 
 
 def selected(data, det, values):
@@ -205,15 +219,21 @@ def with_f64(data, offset, value):
 CRAFTED = {
     "psi_zero": (lambda b, d: with_header(b, psi=0), "psi >= 2"),
     "psi_one": (lambda b, d: with_header(b, psi=1), "psi >= 2"),
+    "version_one": (lambda b, d: with_header(b, version=1), "format version 1,"),
     "no_trees": (without_trees, "got 0 trees"),
     "window_zero": (without_attention, "window k >= 1 (got 0)"),
     "tree_without_nodes": (lambda b, d: with_trees(b, d, [d.forest.trees[0][:0]]
                                                    + d.forest.trees[1:]), "nonempty trees"),
-    "child_not_after_parent": (lambda b, d: with_tree0(b, d, l=0), "parent < child"),
+    "child_not_after_parent": (lambda b, d: with_tree0(b, d, r=0), "j + 1 < right"),
+    "right_child_is_left": (lambda b, d: with_tree0(b, d, r=1), "j + 1 < right"),
     "child_past_end": (lambda b, d: with_tree0(b, d, r=len(d.forest.trees[0])), "< n_nodes"),
     "feature_out_of_range": (lambda b, d: with_tree0(b, d, f=d.pre.m), "feature outside"),
     "leaf_threshold_set": (lambda b, d: with_tree0(b, d, leaf=True, t=0.5), "non-canonical leaf"),
-    "leaf_negative_size": (lambda b, d: with_tree0(b, d, leaf=True, s=-1), "non-canonical leaf"),
+    "leaf_threshold_negative_zero": (lambda b, d: with_tree0(b, d, leaf=True, t=-0.0),
+                                     "non-canonical leaf"),
+    "leaf_negative_size": (lambda b, d: with_tree0(b, d, leaf=True, r=-1), "non-canonical leaf"),
+    "node_unreached": (unreached_leaf, "not one tree in preorder"),
+    "subtrees_out_of_preorder": (out_of_preorder, "not one tree in preorder"),
     "leaf_too_deep": (too_deep, "not reached within"),
     "selected_repeats": (lambda b, d: selected(b, d, [d.pre.selected[0]] * 2), "distinct"),
     "selected_past_41": (lambda b, d: selected(b, d, [41]), "< 41"),

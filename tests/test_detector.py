@@ -321,7 +321,7 @@ def test_from_bytes_bad_magic(pipe):
 
 def test_from_bytes_unknown_version(pipe):
     data = bytearray(to_bytes(mk_detector(pipe)))
-    data[4:6] = (2).to_bytes(2, "little")
+    data[4:6] = (3).to_bytes(2, "little")
     with pytest.raises(VersionUnsupported):
         from_bytes(bytes(data))
 

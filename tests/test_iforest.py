@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from arlif.detector import forest_bytes
-from arlif.errors import InsufficientData
+from arlif.errors import CorruptModel, InsufficientData
 from arlif.iforest import (
     EULER_GAMMA,
     NODE_DTYPE,
@@ -19,28 +19,36 @@ from arlif.iforest import (
 )
 
 
-def recursive_path(tree, x, node=0, depth_unused=0):
+def recursive_path(tree, x, node=0, depth=0):
     """Naive recursive traversal; the production path_length is iterative."""
     if tree["f"][node] < 0:
-        return tree["d"][node] + c_factor(tree["s"][node])
+        return depth + c_factor(tree["r"][node])
     if x[tree["f"][node]] < tree["t"][node]:
-        return recursive_path(tree, x, tree["l"][node])
-    return recursive_path(tree, x, tree["r"][node])
+        return recursive_path(tree, x, node + 1, depth + 1)
+    return recursive_path(tree, x, tree["r"][node], depth + 1)
 
 
 def leaf_for(tree, x):
     j = 0
     while tree["f"][j] >= 0:
-        j = tree["l"][j] if x[tree["f"][j]] < tree["t"][j] else tree["r"][j]
+        j = j + 1 if x[tree["f"][j]] < tree["t"][j] else tree["r"][j]
     return j
 
 
+def depths(tree):
+    """Each node's depth; in preorder a parent comes before its children."""
+    d = {0: 0}
+    for j in np.flatnonzero(tree["f"] >= 0):
+        d[j + 1] = d[tree["r"][j]] = d[j] + 1
+    return [d[j] for j in range(len(tree))]
+
+
 def records(*nodes):
-    """A tree from (feature, threshold, left, right, size, depth) tuples."""
+    """A tree from (feature, threshold, right) internal and (-1, 0.0, size) leaf tuples."""
     return np.array(list(nodes), dtype=NODE_DTYPE)
 
 
-LEAF = records((-1, 0.0, -1, -1, 1, 0))
+LEAF = records((-1, 0.0, 1))
 
 
 # --- c_factor ----------------------------------------------------------------
@@ -70,15 +78,15 @@ def test_single_vector_tree():
     t = build_tree([[0.3, 0.7]], np.random.default_rng(0), height_limit=8)
     assert len(t) == 1
     assert t["f"].tolist() == [-1]
-    assert t["s"].tolist() == [1]
-    assert t["d"].tolist() == [0]
+    assert t["r"].tolist() == [1]
+    assert depths(t) == [0]
 
 
 def test_identical_vectors_collapse_to_one_leaf():
     t = build_tree([[0.3, 0.7], [0.3, 0.7]], np.random.default_rng(0), height_limit=8)
     assert len(t) == 1
-    assert t["s"].tolist() == [2]
-    assert t["d"].tolist() == [0]
+    assert t["r"].tolist() == [2]
+    assert depths(t) == [0]
 
 
 def test_four_points_route_to_a_partition():
@@ -89,23 +97,23 @@ def test_four_points_route_to_a_partition():
         j = leaf_for(t, p)
         hits[j] = hits.get(j, 0) + 1
     leaves = [j for j in range(len(t)) if t["f"][j] < 0]
-    assert sum(t["s"][j] for j in leaves) == 4
+    assert sum(t["r"][j] for j in leaves) == 4
     for j in leaves:
-        assert hits.get(j, 0) == t["s"][j]
+        assert hits.get(j, 0) == t["r"][j]
 
 
 def test_flattened_layout_invariants(pipe):
     _, _, vectors, forest = pipe
     for t in forest.trees:
+        depth = depths(t)
         for j in range(len(t)):
             if t["f"][j] >= 0:
-                assert t["l"][j] > j and t["r"][j] > j
-                assert t["s"][j] == 0 and t["d"][j] == 0
+                assert t["r"][j] > j + 1  # the left child is j + 1
                 assert t["f"][j] < forest.n_features
             else:
-                assert t["l"][j] == -1 and t["r"][j] == -1
-                assert t["t"][j] == 0.0
-                assert t["d"][j] <= forest.height_limit
+                assert t["f"][j] == -1 and 0 <= t["r"][j] <= forest.psi
+                assert t["t"][j] == 0.0 and not np.signbit(t["t"][j])
+                assert depth[j] <= forest.height_limit
 
 
 def test_build_tree_deterministic():
@@ -124,18 +132,17 @@ def test_leaf_sizes_partition_subsample():
         j = leaf_for(t, p)
         hits[j] = hits.get(j, 0) + 1
     leaves = {j for j in range(len(t)) if t["f"][j] < 0}
-    assert sum(t["s"][j] for j in leaves) == 64
-    assert all(hits.get(j, 0) == t["s"][j] for j in leaves)
+    assert sum(t["r"][j] for j in leaves) == 64
+    assert all(hits.get(j, 0) == t["r"][j] for j in leaves)
 
 
 # --- path_length / tree_proba -------------------------------------------------
 
 def chain_tree(depth, leaf_size):
-    """Internal chain: left child is the next internal, right child a leaf."""
-    internal = [(0, 0.5, d + 1, depth + 1 + d, 0, 0) for d in range(depth)]
-    deep_leaf = [(-1, 0.0, -1, -1, leaf_size, depth)]
-    right_leaves = [(-1, 0.0, -1, -1, 1, d + 1) for d in range(depth)]
-    return records(*internal, *deep_leaf, *right_leaves)
+    """Internal chain in preorder: node i's left child is the next internal node
+    (the last one's is the deep leaf), its right child the leaf of 1 at 2 * depth - i."""
+    internal = [(0, 0.5, 2 * depth - i) for i in range(depth)]
+    return records(*internal, (-1, 0.0, leaf_size), *[(-1, 0.0, 1)] * depth)
 
 
 def test_path_length_single_leaf_zero():
@@ -289,3 +296,49 @@ def test_block_walk_equals_each_row_walked_alone():
         assert forest_probas(f, X).tolist() == [forest_probas(f, x).tolist() for x in inputs]
         assert forest_score(f, X).tolist() == [forest_score(f, x) for x in inputs]
         assert forest_score(f, X[:1]).tolist() == [forest_score(f, X[0])]
+
+
+# --- the node record -----------------------------------------------------------
+
+def test_a_node_record_is_16_bytes():
+    assert NODE_DTYPE.names == ("f", "t", "r") and NODE_DTYPE.itemsize == 16
+    data = np.random.default_rng(6).uniform(size=(300, 5))
+    f = build_forest(data, T=7, psi=64, seed=6)
+    nodes = sum(len(t) for t in f.trees)
+    assert len(forest_bytes(f)) == 4 * f.n_trees + 16 * nodes
+
+
+# root: left subtree 1..5 (leaves at depths 2, 3, 3), right child 6 (a leaf at depth 1)
+UNEVEN = records((0, 0.5, 6), (0, 0.25, 3), (-1, 0.0, 1), (0, 0.4, 5), (-1, 0.0, 1),
+                 (-1, 0.0, 1), (-1, 0.0, 2))
+
+
+def test_path_length_equals_the_recursive_oracle_on_trees_of_unequal_depth():
+    assert depths(UNEVEN) == [0, 1, 2, 2, 3, 3, 1]
+    trees = [UNEVEN, LEAF, *(chain_tree(n, 3) for n in range(1, 7))]
+    f = IsolationForest(trees=trees, psi=64, n_features=1)
+    for x in np.linspace(-0.1, 1.1, 49).reshape(-1, 1).tolist() + [[0.25], [0.4], [0.5]]:
+        assert [path_length(t, x) for t in trees] == [recursive_path(t, x) for t in trees]
+        assert forest_probas(f, x).tolist() == [tree_proba(t, x, f.c_psi) for t in trees]
+    assert [path_length(UNEVEN, [x]) for x in (0.1, 0.3, 0.45, 0.9)] == [2.0, 3.0, 3.0, 2.0]
+
+
+@pytest.mark.parametrize("tree, message", [
+    (records((0, 0.5, 1), (-1, 0.0, 1)), r"j \+ 1 < right"),  # right child is the left one
+    (records((0, 0.5, 2), (-1, -0.0, 1), (-1, 0.0, 1)), "non-canonical leaf"),
+    (records((0, 0.5, 2), (-1, 0.0, 1), (-1, 0.0, 65)), "non-canonical leaf"),  # size > psi
+    # node 0's right child 3 sits between its left subtree's nodes 1, 2 and 4
+    (records((0, 0.5, 3), (0, 0.25, 4), (-1, 0.0, 1), (-1, 0.0, 1), (-1, 0.0, 1)),
+     "not one tree in preorder"),
+    # node 2 is the right child of node 0 and the left child of node 1
+    (records((0, 0.5, 2), (0, 0.25, 3), (-1, 0.0, 1), (-1, 0.0, 1)), "more than one parent"),
+    # node 1, and node 3, are never reached
+    (records((-1, 0.0, 1), (-1, 0.0, 1)), "not one tree in preorder"),
+    (records((0, 0.5, 2), (-1, 0.0, 1), (-1, 0.0, 1), (-1, 0.0, 1)), "not one tree in preorder"),
+    # a ladder: node i's children are i + 1 and i + 2, so each level outgrows the last
+    (records(*[(0, 0.5, i + 2) for i in range(8)], (-1, 0.0, 1), (-1, 0.0, 1)),
+     "more than one parent"),
+])
+def test_a_tree_that_is_not_canonical_is_rejected(tree, message):
+    with pytest.raises(CorruptModel, match=message):
+        IsolationForest(trees=[LEAF, tree], psi=64, n_features=1)
