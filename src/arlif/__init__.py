@@ -44,6 +44,7 @@ from .errors import (
     FieldCountMismatch,
     InsufficientData,
     LengthMismatch,
+    NotUtf8,
     NumericParse,
     SingleClass,
     StaleCache,

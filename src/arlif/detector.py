@@ -19,8 +19,9 @@ reals throughout:
     attention   params: AttentionParams.flat, 3k(k+1) f64 (Wq, Wk, Wv k*k
                 each, then bq, bk, bv k each); histories (T*k f64)
 
-flags bit 0 marks the attention segment present; every file this program
-writes sets it, and a file with it clear is rejected on load, as is version 1 (28-byte nodes).
+flags is exactly 0x0001 (bit 0: the attention segment is present); every file
+this program writes holds it, and a file with any other flags value is rejected
+on load, as is version 1 (28-byte nodes).
 """
 
 from __future__ import annotations
@@ -70,6 +71,9 @@ class TrainingReport:
 
 @dataclass(eq=False)
 class Detector:
+    """Construction checks the rules on its parts, however they were made: a
+    bad value raises CorruptModel, parts that differ in size DimensionMismatch."""
+
     forest: IsolationForest
     params: AttentionParams
     pre: Preprocessor
@@ -78,26 +82,24 @@ class Detector:
     eta: float
     samples_seen: int = 0
 
+    def __post_init__(self):
+        if not (0.0 < self.tau < 1.0 and 0.0 < self.eta < np.inf):
+            raise CorruptModel(f"need tau in (0,1) and a finite eta > 0, "
+                               f"got tau={self.tau}, eta={self.eta}")
+        if self.pre.m != self.forest.n_features:
+            raise DimensionMismatch(f"preprocessor emits {self.pre.m} features, "
+                                    f"forest was built on {self.forest.n_features}")
+        if not np.isfinite(self.params.flat).all():
+            raise CorruptModel("attention parameters must be finite")
+        if not ((self.histories >= 0.0) & (self.histories <= 1.0)).all():
+            raise CorruptModel("histories must lie in [0,1]")
 
-def new_detector(
-    forest: IsolationForest,
-    params: AttentionParams,
-    pre: Preprocessor,
-    tau: float = 0.5,
-    eta: float = 0.05,
-) -> Detector:
+
+def new_detector(forest: IsolationForest, params: AttentionParams, pre: Preprocessor,
+                 tau: float = 0.5, eta: float = 0.05) -> Detector:
     """Fresh detector; every history slot starts at the neutral 0.5."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0,1), got {tau}")
-    if not 0.0 < eta < np.inf:
-        raise ValueError(f"eta must be a finite number > 0, got {eta}")
-    if pre.m != forest.n_features:
-        raise DimensionMismatch(
-            f"preprocessor emits {pre.m} features, forest was built on {forest.n_features}"
-        )
-    histories = np.full((forest.n_trees, params.k), 0.5)
-    return Detector(forest=forest, params=params, pre=pre, histories=histories,
-                    tau=tau, eta=eta, samples_seen=0)
+    return Detector(forest=forest, params=params, pre=pre,
+                    histories=np.full((forest.n_trees, params.k), 0.5), tau=tau, eta=eta)
 
 
 def observe(det: Detector, r: Record) -> DetectionResult:
@@ -250,6 +252,7 @@ class _Reader:
 
 
 def from_bytes(data: bytes) -> Detector:
+    """Parse a model file; the constructors it calls check what the parts hold."""
     rd = _Reader(data)
     if rd.take(4) != MAGIC:
         raise BadMagic("not an ARLF model file")
@@ -259,17 +262,13 @@ def from_bytes(data: bytes) -> Detector:
     )
     if version != FORMAT_VERSION:
         raise VersionUnsupported(f"format version {version}, this build reads {FORMAT_VERSION}")
-    if not flags & _FLAG_ATTENTION:
-        raise VersionUnsupported(
-            "forest-only payload (flags bit 0 clear) cannot back a streaming detector"
-        )
-    if not (0.0 < tau < 1.0 and 0.0 < eta < np.inf):
-        raise CorruptModel(f"need tau in (0,1) and a finite eta > 0, got tau={tau}, eta={eta}")
+    if flags != _FLAG_ATTENTION:
+        raise VersionUnsupported(f"header flags {flags:#06x}, this build reads only "
+                                 f"{_FLAG_ATTENTION:#06x} (attention segment present)")
+    if k < 1:
+        raise CorruptModel(f"need window k >= 1 (got {k})")
 
     selected = np.frombuffer(rd.take(4 * m), dtype="<u4").astype(int).tolist()
-    if k < 1 or not 0 < len(set(selected)) == m or max(selected) >= N_FEATURES:
-        raise CorruptModel(f"need window k >= 1 (got {k}) and one or more distinct "
-                           f"selected columns < {N_FEATURES}")
     mm = rd.f64_array(N_FEATURES * 2, (N_FEATURES, 2))
     min_max = [(float(lo), float(hi)) for lo, hi in mm]
     vocab: dict[int, list[str]] = {}
@@ -292,19 +291,8 @@ def from_bytes(data: bytes) -> Detector:
     histories = rd.f64_array(T * k, (T, k))
     if rd.pos != len(data):
         raise TruncatedFile(f"{len(data) - rd.pos} trailing bytes after model payload")
-    if not np.isfinite(params.flat).all():
-        raise CorruptModel("attention parameters must be finite")
-    if not ((histories >= 0.0) & (histories <= 1.0)).all():
-        raise CorruptModel("histories must lie in [0,1]")
-    return Detector(
-        forest=forest,
-        params=params,
-        pre=pre,
-        histories=histories,
-        tau=tau,
-        eta=eta,
-        samples_seen=samples_seen,
-    )
+    return Detector(forest=forest, params=params, pre=pre, histories=histories,
+                    tau=tau, eta=eta, samples_seen=samples_seen)
 
 
 def load_model(source) -> Detector:

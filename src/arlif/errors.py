@@ -19,6 +19,10 @@ class NumericParse(ArlifError):
     """Non-numeric text in a numeric column."""
 
 
+class NotUtf8(ArlifError):
+    """A record file line is not valid UTF-8."""
+
+
 class SingleClass(ArlifError):
     """All labels identical; a supervised statistic is undefined."""
 
@@ -62,7 +66,7 @@ class TruncatedFile(ArlifError):
 
 
 class CorruptModel(ArlifError, ValueError):
-    """Model contents (loaded, or handed to IsolationForest) break an invariant."""
+    """Model contents, loaded or handed to a constructor, break an invariant."""
 
 
 # --- metrics --------------------------------------------------------------

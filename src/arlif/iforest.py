@@ -74,7 +74,7 @@ def build_tree(subsample, rng: np.random.Generator, height_limit: int) -> np.nda
 
 @dataclass(eq=False)
 class IsolationForest:
-    """T frozen trees and their walk table; bad trees or psi raise CorruptModel."""
+    """T frozen trees and their walk table; bad trees, psi or n_features raise CorruptModel."""
 
     trees: list[np.ndarray]
     psi: int  # effective subsample size
@@ -82,12 +82,19 @@ class IsolationForest:
     c_psi: float = field(init=False)
     height_limit: int = field(init=False)
 
+    @staticmethod
+    def height_limit_for(psi: int) -> int:
+        """ceil(log2 psi), the depth at which build_tree stops; psi < 2 raises CorruptModel."""
+        if psi < 2:
+            raise CorruptModel(f"a forest needs psi >= 2, got {psi}")
+        return math.ceil(math.log2(psi))
+
     def __post_init__(self):
-        if not self.trees or min(map(len, self.trees)) == 0 or self.psi < 2:
-            raise CorruptModel(f"a forest needs nonempty trees and psi >= 2, got "
-                               f"{len(self.trees)} trees, psi {self.psi}")
+        self.height_limit = h = self.height_limit_for(self.psi)
+        if not self.trees or min(map(len, self.trees)) == 0 or self.n_features < 1:
+            raise CorruptModel(f"a forest needs nonempty trees over one or more features, "
+                               f"got {len(self.trees)} trees, {self.n_features} features")
         self.c_psi = c_factor(self.psi)
-        self.height_limit = h = int(math.ceil(math.log2(self.psi)))
 
         # All trees back to back; j is a node's index in that table.
         sizes = np.array([len(t) for t in self.trees], dtype=np.int32)
@@ -154,14 +161,12 @@ def build_forest(data, T: int, psi: int, seed: int) -> IsolationForest:
     from (seed, tree index), so construction order (or parallelism) cannot
     change the result.
     """
-    if psi < 2:
-        raise ValueError(f"psi must be >= 2, got {psi}")
     X = np.asarray(data, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise InsufficientData("forest construction needs at least 2 points")
     n = X.shape[0]
     eff_psi = min(psi, n)
-    height_limit = int(math.ceil(math.log2(eff_psi)))
+    height_limit = IsolationForest.height_limit_for(eff_psi)
     trees = []
     for i in range(T):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))

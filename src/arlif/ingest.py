@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FieldCountMismatch, NumericParse, SingleClass
+from .errors import ArlifError, CorruptModel, FieldCountMismatch, NotUtf8, NumericParse, SingleClass
 
 N_FEATURES = 41
 # protocol_type, service, flag
@@ -78,17 +78,26 @@ def parse_record(line: str, format: str = "nsl-kdd") -> Record:
 
 
 def load_records(path, format: str = "nsl-kdd", limit: int | None = None) -> list[Record]:
-    """Parse a record file top to bottom; blank lines are skipped.
+    """Parse a record file top to bottom, one line per record ending at a newline;
+    blank lines are skipped. A line that is not UTF-8 raises NotUtf8, and a parse
+    error names the line too, both as "path:line: ...".
 
     `limit` keeps the first `limit` parsed records (deterministic
     head-of-file truncation for desk-scale runs).
     """
     records: list[Record] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise NotUtf8(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})") from None
             if not line.strip():
                 continue
-            records.append(parse_record(line, format))
+            try:
+                records.append(parse_record(line, format))
+            except ArlifError as exc:
+                raise type(exc)(f"{path}:{lineno}: {exc}") from None
             if limit is not None and len(records) >= limit:
                 break
     return records
@@ -101,9 +110,13 @@ def _build_vocab(records: list[Record]) -> dict[int, list[str]]:
     return vocab
 
 
-def _encode_matrix(records: list[Record], pre: Preprocessor) -> np.ndarray:
-    """Records -> (n, 41) float matrix; categoricals as indices into pre's vocab."""
-    index = pre._index
+def _vocab_index(vocab: dict[int, list[str]]) -> dict[int, dict[str, int]]:
+    """Per categorical column, each token's position in the vocabulary."""
+    return {col: {tok: i for i, tok in enumerate(toks)} for col, toks in vocab.items()}
+
+
+def _encode_matrix(records: list[Record], index: dict[int, dict[str, int]]) -> np.ndarray:
+    """Records -> (n, 41) float matrix; categoricals as positions in the vocab index."""
     X = np.empty((len(records), N_FEATURES), dtype=np.float64)
     for i, r in enumerate(records):
         for col in range(N_FEATURES):
@@ -134,7 +147,8 @@ def _rank_columns(X: np.ndarray, records: list[Record]) -> list[tuple[int, float
 
 @dataclass
 class Preprocessor:
-    """Fitted encoder: vocab + per-column min/max + selected column subset."""
+    """Fitted encoder: vocab + per-column min/max + the selected columns, which
+    must be one or more, distinct and < 41 (else CorruptModel)."""
 
     vocab: dict[int, list[str]]
     min_max: list[tuple[float, float]]
@@ -144,10 +158,10 @@ class Preprocessor:
     )
 
     def __post_init__(self):
-        self._index = {
-            col: {tok: i for i, tok in enumerate(toks)}
-            for col, toks in self.vocab.items()
-        }
+        cols = set(self.selected)
+        if not (0 < len(cols) == self.m and cols <= set(range(N_FEATURES))):
+            raise CorruptModel(f"need one or more distinct selected columns, 0 <= c < {N_FEATURES}")
+        self._index = _vocab_index(self.vocab)
 
     @property
     def m(self) -> int:  # length of a transformed vector
@@ -160,19 +174,17 @@ def rank_features(records: list[Record]) -> list[tuple[int, float]]:
     Returns (column, score) pairs sorted by descending score, ties broken by
     ascending column index. Zero-variance columns score 0.
     """
-    vocab_only = Preprocessor(vocab=_build_vocab(records), min_max=[], selected=[])
-    return _rank_columns(_encode_matrix(records, vocab_only), records)
+    return _rank_columns(_encode_matrix(records, _vocab_index(_build_vocab(records))), records)
 
 
 def fit_preprocessor(records: list[Record], m: int) -> Preprocessor:
     """Fit vocab, select the top-m ranked columns, record per-column min/max."""
     if not 1 <= m <= N_FEATURES:
         raise ValueError(f"m must be in 1..{N_FEATURES}, got {m}")
-    pre = Preprocessor(vocab=_build_vocab(records), min_max=[], selected=[])
-    X = _encode_matrix(records, pre)
-    pre.selected = [col for col, _ in _rank_columns(X, records)[:m]]
-    pre.min_max = [(float(lo), float(hi)) for lo, hi in zip(X.min(axis=0), X.max(axis=0))]
-    return pre
+    vocab = _build_vocab(records)
+    X = _encode_matrix(records, _vocab_index(vocab))
+    min_max = [(float(lo), float(hi)) for lo, hi in zip(X.min(axis=0), X.max(axis=0))]
+    return Preprocessor(vocab, min_max, [col for col, _ in _rank_columns(X, records)[:m]])
 
 
 def transform(pre: Preprocessor, r: Record) -> list[float]:

@@ -73,6 +73,20 @@ def test_train_missing_file_is_runtime_error(capsys, tmp_path):
     assert "nope.txt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_record_file_that_is_not_utf8_is_one_error_line(cli_env, capsys, tmp_path, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(cli_env["train"].read_bytes() + b"\xff\n")
+    files = {"train": ["--train", str(bad), "--model", str(tmp_path / "m.arlf")] + SMALL,
+             "eval": ["--model", str(cli_env["model"]), "--test", str(bad)]}
+    rc = main([command] + files[command])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert f"error: {bad}:401: not valid UTF-8" in err
+    assert not (tmp_path / "m.arlf").exists()
+
+
 def test_bad_flag_values_are_usage_errors(cli_env, capsys, tmp_path):
     model = str(tmp_path / "m.arlf")
     base = ["train", "--train", str(cli_env["train"]), "--model", model]
@@ -220,6 +234,7 @@ CRAFTED = {
     "psi_zero": (lambda b, d: with_header(b, psi=0), "psi >= 2"),
     "psi_one": (lambda b, d: with_header(b, psi=1), "psi >= 2"),
     "version_one": (lambda b, d: with_header(b, version=1), "format version 1,"),
+    "flags_extra_bit": (lambda b, d: with_header(b, flags=3), "header flags 0x0003"),
     "no_trees": (without_trees, "got 0 trees"),
     "window_zero": (without_attention, "window k >= 1 (got 0)"),
     "tree_without_nodes": (lambda b, d: with_trees(b, d, [d.forest.trees[0][:0]]

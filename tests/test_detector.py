@@ -73,6 +73,20 @@ def test_new_detector_guards(pipe):
         new_detector(narrow, params, pre)
 
 
+def test_detector_constructor_checks_every_part(pipe):
+    _, pre, _, forest = pipe
+    nan = init_params(4, seed=0)
+    nan.flat[7] = np.nan
+    with pytest.raises(ValueError, match="parameters must be finite"):
+        new_detector(forest, nan, pre)
+    det = mk_detector(pipe)
+    for bad in (1.5, -0.25, np.inf, np.nan):
+        histories = det.histories.copy()
+        histories[2, 1] = bad
+        with pytest.raises(ValueError, match="lie in"):
+            Detector(forest, det.params, pre, histories, tau=0.5, eta=0.05)
+
+
 # --- observe --------------------------------------------------------------------
 
 def test_single_tree_window_one_reduces_to_tree_proba(pipe):

@@ -216,6 +216,11 @@ def test_forest_guards():
         build_forest(data[:1], T=1, psi=16, seed=0)
 
 
+def test_a_forest_over_no_columns_is_rejected_at_build_time():
+    with pytest.raises(CorruptModel, match="one or more features, got 2 trees, 0 features"):
+        build_forest(np.zeros((10, 0)), T=2, psi=8, seed=0)
+
+
 def test_forest_score_of_single_leaf_trees_is_one():
     f = IsolationForest(trees=[LEAF, LEAF], psi=2, n_features=1)
     assert f.c_psi == 1.0 and f.height_limit == 1

@@ -1,12 +1,14 @@
 import random
+import re
 
 import numpy as np
 import pytest
 
-from arlif.errors import FieldCountMismatch, NumericParse, SingleClass
+from arlif.errors import CorruptModel, FieldCountMismatch, NotUtf8, NumericParse, SingleClass
 from arlif.ingest import (
     CATEGORICAL_COLUMNS,
     N_FEATURES,
+    Preprocessor,
     Record,
     fit_preprocessor,
     load_records,
@@ -106,6 +108,29 @@ def test_load_records_limit(tmp_path):
     assert len(load_records(p)) == 10
     got = load_records(p, limit=4)
     assert [r.features[0] for r in got] == ["0", "1", "2", "3"]
+
+
+def test_load_records_names_the_line_that_is_not_utf8(tmp_path):
+    p = tmp_path / "rows.txt"
+    p.write_bytes(b"\n".join([mk_line().encode(), b"", mk_line().encode() + b"\xff"]) + b"\n")
+    with pytest.raises(NotUtf8, match=f"^{re.escape(str(p))}:3: not valid UTF-8"):
+        load_records(p)
+
+
+def test_load_records_parse_errors_name_their_line(tmp_path):
+    p = tmp_path / "rows.txt"
+    p.write_text("\n".join([mk_line(), "\r", mk_line({0: "x"}), mk_line()]) + "\n")
+    with pytest.raises(NumericParse, match=f"^{re.escape(str(p))}:3: column 0: 'x' is not a finite number$"):
+        load_records(p)
+    p.write_text(mk_line() + "\n" + mk_line(format="kdd99") + "\n")
+    with pytest.raises(FieldCountMismatch, match=f"^{re.escape(str(p))}:2: expected 43 fields"):
+        load_records(p)
+
+
+@pytest.mark.parametrize("selected", [[], [3, 3], [41], [-1]])
+def test_preprocessor_rejects_bad_selected_columns(selected):
+    with pytest.raises(CorruptModel, match="distinct selected columns"):
+        Preprocessor(vocab={}, min_max=[(0.0, 1.0)] * N_FEATURES, selected=selected)
 
 
 # --- rank_features ----------------------------------------------------------

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import arlif.metrics
 from arlif.attention import init_params
 from arlif.detector import new_detector, observe, to_bytes, train_online
 from arlif.errors import Empty, LengthMismatch, SingleClass
@@ -10,6 +11,7 @@ from arlif.iforest import build_forest, forest_score
 from arlif.ingest import transform
 from arlif.metrics import (
     BLOCK,
+    TUNE_SLICE,
     Confusion,
     confusion_matrix,
     evaluate,
@@ -238,6 +240,25 @@ def test_tune_equals_the_per_vector_reference(pipe, seed):
     scores = np.array([forest_score(forest, x) for x in vectors])
     f1s = [f1_score(confusion_matrix(scores >= i / 100.0, labels)) for i in range(1, 100)]
     assert tune_baseline_threshold(forest, vectors, labels) == (1 + int(np.argmax(f1s))) / 100.0
+
+
+def test_tune_in_slices_equals_the_per_vector_reference(monkeypatch):
+    rng = np.random.default_rng(5)
+    vectors = rng.uniform(size=(TUNE_SLICE + 5, 3))
+    labels = (vectors.sum(axis=1) > 2.2).astype(int).tolist()
+    forest = build_forest(vectors, T=10, psi=64, seed=5)
+    scores = np.array([forest_score(forest, x) for x in vectors])
+    f1s = [f1_score(confusion_matrix(scores >= i / 100.0, labels)) for i in range(1, 100)]
+
+    slices = []
+    def recording(forest, X):
+        slices.append(forest_score(forest, X))
+        return slices[-1]
+    monkeypatch.setattr(arlif.metrics, "forest_score", recording)
+    tau = tune_baseline_threshold(forest, vectors.tolist(), labels)
+    assert [len(s) for s in slices] == [TUNE_SLICE, 5]
+    assert np.concatenate(slices).tolist() == scores.tolist()
+    assert tau == (1 + int(np.argmax(f1s))) / 100.0
 
 
 def test_tune_single_class_rejected(pipe):
