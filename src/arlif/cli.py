@@ -21,7 +21,7 @@ from .detector import (
     save_model,
     train_online,
 )
-from .errors import ArlifError, FieldCountMismatch
+from .errors import ArlifError, FieldCountMismatch, NotUtf8
 from .iforest import build_forest
 from .ingest import (
     FORMATS,
@@ -80,6 +80,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def _parse_stream_line(line: str, fmt: str) -> Record:
     # full configured format first; bare 41-feature rows are accepted too
     # (labels optional, ignored for detection)
+    if not line.isascii():
+        try:
+            line.encode("utf-8")  # a byte stdin could not decode is a lone surrogate here
+        except UnicodeEncodeError:
+            raise NotUtf8("not valid UTF-8") from None
     try:
         return parse_record(line, fmt)
     except FieldCountMismatch:
@@ -91,6 +96,11 @@ def _parse_stream_line(line: str, fmt: str) -> Record:
 
 def cmd_stream(args: argparse.Namespace) -> int:
     det = load_model(args.model)
+    if hasattr(sys.stdin, "reconfigure"):
+        # a byte that is not UTF-8 then reaches the per-line check instead of
+        # ending the stream with a UnicodeDecodeError; an io.StringIO has no
+        # bytes to decode
+        sys.stdin.reconfigure(errors="surrogateescape")
     cumulative_ns = 0
     for lineno, line in enumerate(sys.stdin, start=1):
         if not line.strip():

@@ -48,6 +48,8 @@ from .errors import (
 from .iforest import NODE_DTYPE, IsolationForest, forest_probas
 from .ingest import CATEGORICAL_COLUMNS, N_FEATURES, Preprocessor, Record, transform
 
+WALK_SLICE = 4096  # points per forest walk: its temporaries take ~2.5 KB per point at T=100
+
 MAGIC = b"ARLF"
 FORMAT_VERSION = 2
 _FLAG_ATTENTION = 0x0001
@@ -89,6 +91,9 @@ class Detector:
         if self.pre.m != self.forest.n_features:
             raise DimensionMismatch(f"preprocessor emits {self.pre.m} features, "
                                     f"forest was built on {self.forest.n_features}")
+        if self.histories.shape != (self.forest.n_trees, self.params.k):
+            raise DimensionMismatch(f"histories must be T x k = {self.forest.n_trees} x "
+                                    f"{self.params.k}, got {self.histories.shape}")
         if not np.isfinite(self.params.flat).all():
             raise CorruptModel("attention parameters must be finite")
         if not ((self.histories >= 0.0) & (self.histories <= 1.0)).all():
@@ -102,13 +107,22 @@ def new_detector(forest: IsolationForest, params: AttentionParams, pre: Preproce
                     histories=np.full((forest.n_trees, params.k), 0.5), tau=tau, eta=eta)
 
 
-def observe(det: Detector, r: Record) -> DetectionResult:
+def _walk(det: Detector, records) -> np.ndarray:
+    """Every tree's probability for each record, (N, T), in one forest walk."""
+    return forest_probas(det.forest, np.array([transform(det.pre, r) for r in records]))
+
+
+def observe(det: Detector, r: Record, *, probas: np.ndarray | None = None) -> DetectionResult:
     """Score one record: push per-tree probas into the histories, run the
     attention forward pass, threshold at tau. The result carries the forward
-    cache, which learn() differentiates."""
+    cache, which learn() differentiates.
+
+    probas, when given, is r's per-tree probability vector (T,) from an
+    earlier forest walk; r is then not walked again, and latency_ns leaves
+    the walk out."""
     t0 = time.perf_counter_ns()
-    x = transform(det.pre, r)
-    probas = forest_probas(det.forest, x)
+    if probas is None:
+        probas = forest_probas(det.forest, transform(det.pre, r))
     H = det.histories
     H[:, :-1] = H[:, 1:]
     H[:, -1] = probas
@@ -130,7 +144,7 @@ def observe_block(det: Detector, records) -> np.ndarray:
     """
     if not len(records):
         return np.empty(0)
-    P = forest_probas(det.forest, np.array([transform(det.pre, r) for r in records]))
+    P = _walk(det, records)
     k = det.params.k
     seq = np.concatenate([det.histories[:, 1:].T, P])  # (k - 1 + N) x T
     scores, _ = forward(det.params, sliding_window_view(seq, k, axis=0))  # N x T x k
@@ -139,12 +153,13 @@ def observe_block(det: Detector, records) -> np.ndarray:
     return scores
 
 
-def learn(det: Detector, r: Record, label: int) -> float:
-    """observe, then one BCE/SGD update of the attention layer only. Raises
-    Diverged once the readout or the parameters are no longer finite; the
-    overflow that leads there is reported by that error alone."""
+def learn(det: Detector, r: Record, label: int, *,
+          probas: np.ndarray | None = None) -> float:
+    """observe (passing probas on), then one BCE/SGD update of the attention
+    layer only. Raises Diverged once the readout or the parameters are no
+    longer finite; the overflow that leads there is reported by that error alone."""
     with np.errstate(over="ignore", invalid="ignore"):
-        res = observe(det, r)
+        res = observe(det, r, probas=probas)
         sgd_step(det.params, backward(det.params, res.cache, label), det.eta)
     if not (math.isfinite(res.cache.r) and np.isfinite(det.params.flat).all()):
         raise Diverged(f"attention layer diverged at sample {det.samples_seen} "
@@ -154,6 +169,11 @@ def learn(det: Detector, r: Record, label: int) -> float:
 
 def train_online(det: Detector, records, epochs: int = 1) -> TrainingReport:
     """One learn() per sample in stream order, per epoch.
+
+    The forest is frozen, so a record's tree probabilities do not depend on
+    learning: each slice of WALK_SLICE records is walked in one forest walk,
+    and learn() then takes each record's row of it. Every epoch walks its
+    slices again, so memory stays bounded by one slice.
 
     Histories are deliberately not reset between epochs: the stream is
     treated as continuous.
@@ -166,8 +186,10 @@ def train_online(det: Detector, records, epochs: int = 1) -> TrainingReport:
     means = []
     for _ in range(epochs):
         total = 0.0
-        for r in records:
-            total += learn(det, r, r.label)
+        for i in range(0, len(records), WALK_SLICE):
+            chunk = records[i:i + WALK_SLICE]
+            for r, p in zip(chunk, _walk(det, chunk)):
+                total += learn(det, r, r.label, probas=p)
         means.append(total / len(records))
     return TrainingReport(mean_losses=means, samples_per_epoch=len(records))
 

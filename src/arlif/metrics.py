@@ -15,14 +15,13 @@ import numpy as np
 
 # observe is unused here but stays an attribute of this module: perfbench's
 # tracer rebinds metrics.observe.
-from .detector import Detector, model_size_bytes, observe, observe_block  # noqa: F401
+from .detector import WALK_SLICE, Detector, model_size_bytes, observe, observe_block  # noqa: F401
 from .errors import Empty, LengthMismatch, SingleClass
 from .iforest import IsolationForest, forest_score
 from .ingest import Record, transform
 
 MODES = ("arlif", "baseline-if")
 BLOCK = 64  # rows evaluate scores per call: of 8 to 128, the most rows/s at T=100, k=10
-TUNE_SLICE = 4096  # vectors per forest_score call in tuning: ~2.5 KB each at T=100
 
 
 @dataclass
@@ -158,13 +157,13 @@ def evaluate(det: Detector, test, mode: str = "arlif", baseline_tau: float | Non
 
 def tune_baseline_threshold(forest: IsolationForest, vectors, labels) -> float:
     """Grid-search thresholds {0.01..0.99} on forest_score, max F1, ties low.
-    The vectors are scored TUNE_SLICE at a time, which bounds the walk's memory."""
+    The vectors are scored WALK_SLICE at a time, which bounds the walk's memory."""
     labels = list(labels)
     if len(set(labels)) < 2:
         raise SingleClass("baseline threshold tuning needs both classes")
     X = np.array(vectors, dtype=np.float64)
-    scores = np.concatenate([forest_score(forest, X[i:i + TUNE_SLICE])
-                             for i in range(0, len(X), TUNE_SLICE)])
+    scores = np.concatenate([forest_score(forest, X[i:i + WALK_SLICE])
+                             for i in range(0, len(X), WALK_SLICE)])
     y = np.asarray(labels)
     f1s = [f1_score(confusion_matrix(scores >= i / 100.0, y)) for i in range(1, 100)]
     return (1 + int(np.argmax(f1s))) / 100.0

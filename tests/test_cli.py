@@ -331,6 +331,24 @@ def test_stream_reports_bad_rows_and_continues(cli_env, monkeypatch, capsys):
     assert "line 4: column 0: 'nan' is not a finite number" in err
 
 
+@pytest.mark.parametrize("stdin", ["bytes", "text"])
+def test_stream_reports_a_line_that_is_not_utf8_and_continues(cli_env, monkeypatch, capsys,
+                                                              stdin):
+    good = synth_lines(5, seed=16)
+    text = "\n".join(good[:3] + ["\udcff"] + good[3:]) + "\n"  # line 4 is the byte 0xff
+    if stdin == "bytes":  # a pipe that decodes strictly, as under PYTHONIOENCODING=utf-8:strict
+        data = text.encode("utf-8", "surrogateescape")
+        source = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict")
+    else:  # no bytes to decode: the bad byte arrives as a lone surrogate
+        source = io.StringIO(text)
+    monkeypatch.setattr(sys, "stdin", source)
+    rc = main(["stream", "--model", str(cli_env["model"])])
+    out, err = capsys.readouterr()
+    assert rc == 0
+    assert len(out.splitlines()) == 5
+    assert err == "line 4: not valid UTF-8\n"
+
+
 def test_stream_skips_blank_lines(cli_env, monkeypatch, capsys):
     good = synth_lines(2, seed=15)
     text = "\n" + good[0] + "\n\n" + good[1] + "\n\n"

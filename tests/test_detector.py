@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from arlif.attention import forward, init_params
+import arlif.detector
+from arlif.attention import forward, init_params, sgd_step
 from arlif.detector import (
     Detector,
     attention_params_bytes,
@@ -31,7 +32,7 @@ from arlif.errors import (
     TruncatedFile,
     VersionUnsupported,
 )
-from arlif.iforest import IsolationForest, build_forest, tree_proba
+from arlif.iforest import IsolationForest, build_forest, forest_probas, tree_proba
 from arlif.ingest import fit_preprocessor, transform
 from arlif.metrics import evaluate
 from conftest import synth_records
@@ -85,6 +86,10 @@ def test_detector_constructor_checks_every_part(pipe):
         histories[2, 1] = bad
         with pytest.raises(ValueError, match="lie in"):
             Detector(forest, det.params, pre, histories, tau=0.5, eta=0.05)
+    five = build_forest(np.asarray(pipe[2]), T=5, psi=64, seed=0)
+    for shape in ((4, 4), (5, 3)):  # (T - 1, k) and (T, k - 1) at T=5, k=4
+        with pytest.raises(DimensionMismatch, match=r"histories must be T x k = 5 x 4"):
+            Detector(five, init_params(4, seed=0), pre, np.full(shape, 0.5), 0.5, 0.05)
 
 
 # --- observe --------------------------------------------------------------------
@@ -174,6 +179,17 @@ def test_observe_block_equals_a_loop_of_observe(pipe, trees, k, block):
     assert observe_block(blocked, []).size == 0 and blocked.samples_seen == len(rows)
 
 
+def test_observe_with_precomputed_probas_equals_observe(pipe):
+    records, _, _, _ = pipe
+    walked, given = mk_detector(pipe, scale=0.5), mk_detector(pipe, scale=0.5)
+    rows = records[:12]
+    P = forest_probas(given.forest, np.array([transform(given.pre, r) for r in rows]))
+    for r, p in zip(rows, P):
+        assert observe(given, r, probas=p).score == observe(walked, r).score
+        assert given.histories.tolist() == walked.histories.tolist()
+    assert given.samples_seen == walked.samples_seen == len(rows)
+
+
 # --- learn / train_online --------------------------------------------------------
 
 def test_learn_never_touches_forest(pipe):
@@ -195,17 +211,29 @@ def test_learn_descends_on_repeated_sample(pipe):
     assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
 
-def test_train_online_equals_manual_loop(pipe):
+def test_train_online_equals_manual_loop(pipe, monkeypatch):
+    # slices of 7 over 60 rows: eight whole slices and a remainder of 4, per epoch
     records, _, _, _ = pipe
     stream = records[:60]
+    walks = []
+
+    def recording(forest, X):
+        walks.append(len(X))
+        return forest_probas(forest, X)
+    monkeypatch.setattr(arlif.detector, "WALK_SLICE", 7)
+    monkeypatch.setattr(arlif.detector, "forest_probas", recording)
     a = mk_detector(pipe, k=4, eta=0.01)
     b = mk_detector(pipe, k=4, eta=0.01)
     report = train_online(a, stream, epochs=2)
+    assert walks == ([7] * 8 + [4]) * 2
     manual = []
     for _ in range(2):
-        manual.append(float(np.mean([learn(b, r, r.label) for r in stream])))
+        total = 0.0
+        for r in stream:
+            total += learn(b, r, r.label)
+        manual.append(total / len(stream))
     assert report.samples_per_epoch == 60
-    assert report.mean_losses == pytest.approx(manual, abs=1e-12)
+    assert report.mean_losses == manual
     assert to_bytes(a) == to_bytes(b)
 
 
@@ -237,6 +265,29 @@ def test_learn_raises_diverged_instead_of_training_a_dead_layer(pipe):
     assert np.isfinite(forward(det.params, det.histories)[1].r)
     with pytest.raises(Diverged):
         learn(det, r, r.label)
+
+
+def test_train_online_diverges_at_the_same_sample_as_a_learn_loop(pipe, monkeypatch):
+    records, _, _, _ = pipe
+    monkeypatch.setattr(arlif.detector, "WALK_SLICE", 7)
+
+    def diverge(train):
+        # the 10th step poisons an inert parameter: row 3 of the second slice of 7
+        steps = []
+        def poisoning(params, grads, eta):
+            sgd_step(params, grads, eta)
+            steps.append(eta)
+            if len(steps) == 10:
+                params.bv[0] = np.inf
+        monkeypatch.setattr(arlif.detector, "sgd_step", poisoning)
+        det = mk_detector(pipe, eta=0.01)
+        with pytest.raises(Diverged) as exc:
+            train(det)
+        return det.samples_seen, str(exc.value)
+
+    sliced = diverge(lambda det: train_online(det, records[:60]))
+    assert sliced[0] == 10
+    assert sliced == diverge(lambda det: [learn(det, r, r.label) for r in records[:60]])
 
 
 def test_train_online_counts_and_guards(pipe):
