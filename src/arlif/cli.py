@@ -11,6 +11,8 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from .attention import init_params
 from .detector import (
     Detector,
@@ -35,11 +37,11 @@ from .ingest import (
 from .metrics import EvalReport, evaluate, tune_baseline_threshold
 
 
-def _train_detector(args: argparse.Namespace) -> tuple[Detector, object, list, list]:
+def _train_detector(args: argparse.Namespace) -> tuple[Detector, object, np.ndarray, list]:
     """Shared train pipeline; returns (detector, report, train vectors, labels)."""
     records = load_records(args.train, args.format, args.train_limit)
     pre = fit_preprocessor(records, args.m)
-    vectors = [transform(pre, r) for r in records]
+    vectors = transform(pre, records)
     forest = build_forest(vectors, args.trees, args.psi, args.seed)
     params = init_params(args.k, args.seed)
     det = new_detector(forest, params, pre, tau=args.tau, eta=args.eta)

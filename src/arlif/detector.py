@@ -109,7 +109,7 @@ def new_detector(forest: IsolationForest, params: AttentionParams, pre: Preproce
 
 def _walk(det: Detector, records) -> np.ndarray:
     """Every tree's probability for each record, (N, T), in one forest walk."""
-    return forest_probas(det.forest, np.array([transform(det.pre, r) for r in records]))
+    return forest_probas(det.forest, transform(det.pre, records))
 
 
 def observe(det: Detector, r: Record, *, probas: np.ndarray | None = None) -> DetectionResult:

@@ -11,7 +11,8 @@ numeric encoding happens only inside the preprocessor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,18 +116,15 @@ def _vocab_index(vocab: dict[int, list[str]]) -> dict[int, dict[str, int]]:
     return {col: {tok: i for i, tok in enumerate(toks)} for col, toks in vocab.items()}
 
 
-def _encode_matrix(records: list[Record], index: dict[int, dict[str, int]]) -> np.ndarray:
-    """Records -> (n, 41) float matrix; categoricals as positions in the vocab index."""
-    X = np.empty((len(records), N_FEATURES), dtype=np.float64)
-    for i, r in enumerate(records):
-        for col in range(N_FEATURES):
-            tok = r.features[col]
-            if col in index:
-                # unseen tokens index one past the vocabulary
-                X[i, col] = index[col].get(tok, len(index[col]))
-            else:
-                X[i, col] = float(tok)
-    return X
+def _encode_matrix(records: Sequence[Record], index: dict[int, dict[str, int]],
+                   cols: Sequence[int]) -> np.ndarray:
+    """Records -> (n, len(cols)) float matrix of the given columns: a categorical
+    token is its position in the vocab index, an unseen one one past its end,
+    and any other token is its float."""
+    codes = [(col, index.get(col)) for col in cols]
+    rows = [[float(r.features[col]) if idx is None else idx.get(r.features[col], len(idx))
+             for col, idx in codes] for r in records]
+    return np.array(rows, dtype=np.float64).reshape(len(records), len(cols))
 
 
 def _rank_columns(X: np.ndarray, records: list[Record]) -> list[tuple[int, float]]:
@@ -147,21 +145,31 @@ def _rank_columns(X: np.ndarray, records: list[Record]) -> list[tuple[int, float
 
 @dataclass
 class Preprocessor:
-    """Fitted encoder: vocab + per-column min/max + the selected columns, which
-    must be one or more, distinct and < 41 (else CorruptModel)."""
+    """Fitted encoder: vocab + per-column min/max + the selected columns.
+    Construction checks them (else CorruptModel): one or more distinct selected
+    columns, each < 41; 41 finite min/max pairs with min <= max; no token twice
+    in a vocabulary column. It derives what transform reads: the vocab index and
+    the selected columns' bounds."""
 
     vocab: dict[int, list[str]]
     min_max: list[tuple[float, float]]
     selected: list[int]
-    _index: dict[int, dict[str, int]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
 
     def __post_init__(self):
         cols = set(self.selected)
         if not (0 < len(cols) == self.m and cols <= set(range(N_FEATURES))):
             raise CorruptModel(f"need one or more distinct selected columns, 0 <= c < {N_FEATURES}")
+        if not (len(self.min_max) == N_FEATURES
+                and all(-math.inf < lo <= hi < math.inf for lo, hi in self.min_max)):
+            raise CorruptModel(f"need {N_FEATURES} finite min/max pairs with min <= max")
+        for col, toks in self.vocab.items():
+            if len(set(toks)) != len(toks):
+                raise CorruptModel(f"column {col} vocabulary holds a token twice")
         self._index = _vocab_index(self.vocab)
+        self._lo, self._hi = np.array([self.min_max[c] for c in self.selected]).T
+        # a degenerate column (min == max) clamps to its min, and a span of 1
+        # then scales that to exactly 0.0
+        self._span = np.where(self._lo < self._hi, self._hi - self._lo, 1.0)
 
     @property
     def m(self) -> int:  # length of a transformed vector
@@ -174,7 +182,8 @@ def rank_features(records: list[Record]) -> list[tuple[int, float]]:
     Returns (column, score) pairs sorted by descending score, ties broken by
     ascending column index. Zero-variance columns score 0.
     """
-    return _rank_columns(_encode_matrix(records, _vocab_index(_build_vocab(records))), records)
+    X = _encode_matrix(records, _vocab_index(_build_vocab(records)), range(N_FEATURES))
+    return _rank_columns(X, records)
 
 
 def fit_preprocessor(records: list[Record], m: int) -> Preprocessor:
@@ -182,27 +191,20 @@ def fit_preprocessor(records: list[Record], m: int) -> Preprocessor:
     if not 1 <= m <= N_FEATURES:
         raise ValueError(f"m must be in 1..{N_FEATURES}, got {m}")
     vocab = _build_vocab(records)
-    X = _encode_matrix(records, _vocab_index(vocab))
+    X = _encode_matrix(records, _vocab_index(vocab), range(N_FEATURES))
     min_max = [(float(lo), float(hi)) for lo, hi in zip(X.min(axis=0), X.max(axis=0))]
     return Preprocessor(vocab, min_max, [col for col, _ in _rank_columns(X, records)[:m]])
 
 
-def transform(pre: Preprocessor, r: Record) -> list[float]:
-    """Record -> m-length vector in [0,1].
+def transform(pre: Preprocessor, records: Record | Sequence[Record]) -> np.ndarray:
+    """One record -> (m,) vector in [0,1]; a sequence of N records -> (N, m),
+    or (0, m) when it is empty.
 
-    Selected columns are encoded (categoricals via the training vocab, unseen
-    tokens one past it), min-max scaled on training bounds, and clamped;
-    degenerate columns (min == max) map to 0.0.
+    The selected columns are encoded as fitting encodes them (_encode_matrix),
+    clamped to their training min/max and min-max scaled on it; a degenerate
+    column (min == max) maps to 0.0.
     """
-    out = []
-    for col in pre.selected:
-        tok = r.features[col]
-        idx = pre._index.get(col)
-        v = float(idx.get(tok, len(idx))) if idx is not None else float(tok)
-        lo, hi = pre.min_max[col]
-        if hi <= lo:
-            out.append(0.0)
-            continue
-        scaled = (v - lo) / (hi - lo)
-        out.append(min(max(scaled, 0.0), 1.0))
-    return out
+    one = isinstance(records, Record)
+    X = _encode_matrix([records] if one else records, pre._index, pre.selected)
+    X = (np.minimum(np.maximum(X, pre._lo), pre._hi) - pre._lo) / pre._span
+    return X[0] if one else X

@@ -18,7 +18,7 @@ import numpy as np
 from .detector import WALK_SLICE, Detector, model_size_bytes, observe, observe_block  # noqa: F401
 from .errors import Empty, LengthMismatch, SingleClass
 from .iforest import IsolationForest, forest_score
-from .ingest import Record, transform
+from .ingest import transform
 
 MODES = ("arlif", "baseline-if")
 BLOCK = 64  # rows evaluate scores per call: of 8 to 128, the most rows/s at T=100, k=10
@@ -125,7 +125,7 @@ def evaluate(det: Detector, test, mode: str = "arlif", baseline_tau: float | Non
         tau = det.tau if baseline_tau is None else baseline_tau
 
         def score(block):
-            return forest_score(det.forest, np.array([transform(det.pre, r) for r in block]))
+            return forest_score(det.forest, transform(det.pre, block))
 
     scores, lats, total_ns = [], [], 0
     for b in range(0, len(test), BLOCK):

@@ -230,6 +230,11 @@ def with_f64(data, offset, value):
     return data[:offset] + struct.pack("<d", value) + data[offset + 8:]
 
 
+def with_min0(data, det, value):
+    """The file with column 0's stored min set to value."""
+    return with_f64(data, _HEADER.size + 4 * det.pre.m, value)
+
+
 CRAFTED = {
     "psi_zero": (lambda b, d: with_header(b, psi=0), "psi >= 2"),
     "psi_one": (lambda b, d: with_header(b, psi=1), "psi >= 2"),
@@ -254,6 +259,11 @@ CRAFTED = {
     "selected_past_41": (lambda b, d: selected(b, d, [41]), "< 41"),
     "vocab_not_utf8": (lambda b, d: b.replace(b"\x03\x00\x00\x00tcp", b"\x03\x00\x00\x00\xfftc"),
                        "not valid UTF-8"),
+    "vocab_repeated_token": (lambda b, d: b.replace(b"\x03\x00\x00\x00udp",
+                                                    b"\x03\x00\x00\x00tcp", 1),
+                             "column 1 vocabulary holds a token twice"),
+    "min_max_nan": (lambda b, d: with_min0(b, d, float("nan")), "finite min/max pairs"),
+    "min_max_inverted": (lambda b, d: with_min0(b, d, d.pre.min_max[0][1] + 1.0), "min <= max"),
     "tau_above_one": (lambda b, d: with_header(b, tau=2.0), "tau in (0,1)"),
     "tau_nan": (lambda b, d: with_header(b, tau=float("nan")), "tau in (0,1)"),
     "eta_zero": (lambda b, d: with_header(b, eta=0.0), "finite eta > 0"),

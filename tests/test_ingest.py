@@ -1,5 +1,6 @@
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,24 @@ def test_load_records_parse_errors_name_their_line(tmp_path):
 def test_preprocessor_rejects_bad_selected_columns(selected):
     with pytest.raises(CorruptModel, match="distinct selected columns"):
         Preprocessor(vocab={}, min_max=[(0.0, 1.0)] * N_FEATURES, selected=selected)
+
+
+@pytest.mark.parametrize("bounds", [
+    [(0.0, 1.0)] * (N_FEATURES - 1),
+    [(0.0, 1.0)] * 6 + [(float("nan"), 1.0)] + [(0.0, 1.0)] * 34,
+    [(0.0, 1.0)] * 6 + [(0.0, float("inf"))] + [(0.0, 1.0)] * 34,
+    [(0.0, 1.0)] * 6 + [(float("-inf"), 0.0)] + [(0.0, 1.0)] * 34,
+    [(0.0, 1.0)] * 6 + [(2.0, 1.0)] + [(0.0, 1.0)] * 34,
+])
+def test_preprocessor_rejects_bad_min_max(bounds):
+    with pytest.raises(CorruptModel, match="41 finite min/max pairs with min <= max"):
+        Preprocessor(vocab={}, min_max=bounds, selected=[0])
+
+
+def test_preprocessor_rejects_a_repeated_vocabulary_token():
+    vocab = {1: ["icmp", "icmp", "tcp", "udp"], 2: ["http"], 3: ["SF"]}
+    with pytest.raises(CorruptModel, match="column 1 vocabulary holds a token twice"):
+        Preprocessor(vocab=vocab, min_max=[(0.0, 1.0)] * N_FEATURES, selected=[1])
 
 
 # --- rank_features ----------------------------------------------------------
@@ -292,7 +311,38 @@ def test_transform_deterministic():
     recs = synth_records(100, seed=8)
     pre = fit_preprocessor(recs, 6)
     r = recs[17]
-    assert transform(pre, r) == transform(pre, r)
+    assert np.array_equal(transform(pre, r), transform(pre, r))
+
+
+def test_transform_block_rows_equal_each_record_alone():
+    recs = synth_records(200, seed=6)
+    for r in recs:
+        r.features[5] = "7"  # a degenerate column
+    pre = fit_preprocessor(recs, N_FEATURES)
+    probe = mk_record({1: "xx", 2: "yy", 3: "zz", 0: "1e9", 4: "-5", 5: "123", 6: "-0"})
+    probes = synth_records(80, seed=777) + [probe, mk_record({6: "-0"})]
+    block = transform(pre, probes)
+    assert block.shape == (len(probes), N_FEATURES) and block.dtype == np.float64
+    for row, r in zip(block, probes):
+        alone = transform(pre, r)
+        assert alone.shape == (N_FEATURES,)
+        assert np.array_equal(row, alone)
+    assert ((block >= 0.0) & (block <= 1.0)).all()
+    x = dict(zip(pre.selected, block[-2]))
+    assert x[1] == x[2] == x[3] == 1.0  # unseen tokens: one past the vocabulary
+    assert (x[0], x[4], x[5]) == (1.0, 0.0, 0.0)
+    assert transform(pre, []).shape == (0, N_FEATURES)
+
+
+def test_transform_overflowing_values_clamp_without_warnings():
+    bounds = [(0.0, 1.0)] * N_FEATURES
+    bounds[5] = (-1e308, -1e308)  # degenerate, and v - lo overflows for v = 1e308
+    bounds[7] = (-1e308, 1.0)
+    pre = Preprocessor(vocab={}, min_max=bounds, selected=[5, 7])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = transform(pre, mk_record({5: "1e308", 7: "1e308"}))
+    assert out.tolist() == [0.0, 1.0]
 
 
 # --- real-data spot checks (skipped when the files are absent) ---------------
