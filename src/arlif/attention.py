@@ -81,20 +81,6 @@ def init_params(k: int, seed: int, scale: float = 0.01) -> AttentionParams:
     return params
 
 
-def _softmax_in_place(A: np.ndarray) -> np.ndarray:
-    """Exp-normalize A along its last axis, max subtracted first, in A's own
-    buffer: no temporary the size of A is made."""
-    A -= A.max(axis=-1, keepdims=True)
-    np.exp(A, out=A)
-    A /= A.sum(axis=-1, keepdims=True)
-    return A
-
-
-def softmax_rows(M: np.ndarray) -> np.ndarray:
-    """Row-wise exp-normalization with max subtraction for stability."""
-    return _softmax_in_place(np.array(M, dtype=np.float64))
-
-
 @dataclass
 class ForwardCache:
     H: np.ndarray
@@ -110,7 +96,7 @@ class ForwardCache:
 def forward(params: AttentionParams, H) -> tuple[float | np.ndarray, ForwardCache]:
     """Score the current history matrix, or each matrix of a stack.
 
-    Q/K are affine images of H, A = softmax_rows(Q.K^T / sqrt(k)) and
+    Q/K are affine images of H, A is the row softmax of Q.K^T / sqrt(k) and
     e = A.v with v the last value column; the readout is the mean of e over
     trees, clamped into [EPS, 1 - EPS]. H is one T x k matrix, giving a
     float, or a stack (..., T, k), giving an array of readouts of shape (...):
@@ -131,7 +117,10 @@ def forward(params: AttentionParams, H) -> tuple[float | np.ndarray, ForwardCach
     v = H @ Wv[:, -1] + bv[-1]
     A = Q @ K.swapaxes(-1, -2)
     A /= math.sqrt(k)
-    _softmax_in_place(A)
+    # row softmax in A's own buffer, max subtracted first: no temporary the size of A
+    A -= A.max(axis=-1, keepdims=True)
+    np.exp(A, out=A)
+    A /= A.sum(axis=-1, keepdims=True)
     e = (A @ v[..., None])[..., 0]
     r = e.mean(axis=-1)
     if r.ndim:

@@ -23,7 +23,7 @@ from .detector import (
     save_model,
     train_online,
 )
-from .errors import ArlifError, FieldCountMismatch, NotUtf8
+from .errors import ArlifError, NotUtf8
 from .iforest import build_forest
 from .ingest import (
     FORMATS,
@@ -80,20 +80,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _parse_stream_line(line: str, fmt: str) -> Record:
-    # full configured format first; bare 41-feature rows are accepted too
-    # (labels optional, ignored for detection)
+    # a row in the configured format, or a bare row of 41 features (labels are
+    # optional, ignored for detection), told apart by the field count
     if not line.isascii():
         try:
             line.encode("utf-8")  # a byte stdin could not decode is a lone surrogate here
         except UnicodeEncodeError:
             raise NotUtf8("not valid UTF-8") from None
-    try:
-        return parse_record(line, fmt)
-    except FieldCountMismatch:
-        fields = line.strip().split(",")
-        if len(fields) == N_FEATURES:
-            return parse_record(line.strip() + ",unlabeled,0", "nsl-kdd")
-        raise
+    if line.count(",") == N_FEATURES - 1:
+        return parse_record(line.strip() + ",unlabeled,0", "nsl-kdd")
+    return parse_record(line, fmt)
 
 
 def cmd_stream(args: argparse.Namespace) -> int:

@@ -1,8 +1,13 @@
 """Isolation forest: random trees on subsamples, per-tree anomaly probabilities.
 
 A tree is one NODE_DTYPE array, the records a model file holds. IsolationForest
-derives a walk table from its trees once, so one vectorized walk reaches every
-tree's leaf at once; the scalar path_length / tree_proba are the reference.
+derives a walk table from its trees once (every node's feature, threshold and
+two successors, a leaf leading to itself, and each leaf's path length and
+probability), so one walk of height_limit steps reaches every tree's leaf for
+one point or for a block of points.
+
+path_length is unused here: the benchmark's mean_path_length calls it, and it
+moves to tests/reference.py with the next benchmark change (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -190,8 +195,8 @@ def _leaf_slots(forest: IsolationForest, X) -> np.ndarray:
 
 
 def forest_probas(forest: IsolationForest, X) -> np.ndarray:
-    """Every tree's anomaly probability for one vector (T,) or a block (N, T);
-    entry i equals tree_proba(trees[i], ...)."""
+    """Every tree's anomaly probability 2^(-h/c_psi), h the path length to the
+    leaf the point reaches, for one vector (T,) or a block (N, T)."""
     return forest._proba[_leaf_slots(forest, X)]
 
 
@@ -199,9 +204,9 @@ def forest_score(forest: IsolationForest, X):
     """Classical forest score 2^(-mean path length / c_psi): a float for one
     vector, an (N,) array for a block (N, m).
 
-    cumsum adds each point's path lengths in tree order, as path_length's sum
-    would (np.sum adds pairwise), and ** runs per point on Python floats, since
-    numpy's vectorized ** may differ in the last ulp.
+    cumsum adds each point's path lengths in tree order, as a Python sum over
+    the trees would (np.sum adds pairwise), and ** runs per point on Python
+    floats, since numpy's vectorized ** may differ in the last ulp.
     """
     total = np.cumsum(forest._path[_leaf_slots(forest, X)], axis=-1)[..., -1]
     e = -(total / len(forest.trees)) / forest.c_psi
@@ -211,7 +216,7 @@ def forest_score(forest: IsolationForest, X):
 
 
 def path_length(tree: np.ndarray, x) -> float:
-    """Steps to the leaf reached by x, plus c_factor(leaf size): the scalar reference."""
+    """Steps to the leaf reached by x, plus c_factor(leaf size)."""
     feature, threshold, right = tree["f"], tree["t"], tree["r"]
     j = depth = 0
     while feature[j] >= 0:
@@ -219,7 +224,3 @@ def path_length(tree: np.ndarray, x) -> float:
         depth += 1
     return depth + c_factor(int(right[j]))
 
-
-def tree_proba(tree: np.ndarray, x, c_psi: float) -> float:
-    """Per-tree anomaly probability 2^(-h/c_psi), always in (0, 1]."""
-    return 2.0 ** (-path_length(tree, x) / c_psi)

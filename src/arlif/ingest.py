@@ -143,13 +143,25 @@ def _rank_columns(X: np.ndarray, records: list[Record]) -> list[tuple[int, float
     return [(c, float(scores[c])) for c in order]
 
 
+def _check_min_max(min_max: Sequence[tuple[float, float]]) -> None:
+    """CorruptModel unless min_max is 41 pairs with min <= max and a finite max - min."""
+    rule = f"need {N_FEATURES} finite min/max pairs with min <= max and a finite max - min"
+    if len(min_max) != N_FEATURES:
+        raise CorruptModel(f"{rule}, got {len(min_max)} pairs")
+    for col, (lo, hi) in enumerate(min_max):
+        # lo <= hi is false for NaN, and an infinite bound makes hi - lo inf or NaN
+        if not (lo <= hi and hi - lo < math.inf):
+            raise CorruptModel(f"{rule}; column {col} has ({lo!r}, {hi!r})")
+
+
 @dataclass
 class Preprocessor:
     """Fitted encoder: vocab + per-column min/max + the selected columns.
     Construction checks them (else CorruptModel): one or more distinct selected
-    columns, each < 41; 41 finite min/max pairs with min <= max; no token twice
-    in a vocabulary column. It derives what transform reads: the vocab index and
-    the selected columns' bounds."""
+    columns, each < 41; 41 finite min/max pairs with min <= max and a finite
+    max - min; a vocabulary for exactly the categorical columns, no token twice
+    in one. It derives what transform reads: the vocab index and the selected
+    columns' bounds."""
 
     vocab: dict[int, list[str]]
     min_max: list[tuple[float, float]]
@@ -159,9 +171,10 @@ class Preprocessor:
         cols = set(self.selected)
         if not (0 < len(cols) == self.m and cols <= set(range(N_FEATURES))):
             raise CorruptModel(f"need one or more distinct selected columns, 0 <= c < {N_FEATURES}")
-        if not (len(self.min_max) == N_FEATURES
-                and all(-math.inf < lo <= hi < math.inf for lo, hi in self.min_max)):
-            raise CorruptModel(f"need {N_FEATURES} finite min/max pairs with min <= max")
+        _check_min_max(self.min_max)
+        if set(self.vocab) != set(CATEGORICAL_COLUMNS):
+            raise CorruptModel(f"need a vocabulary for exactly the columns {CATEGORICAL_COLUMNS}, "
+                               f"got {sorted(self.vocab)}")
         for col, toks in self.vocab.items():
             if len(set(toks)) != len(toks):
                 raise CorruptModel(f"column {col} vocabulary holds a token twice")
@@ -193,6 +206,7 @@ def fit_preprocessor(records: list[Record], m: int) -> Preprocessor:
     vocab = _build_vocab(records)
     X = _encode_matrix(records, _vocab_index(vocab), range(N_FEATURES))
     min_max = [(float(lo), float(hi)) for lo, hi in zip(X.min(axis=0), X.max(axis=0))]
+    _check_min_max(min_max)  # before ranking, which overflows on such a column
     return Preprocessor(vocab, min_max, [col for col, _ in _rank_columns(X, records)[:m]])
 
 

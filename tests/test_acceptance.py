@@ -25,11 +25,12 @@ from arlif.detector import (
     to_bytes,
     train_online,
 )
-from arlif.iforest import build_forest, c_factor, path_length, tree_proba
+from arlif.iforest import build_forest, c_factor, path_length
 from arlif.ingest import fit_preprocessor, transform
 from arlif.metrics import evaluate
 from conftest import DATA_DIR, requires_dataset, synth_records
 from grad_check import fd_grads, grad_errors
+from reference import recursive_path, tree_proba
 from synth_stream import synth_lines, write_stream
 
 
@@ -106,18 +107,11 @@ def test_criterion_3_uniform_attention_reduction():
 
 
 def test_criterion_4_isolation_forest_oracle():
-    def recursive(tree, x, node=0, depth=0):
-        if tree["f"][node] < 0:
-            return depth + c_factor(tree["r"][node])
-        if x[tree["f"][node]] < tree["t"][node]:
-            return recursive(tree, x, node + 1, depth + 1)
-        return recursive(tree, x, tree["r"][node], depth + 1)
-
     data = np.random.default_rng(0).uniform(size=(64, 4))
     forest = build_forest(data, T=10, psi=64, seed=0)
     for tree in forest.trees:
         for x in data:
-            assert path_length(tree, x) == recursive(tree, x)
+            assert path_length(tree, x) == recursive_path(tree, x)
     assert c_factor(2) == 1.0
     assert c_factor(256) == pytest.approx(10.2448, abs=1e-3)
 

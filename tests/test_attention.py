@@ -14,11 +14,11 @@ from arlif.attention import (
     init_params,
     param_count,
     sgd_step,
-    softmax_rows,
 )
 from arlif.detector import attention_params_bytes
 from arlif.errors import DimensionMismatch, StaleCache
 from grad_check import fd_grads, grad_errors
+from reference import softmax_rows
 
 
 def rand_params(k, seed):
@@ -215,6 +215,24 @@ def test_forward_clamps_readout():
     cold = shifted(p, -100.0)
     s, cache = forward(cold, H)
     assert s == EPS and cache.r < s
+
+
+def test_forward_attention_is_the_row_softmax_of_the_scaled_logits():
+    # the biases lift every logit into the hundreds, where exp without the max
+    # shift overflows to inf, while Wq/Wk keep the rows' weights spread out
+    k = 4
+    rng = np.random.default_rng(8)
+    p = rand_params(k, seed=8)
+    p.Wq = rng.normal(0, 0.5, (k, k))
+    p.Wk = rng.normal(0, 0.5, (k, k))
+    p.bq = p.bk = np.full(k, 20.0)
+    for H in (rng.uniform(0.0, 1.0, (6, k)), rng.uniform(0.0, 1.0, (3, 6, k))):
+        _, cache = forward(p, H)
+        logits = cache.Q @ cache.K.swapaxes(-1, -2) / math.sqrt(k)
+        assert logits.min() > 710.0
+        assert np.all(np.isfinite(cache.A)) and cache.A.max() < 0.99
+        assert np.allclose(cache.A.sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(cache.A, softmax_rows(logits), rtol=1e-12, atol=1e-300)
 
 
 # --- loss / backward -----------------------------------------------------------

@@ -87,6 +87,25 @@ def test_a_record_file_that_is_not_utf8_is_one_error_line(cli_env, capsys, tmp_p
     assert not (tmp_path / "m.arlf").exists()
 
 
+def test_train_on_a_column_whose_span_overflows_is_one_error_line(cli_env, capsys, tmp_path):
+    lines = cli_env["train"].read_text().splitlines()
+    for i, value in ((0, "-1e308"), (1, "1e308")):  # column 4 spans more than the float range
+        fields = lines[i].split(",")
+        fields[4] = value
+        lines[i] = ",".join(fields)
+    wide = tmp_path / "wide.txt"
+    wide.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["train", "--train", str(wide), "--model", str(tmp_path / "m.arlf")] + SMALL)
+    assert not caught
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert "column 4 has (-1e+308, 1e+308)" in err
+    assert not (tmp_path / "m.arlf").exists()
+
+
 def test_bad_flag_values_are_usage_errors(cli_env, capsys, tmp_path):
     model = str(tmp_path / "m.arlf")
     base = ["train", "--train", str(cli_env["train"]), "--model", model]

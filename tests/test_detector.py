@@ -32,10 +32,11 @@ from arlif.errors import (
     TruncatedFile,
     VersionUnsupported,
 )
-from arlif.iforest import IsolationForest, build_forest, forest_probas, tree_proba
+from arlif.iforest import IsolationForest, build_forest, forest_probas
 from arlif.ingest import fit_preprocessor, transform
 from arlif.metrics import evaluate
 from conftest import synth_records
+from reference import tree_proba
 
 
 def mk_detector(pipe, k=4, tau=0.5, eta=0.05, seed=0, scale=0.01):

@@ -15,17 +15,8 @@ from arlif.iforest import (
     forest_probas,
     forest_score,
     path_length,
-    tree_proba,
 )
-
-
-def recursive_path(tree, x, node=0, depth=0):
-    """Naive recursive traversal; the production path_length is iterative."""
-    if tree["f"][node] < 0:
-        return depth + c_factor(tree["r"][node])
-    if x[tree["f"][node]] < tree["t"][node]:
-        return recursive_path(tree, x, node + 1, depth + 1)
-    return recursive_path(tree, x, tree["r"][node], depth + 1)
+from reference import recursive_path, tree_proba
 
 
 def leaf_for(tree, x):

@@ -31,6 +31,10 @@ def mk_fields(overrides=None):
     return f
 
 
+# the vocabulary of mk_fields' categorical tokens, one list per categorical column
+VOCAB = {1: ["tcp"], 2: ["http"], 3: ["SF"]}
+
+
 def mk_record(overrides=None, label="normal"):
     return Record(
         features=mk_fields(overrides),
@@ -131,7 +135,7 @@ def test_load_records_parse_errors_name_their_line(tmp_path):
 @pytest.mark.parametrize("selected", [[], [3, 3], [41], [-1]])
 def test_preprocessor_rejects_bad_selected_columns(selected):
     with pytest.raises(CorruptModel, match="distinct selected columns"):
-        Preprocessor(vocab={}, min_max=[(0.0, 1.0)] * N_FEATURES, selected=selected)
+        Preprocessor(vocab=VOCAB, min_max=[(0.0, 1.0)] * N_FEATURES, selected=selected)
 
 
 @pytest.mark.parametrize("bounds", [
@@ -140,10 +144,31 @@ def test_preprocessor_rejects_bad_selected_columns(selected):
     [(0.0, 1.0)] * 6 + [(0.0, float("inf"))] + [(0.0, 1.0)] * 34,
     [(0.0, 1.0)] * 6 + [(float("-inf"), 0.0)] + [(0.0, 1.0)] * 34,
     [(0.0, 1.0)] * 6 + [(2.0, 1.0)] + [(0.0, 1.0)] * 34,
+    [(0.0, 1.0)] * 6 + [(-1e308, 1e308)] + [(0.0, 1.0)] * 34,  # max - min overflows
 ])
 def test_preprocessor_rejects_bad_min_max(bounds):
     with pytest.raises(CorruptModel, match="41 finite min/max pairs with min <= max"):
-        Preprocessor(vocab={}, min_max=bounds, selected=[0])
+        Preprocessor(vocab=VOCAB, min_max=bounds, selected=[0])
+
+
+def test_fitting_a_column_whose_span_overflows_raises_without_warnings():
+    recs = [mk_record({4: v}, label) for v, label in
+            (("-1e308", "normal"), ("1e308", "neptune"), ("0", "normal"), ("5", "neptune"))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CorruptModel, match=r"finite max - min; column 4 has \(-1e\+308, 1e\+308\)"):
+            fit_preprocessor(recs, 3)
+
+
+@pytest.mark.parametrize("vocab", [
+    {},
+    {1: ["tcp"], 2: ["http"]},
+    {0: ["0"], 1: ["tcp"], 2: ["http"], 3: ["SF"]},
+])
+def test_preprocessor_needs_a_vocabulary_for_exactly_the_categorical_columns(vocab):
+    for selected in ([1], [5, 7]):
+        with pytest.raises(CorruptModel, match=r"vocabulary for exactly the columns \(1, 2, 3\)"):
+            Preprocessor(vocab=vocab, min_max=[(0.0, 1.0)] * N_FEATURES, selected=selected)
 
 
 def test_preprocessor_rejects_a_repeated_vocabulary_token():
@@ -338,7 +363,7 @@ def test_transform_overflowing_values_clamp_without_warnings():
     bounds = [(0.0, 1.0)] * N_FEATURES
     bounds[5] = (-1e308, -1e308)  # degenerate, and v - lo overflows for v = 1e308
     bounds[7] = (-1e308, 1.0)
-    pre = Preprocessor(vocab={}, min_max=bounds, selected=[5, 7])
+    pre = Preprocessor(vocab=VOCAB, min_max=bounds, selected=[5, 7])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = transform(pre, mk_record({5: "1e308", 7: "1e308"}))
