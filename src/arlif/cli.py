@@ -11,11 +11,10 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from .attention import init_params
 from .detector import (
     Detector,
+    TrainingReport,
     load_model,
     model_size_bytes,
     new_detector,
@@ -34,23 +33,23 @@ from .ingest import (
     parse_record,
     transform,
 )
-from .metrics import EvalReport, evaluate, tune_baseline_threshold
+from .metrics import evaluate, tune_baseline_threshold
 
 
-def _train_detector(args: argparse.Namespace) -> tuple[Detector, object, np.ndarray, list]:
-    """Shared train pipeline; returns (detector, report, train vectors, labels)."""
+def _train_detector(args: argparse.Namespace) -> tuple[Detector, TrainingReport]:
+    """Shared train pipeline: tau is --tau, forest_tau is tuned on the training rows."""
     records = load_records(args.train, args.format, args.train_limit)
     pre = fit_preprocessor(records, args.m)
     vectors = transform(pre, records)
     forest = build_forest(vectors, args.trees, args.psi, args.seed)
-    params = init_params(args.k, args.seed)
-    det = new_detector(forest, params, pre, tau=args.tau, eta=args.eta)
-    report = train_online(det, records, args.epochs)
-    return det, report, vectors, [r.label for r in records]
+    forest_tau = tune_baseline_threshold(forest, vectors, [r.label for r in records])
+    det = new_detector(forest, init_params(args.k, args.seed), pre, tau=args.tau, eta=args.eta,
+                       forest_tau=forest_tau)
+    return det, train_online(det, records, args.epochs)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    det, report, _, _ = _train_detector(args)
+    det, report = _train_detector(args)
     save_model(det, args.model)
     for i, loss in enumerate(report.mean_losses, start=1):
         print(f"epoch={i} mean_loss={loss:.6f}")
@@ -61,22 +60,25 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_report(rep: EvalReport) -> None:
-    c = rep.confusion
-    print(f"[{rep.mode}] samples={c.total} f1={rep.f1:.4f} "
-          f"precision={rep.precision:.4f} recall={rep.recall:.4f}")
-    print(f"[{rep.mode}] model_bytes={rep.model_bytes} "
-          f"total_detection_ms={rep.total_detection_ns / 1e6:.1f} "
-          f"per_sample_p50_us={rep.latency_p50_ns / 1e3:.1f}")
-    print(rep.key_value_line())
+def _report(det: Detector, args: argparse.Namespace) -> int:
+    """What eval and bench print: ARLIF and the plain forest on the test rows, each
+    cut at its threshold stored in the model, as a table, then one key=value line each."""
+    test = load_records(args.test, args.format, args.test_limit)
+    rows = [("ARLIF-IDS", evaluate(det, test, "arlif")),
+            ("IsolationForest", evaluate(det, test, "baseline-if"))]
+    print(f"{'model':<16} {'F1-Score':>9} {'Memory':>10} {'Detection-Time':>15} "
+          f"{'per-sample':>12} {'Threshold':>10}")
+    for name, rep in rows:
+        print(f"{name:<16} {rep.f1:>9.4f} {rep.model_bytes:>9}B "
+              f"{rep.total_detection_ns / 1e6:>13.1f}ms {rep.latency_mean_ns / 1e3:>10.1f}us "
+              f"{rep.tau:>10g}")
+    for _, rep in rows:
+        print(rep.key_value_line())
+    return 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    det = load_model(args.model)
-    test = load_records(args.test, args.format, args.test_limit)
-    rep = evaluate(det, test, args.mode)
-    _print_report(rep)
-    return 0
+    return _report(load_model(args.model), args)
 
 
 def _parse_stream_line(line: str, fmt: str) -> Record:
@@ -115,26 +117,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    det, report, vectors, labels = _train_detector(args)
-    tuned = tune_baseline_threshold(det.forest, vectors, labels)
-    test = load_records(args.test, args.format, args.test_limit)
-    rep_a = evaluate(det, test, "arlif")
-    rep_b = evaluate(det, test, "baseline-if", baseline_tau=tuned)
-
-    print(f"{'model':<16} {'F1-Score':>9} {'Memory':>10} {'Detection-Time':>15} {'per-sample':>12}")
-    for name, rep in (("ARLIF-IDS", rep_a), ("IsolationForest", rep_b)):
-        print(
-            f"{name:<16} {rep.f1:>9.4f} {rep.model_bytes:>9}B "
-            f"{rep.total_detection_ns / 1e6:>13.1f}ms {rep.latency_mean_ns / 1e3:>10.1f}us"
-        )
-    for name, rep in (("ARLIF-IDS", rep_a), ("IsolationForest", rep_b)):
-        print(
-            f"row={name} f1={rep.f1:.6f} model_bytes={rep.model_bytes} "
-            f"total_detection_ns={rep.total_detection_ns} "
-            f"latency_mean_ns={rep.latency_mean_ns:.1f}"
-        )
-    print(f"baseline_tau={tuned:.2f}")
-    return 0
+    return _report(_train_detector(args)[0], args)
 
 
 def _number(kind, ok, bound: str):
@@ -176,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                            "a finite number > 0"), default=0.05,
                      help="SGD learning rate (default %(default)s)")
     fit.add_argument("--tau", type=_number(float, lambda v: 0.0 < v < 1.0, "in (0,1)"),
-                     default=0.5, help="decision threshold (default %(default)s)")
+                     default=0.5, help="threshold on the attention readout (default %(default)s)")
     fit.add_argument("--epochs", type=_POSITIVE, default=1)
     fit.add_argument("--seed", type=_number(int, lambda v: v >= 0, ">= 0"), default=0)
     fit.add_argument("--train", required=True, help="training record file")
@@ -187,22 +170,21 @@ def _build_parser() -> argparse.ArgumentParser:
     test.add_argument("--test", required=True, help="labeled test record file")
     test.add_argument("--test-limit", type=_POSITIVE, help="keep only the first N test rows")
 
-    p_train = sub.add_parser("train", parents=[fit], help="fit everything, write a model file")
+    # Flags are spelled in full: an abbreviation would take `eval --mode` for --model.
+    p_train = sub.add_parser("train", parents=[fit], allow_abbrev=False,
+                             help="fit everything, tune the forest threshold, write a model file")
     p_train.add_argument("--model", required=True, help="output model path")
 
-    p_eval = sub.add_parser("eval", parents=[fmt, test], help="evaluate a saved model")
+    p_eval = sub.add_parser("eval", parents=[fmt, test], allow_abbrev=False,
+                            help="evaluate a saved model")
     p_eval.add_argument("--model", required=True)
-    p_eval.add_argument("--mode", choices=("arlif", "baseline-if"), default="arlif",
-                        help="baseline-if bypasses attention and thresholds the "
-                        "forest score at the model's tau (bench instead tunes a threshold "
-                        "on the training rows, so its forest F1 can differ)")
 
-    p_stream = sub.add_parser("stream", parents=[fmt],
+    p_stream = sub.add_parser("stream", parents=[fmt], allow_abbrev=False,
                               help="score records from stdin, one line per record")
     p_stream.add_argument("--model", required=True)
 
-    sub.add_parser("bench", parents=[fit, test],
-                   help="train once, compare ARLIF vs the plain forest")
+    sub.add_parser("bench", parents=[fit, test], allow_abbrev=False,
+                   help="train in memory, then print what eval prints")
 
     return parser
 

@@ -11,17 +11,18 @@ Model files are versioned little-endian binary ("ARLF" magic), 64-bit
 reals throughout:
 
     header      magic 4s | version u16 | flags u16 | k u32 | T u32 |
-                psi u32 | m u32 | tau f64 | eta f64 | samples_seen u64
+                psi u32 | m u32 | tau f64 | forest_tau f64 | eta f64 | samples_seen u64
     pre         selected m*u32 | min_max 41*2 f64 | vocab: per categorical
                 column count u32 then (len u32 + utf-8 bytes) per token
     forest      per tree: n_nodes u32 + n_nodes 16-byte iforest.NODE_DTYPE records
                 in preorder (feature i32, threshold f64, right child or leaf size i32)
     attention   params: AttentionParams.flat, 3k(k+1) f64 (Wq, Wk, Wv k*k
                 each, then bq, bk, bv k each); histories (T*k f64)
+    trailer     CRC-32 (zlib.crc32) of every byte before it, u32
 
 flags is exactly 0x0001 (bit 0: the attention segment is present); every file
 this program writes holds it, and a file with any other flags value is rejected
-on load, as is version 1 (28-byte nodes).
+on load, as are versions 1 (28-byte nodes) and 2 (no forest_tau, no trailer).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import math
 import struct
 import time
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,10 +53,11 @@ from .ingest import CATEGORICAL_COLUMNS, N_FEATURES, Preprocessor, Record, trans
 WALK_SLICE = 4096  # points per forest walk: its temporaries take ~2.5 KB per point at T=100
 
 MAGIC = b"ARLF"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _FLAG_ATTENTION = 0x0001
 
-_HEADER = struct.Struct("<4sHHIIIIddQ")
+_HEADER = struct.Struct("<4sHHIIIIdddQ")
+_CRC = struct.Struct("<I")
 
 
 @dataclass
@@ -80,14 +83,15 @@ class Detector:
     params: AttentionParams
     pre: Preprocessor
     histories: np.ndarray  # T x k, column k-1 most recent
-    tau: float
+    tau: float  # cuts the attention readout
     eta: float
+    forest_tau: float  # cuts the plain forest score, the baseline's threshold
     samples_seen: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.tau < 1.0 and 0.0 < self.eta < np.inf):
-            raise CorruptModel(f"need tau in (0,1) and a finite eta > 0, "
-                               f"got tau={self.tau}, eta={self.eta}")
+        if not (0.0 < self.tau < 1.0 and 0.0 < self.forest_tau < 1.0 and 0.0 < self.eta < np.inf):
+            raise CorruptModel(f"need tau and forest_tau in (0,1) and a finite eta > 0, got "
+                               f"tau={self.tau}, forest_tau={self.forest_tau}, eta={self.eta}")
         if self.pre.m != self.forest.n_features:
             raise DimensionMismatch(f"preprocessor emits {self.pre.m} features, "
                                     f"forest was built on {self.forest.n_features}")
@@ -101,10 +105,11 @@ class Detector:
 
 
 def new_detector(forest: IsolationForest, params: AttentionParams, pre: Preprocessor,
-                 tau: float = 0.5, eta: float = 0.05) -> Detector:
+                 tau: float = 0.5, eta: float = 0.05, forest_tau: float = 0.5) -> Detector:
     """Fresh detector; every history slot starts at the neutral 0.5."""
     return Detector(forest=forest, params=params, pre=pre,
-                    histories=np.full((forest.n_trees, params.k), 0.5), tau=tau, eta=eta)
+                    histories=np.full((forest.n_trees, params.k), 0.5), tau=tau, eta=eta,
+                    forest_tau=forest_tau)
 
 
 def _walk(det: Detector, records) -> np.ndarray:
@@ -228,12 +233,14 @@ def to_bytes(det: Detector) -> bytes:
         det.forest.psi,
         det.pre.m,
         det.tau,
+        det.forest_tau,
         det.eta,
         det.samples_seen,
     )
-    return b"".join([header, _pre_bytes(det.pre), forest_bytes(det.forest),
+    body = b"".join([header, _pre_bytes(det.pre), forest_bytes(det.forest),
                      attention_params_bytes(det.params),
                      np.ascontiguousarray(det.histories, dtype="<f8").tobytes()])
+    return body + _CRC.pack(zlib.crc32(body))
 
 
 def model_size_bytes(det: Detector) -> int:
@@ -252,14 +259,15 @@ def save_model(det: Detector, sink) -> None:
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
+    def __init__(self, buf: bytes, end: int):
         self.buf = buf
+        self.end = end  # where the payload stops and the trailer starts
         self.pos = 0
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
+        if self.pos + n > self.end:
             raise TruncatedFile(
-                f"needed {n} bytes at offset {self.pos}, file has {len(self.buf)}"
+                f"needed {n} bytes at offset {self.pos}, the payload has {self.end}"
             )
         chunk = self.buf[self.pos : self.pos + n]
         self.pos += n
@@ -274,12 +282,13 @@ class _Reader:
 
 
 def from_bytes(data: bytes) -> Detector:
-    """Parse a model file; the constructors it calls check what the parts hold."""
-    rd = _Reader(data)
-    if rd.take(4) != MAGIC:
+    """Check magic, version, flags and then the trailer before parsing the body;
+    the constructors it calls check what the parts hold."""
+    if data[:4] != MAGIC:
         raise BadMagic("not an ARLF model file")
-    rd.pos = 0
-    magic, version, flags, k, T, psi, m, tau, eta, samples_seen = _HEADER.unpack(
+    end = len(data) - _CRC.size
+    rd = _Reader(data, end)
+    magic, version, flags, k, T, psi, m, tau, forest_tau, eta, samples_seen = _HEADER.unpack(
         rd.take(_HEADER.size)
     )
     if version != FORMAT_VERSION:
@@ -287,6 +296,10 @@ def from_bytes(data: bytes) -> Detector:
     if flags != _FLAG_ATTENTION:
         raise VersionUnsupported(f"header flags {flags:#06x}, this build reads only "
                                  f"{_FLAG_ATTENTION:#06x} (attention segment present)")
+    stored, crc = _CRC.unpack_from(data, end)[0], zlib.crc32(memoryview(data)[:end])
+    if stored != crc:
+        raise CorruptModel(f"checksum mismatch: the trailer holds {stored:#010x}, "
+                           f"the bytes before it give {crc:#010x}")
     if k < 1:
         raise CorruptModel(f"need window k >= 1 (got {k})")
 
@@ -311,10 +324,10 @@ def from_bytes(data: bytes) -> Detector:
 
     params = AttentionParams(rd.f64_array(param_count(k)), k)
     histories = rd.f64_array(T * k, (T, k))
-    if rd.pos != len(data):
-        raise TruncatedFile(f"{len(data) - rd.pos} trailing bytes after model payload")
+    if rd.pos != end:
+        raise TruncatedFile(f"{end - rd.pos} trailing bytes after model payload")
     return Detector(forest=forest, params=params, pre=pre, histories=histories,
-                    tau=tau, eta=eta, samples_seen=samples_seen)
+                    tau=tau, eta=eta, forest_tau=forest_tau, samples_seen=samples_seen)
 
 
 def load_model(source) -> Detector:

@@ -132,6 +132,9 @@ def _rank_columns(X: np.ndarray, records: list[Record]) -> list[tuple[int, float
     if len(set(labels)) < 2:
         raise SingleClass("feature ranking needs both classes present")
     y = np.asarray(labels, dtype=np.float64)
+    # Correlation ignores scale. Each column is scaled into (-1, 1) by a power of two,
+    # which is exact, so Xc * Xc cannot overflow and every other score keeps its bits.
+    X = np.ldexp(X, -np.frexp(np.abs(X).max(axis=0))[1])
     Xc = X - X.mean(axis=0)
     yc = y - y.mean()
     sx = np.sqrt((Xc * Xc).sum(axis=0))
@@ -206,7 +209,6 @@ def fit_preprocessor(records: list[Record], m: int) -> Preprocessor:
     vocab = _build_vocab(records)
     X = _encode_matrix(records, _vocab_index(vocab), range(N_FEATURES))
     min_max = [(float(lo), float(hi)) for lo, hi in zip(X.min(axis=0), X.max(axis=0))]
-    _check_min_max(min_max)  # before ranking, which overflows on such a column
     return Preprocessor(vocab, min_max, [col for col, _ in _rank_columns(X, records)[:m]])
 
 

@@ -74,6 +74,7 @@ class EvalReport:
     over a block (its time over its rows), not single-record latencies."""
 
     mode: str
+    tau: float  # the threshold the scores were cut at
     confusion: Confusion
     precision: float
     recall: float
@@ -87,8 +88,8 @@ class EvalReport:
     def key_value_line(self) -> str:
         c = self.confusion
         return (
-            f"mode={self.mode} samples={c.total} tp={c.tp} fp={c.fp} fn={c.fn} tn={c.tn} "
-            f"precision={self.precision:.6f} recall={self.recall:.6f} f1={self.f1:.6f} "
+            f"mode={self.mode} tau={self.tau:.6f} samples={c.total} tp={c.tp} fp={c.fp} fn={c.fn} "
+            f"tn={c.tn} precision={self.precision:.6f} recall={self.recall:.6f} f1={self.f1:.6f} "
             f"model_bytes={self.model_bytes} total_detection_ns={self.total_detection_ns} "
             f"latency_mean_ns={self.latency_mean_ns:.1f} "
             f"latency_p50_ns={self.latency_p50_ns} latency_p99_ns={self.latency_p99_ns}"
@@ -104,10 +105,10 @@ def evaluate(det: Detector, test, mode: str = "arlif", baseline_tau: float | Non
     the measured sum and each row's latency is its block's time over its
     rows: the mean, p50 and p99 are of per-row times amortized over a block.
 
-    In baseline-if mode the attention layer is bypassed: the classical
-    forest score is thresholded at baseline_tau (falling back to det.tau
-    when the caller has no tuned threshold), and model bytes leave out the
-    attention parameters and the histories.
+    In arlif mode the readout is cut at det.tau. In baseline-if mode the
+    attention layer is bypassed: the classical forest score is cut at
+    baseline_tau, or at the model's stored det.forest_tau when it is None,
+    and model bytes leave out the attention parameters and the histories.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -122,7 +123,7 @@ def evaluate(det: Detector, test, mode: str = "arlif", baseline_tau: float | Non
         def score(block):
             return observe_block(run, block)
     else:
-        tau = det.tau if baseline_tau is None else baseline_tau
+        tau = det.forest_tau if baseline_tau is None else baseline_tau
 
         def score(block):
             return forest_score(det.forest, transform(det.pre, block))
@@ -143,6 +144,7 @@ def evaluate(det: Detector, test, mode: str = "arlif", baseline_tau: float | Non
     lats = np.asarray(lats)
     return EvalReport(
         mode=mode,
+        tau=tau,
         confusion=conf,
         precision=precision_score(conf),
         recall=recall_score(conf),

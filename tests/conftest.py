@@ -9,6 +9,8 @@ on the seeded synthetic streams from synth_stream.py.
 from __future__ import annotations
 
 import os
+import struct
+import zlib
 from pathlib import Path
 
 import pytest
@@ -42,6 +44,12 @@ requires_dataset = pytest.mark.skipif(
 
 def synth_records(n, seed=0, format="nsl-kdd", attack_rate=0.35):
     return [parse_record(l, format) for l in synth_lines(n, seed, format, attack_rate)]
+
+
+def sealed(payload: bytes) -> bytes:
+    """A model file's payload followed by its trailer: the CRC-32 of the payload, u32 LE.
+    Tests that craft a payload seal it so that the loader's other rules see it."""
+    return payload + struct.pack("<I", zlib.crc32(payload))
 
 
 @pytest.fixture(scope="session")

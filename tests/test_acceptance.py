@@ -49,11 +49,12 @@ def centered_params(k, seed):
 def bench_rows(capsys, argv):
     assert main(argv) == 0
     out = capsys.readouterr().out
+    names = {"arlif": "ARLIF-IDS", "baseline-if": "IsolationForest"}
     rows = {}
     for line in out.splitlines():
-        if line.startswith("row="):
+        if line.startswith("mode="):
             pairs = dict(tok.split("=", 1) for tok in line.split())
-            rows[pairs["row"]] = pairs
+            rows[names[pairs["mode"]]] = pairs
     assert set(rows) == {"ARLIF-IDS", "IsolationForest"}
     # the three report columns: accuracy, footprint, speed — in both rows
     for name in ("ARLIF-IDS", "IsolationForest"):

@@ -10,6 +10,9 @@ import pytest
 from arlif.cli import main
 from arlif.detector import _HEADER, attention_params_bytes, forest_bytes, load_model
 from arlif.iforest import NODE_DTYPE
+from arlif.ingest import load_records
+from arlif.metrics import evaluate
+from conftest import sealed
 from synth_stream import synth_lines, write_stream
 
 SMALL = ["--trees", "10", "--psi", "64", "-m", "6", "-k", "4",
@@ -140,6 +143,7 @@ def test_train_diverging_sgd_fails_without_model(cli_env, capsys, tmp_path, eta)
 @pytest.mark.parametrize("argv", [
     ["eval", "--tau", "0.3"],
     ["eval", "--trees", "5"],
+    ["eval", "--mode", "baseline-if"],  # each model file holds both thresholds
     ["stream", "--eta", "0.1"],
     ["stream", "--test-limit", "3"],
     ["train", "--test-limit", "3"],
@@ -154,19 +158,56 @@ def test_flags_a_command_does_not_read_are_usage_errors(cli_env, capsys, tmp_pat
 
 # --- eval -----------------------------------------------------------------------
 
+def report_rows(out):
+    """The two rows eval and bench print: {mode: (table line, key=value pairs)}."""
+    lines = out.splitlines()
+    header = next(l for l in lines if l.startswith("model"))
+    for col in ("F1-Score", "Memory", "Detection-Time", "per-sample", "Threshold"):
+        assert col in header
+    rows = {}
+    for mode, name in (("arlif", "ARLIF-IDS"), ("baseline-if", "IsolationForest")):
+        (table,) = [l for l in lines if l.startswith(name)]
+        (machine,) = [l for l in lines if l.startswith(f"mode={mode} ")]
+        rows[mode] = table, dict(tok.split("=", 1) for tok in machine.split())
+    assert len(lines) == 5  # header, two table rows, two key=value lines
+    return rows
+
+
 def test_eval_both_modes(cli_env, capsys):
-    for mode in ("arlif", "baseline-if"):
-        rc = main(["eval", "--model", str(cli_env["model"]),
-                   "--test", str(cli_env["test"]), "--mode", mode])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert f"[{mode}]" in out
-        machine = [l for l in out.splitlines() if l.startswith("mode=")]
-        assert len(machine) == 1
-        pairs = dict(tok.split("=", 1) for tok in machine[0].split())
-        assert pairs["mode"] == mode
+    rc = main(["eval", "--model", str(cli_env["model"]), "--test", str(cli_env["test"])])
+    rows = report_rows(capsys.readouterr().out)
+    assert rc == 0
+    det = load_model(cli_env["model"])
+    assert det.tau == 0.5 and 0.01 <= det.forest_tau <= 0.99
+    test = load_records(cli_env["test"])
+    for mode, tau in (("arlif", det.tau), ("baseline-if", det.forest_tau)):
+        table, pairs = rows[mode]
+        rep = evaluate(det, test, mode)  # each mode at its threshold stored in the model
+        assert float(pairs["tau"]) == rep.tau == tau
         assert int(pairs["samples"]) == 200
-        assert 0.0 <= float(pairs["f1"]) <= 1.0
+        assert pairs["f1"] == f"{rep.f1:.6f}" and f" {rep.f1:.4f} " in table
+        assert (int(pairs["tp"]), int(pairs["fp"]), int(pairs["fn"]), int(pairs["tn"])) == \
+            (rep.confusion.tp, rep.confusion.fp, rep.confusion.fn, rep.confusion.tn)
+        assert table.split()[-1] == f"{tau:g}"
+
+
+def test_bench_prints_what_train_then_eval_print(capsys, tmp_path):
+    """The quick start: both read the forest threshold that training tuned and stored."""
+    train, test, model = tmp_path / "train.txt", tmp_path / "test.txt", tmp_path / "ids.arlf"
+    write_stream(train, 300, seed=0, attack_rate=0.5)
+    write_stream(test, 100, seed=100, attack_rate=0.5)
+    small = ["--trees", "10", "--psi", "64", "--eta", "0.001"]
+    assert main(["train", "--train", str(train), "--model", str(model)] + small) == 0
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--test", str(test)]) == 0
+    evaluated = report_rows(capsys.readouterr().out)
+    assert main(["bench", "--train", str(train), "--test", str(test)] + small) == 0
+    benched = report_rows(capsys.readouterr().out)
+    same = ("tau", "samples", "tp", "fp", "fn", "tn", "precision", "recall", "f1", "model_bytes")
+    for mode in ("arlif", "baseline-if"):
+        assert [evaluated[mode][1][key] for key in same] == [benched[mode][1][key] for key in same]
+    assert benched["baseline-if"][1]["f1"] == "0.823529"
+    assert benched["baseline-if"][1]["tau"] == "0.490000"
 
 
 def test_eval_corrupt_model(cli_env, capsys, tmp_path):
@@ -177,7 +218,8 @@ def test_eval_corrupt_model(cli_env, capsys, tmp_path):
     assert capsys.readouterr().err.strip()
 
 
-_HEADER_FIELDS = ("magic", "version", "flags", "k", "T", "psi", "m", "tau", "eta", "seen")
+_HEADER_FIELDS = ("magic", "version", "flags", "k", "T", "psi", "m", "tau", "forest_tau", "eta",
+                  "seen")
 
 
 def with_header(data, **fields):
@@ -258,6 +300,7 @@ CRAFTED = {
     "psi_zero": (lambda b, d: with_header(b, psi=0), "psi >= 2"),
     "psi_one": (lambda b, d: with_header(b, psi=1), "psi >= 2"),
     "version_one": (lambda b, d: with_header(b, version=1), "format version 1,"),
+    "version_two": (lambda b, d: with_header(b, version=2), "format version 2,"),
     "flags_extra_bit": (lambda b, d: with_header(b, flags=3), "header flags 0x0003"),
     "no_trees": (without_trees, "got 0 trees"),
     "window_zero": (without_attention, "window k >= 1 (got 0)"),
@@ -285,6 +328,8 @@ CRAFTED = {
     "min_max_inverted": (lambda b, d: with_min0(b, d, d.pre.min_max[0][1] + 1.0), "min <= max"),
     "tau_above_one": (lambda b, d: with_header(b, tau=2.0), "tau in (0,1)"),
     "tau_nan": (lambda b, d: with_header(b, tau=float("nan")), "tau in (0,1)"),
+    "forest_tau_nan": (lambda b, d: with_header(b, forest_tau=float("nan")),
+                       "forest_tau in (0,1)"),
     "eta_zero": (lambda b, d: with_header(b, eta=0.0), "finite eta > 0"),
     "eta_inf": (lambda b, d: with_header(b, eta=float("inf")), "finite eta > 0"),
     "param_nan": (lambda b, d: with_f64(b, attention_start(b, d), float("nan")),
@@ -294,18 +339,41 @@ CRAFTED = {
 }
 
 
+def eval_rejects(cli_env, capsys, path, message):
+    rc = main(["eval", "--model", str(path), "--test", str(cli_env["test"])])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("error:") == 1 and message in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("case", sorted(CRAFTED))
 def test_eval_rejects_crafted_model(cli_env, capsys, tmp_path, case):
+    """Each case edits the payload (the file less its CRC-32 trailer) and is resealed,
+    so it reaches the rule it names rather than the checksum."""
     craft, message = CRAFTED[case]
     data = cli_env["model"].read_bytes()
     bad = tmp_path / f"{case}.arlf"
-    bad.write_bytes(craft(data, load_model(cli_env["model"])))
+    bad.write_bytes(sealed(craft(data[:-4], load_model(cli_env["model"]))))
     assert bad.read_bytes() != data
-    rc = main(["eval", "--model", str(bad), "--test", str(cli_env["test"])])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert err.startswith("error: ") and message in err
-    assert "Traceback" not in err
+    eval_rejects(cli_env, capsys, bad, message)
+
+
+@pytest.mark.parametrize("where", ["tau", "forest_tau", "param", "history"])
+def test_eval_rejects_a_model_with_one_flipped_bit(cli_env, capsys, tmp_path, where):
+    data = cli_env["model"].read_bytes()
+    det = load_model(cli_env["model"])
+    offset = {"tau": 24, "forest_tau": 32}  # after magic, version, flags, k, T, psi and m
+    offset["param"] = attention_start(data[:-4], det) + 8 * 7
+    offset["history"] = len(data) - 4 - 8 * 3
+    buf = bytearray(data)
+    buf[offset[where] + 3] ^= 0x10  # a low mantissa bit: the value stays one the rules accept
+    bad = tmp_path / "flipped.arlf"
+    bad.write_bytes(sealed(bytes(buf[:-4])))
+    assert main(["eval", "--model", str(bad), "--test", str(cli_env["test"])]) == 0
+    capsys.readouterr()
+    bad.write_bytes(bytes(buf))  # only the trailer tells this file from a good one
+    eval_rejects(cli_env, capsys, bad, "checksum mismatch")
 
 
 # --- stream ---------------------------------------------------------------------
@@ -403,33 +471,22 @@ def test_stream_missing_model(monkeypatch, capsys, tmp_path):
 def test_bench_table_and_machine_lines(cli_env, capsys):
     rc = main(["bench", "--train", str(cli_env["train"]),
                "--test", str(cli_env["test"])] + SMALL)
-    out = capsys.readouterr().out
+    rows = report_rows(capsys.readouterr().out)
     assert rc == 0
-    lines = out.splitlines()
-    header = next(l for l in lines if l.startswith("model"))
-    for col in ("F1-Score", "Memory", "Detection-Time", "per-sample"):
-        assert col in header
-    assert any(l.startswith("ARLIF-IDS") for l in lines)
-    assert any(l.startswith("IsolationForest") for l in lines)
-
-    rows = {}
-    for l in lines:
-        if l.startswith("row="):
-            pairs = dict(tok.split("=", 1) for tok in l.split())
-            rows[pairs["row"]] = pairs
-    assert set(rows) == {"ARLIF-IDS", "IsolationForest"}
-    for pairs in rows.values():
+    for table, pairs in rows.values():
         assert 0.0 <= float(pairs["f1"]) <= 1.0
+        assert int(pairs["samples"]) == 200
         assert int(pairs["model_bytes"]) > 0
         assert int(pairs["total_detection_ns"]) > 0
         assert float(pairs["latency_mean_ns"]) > 0
+        assert re.search(r"\d\.\d{4}\s+\d+B\s+\d+\.\dms\s+\d+\.\dus\s+0\.\d+$", table), table
     # attention layer (60 params) + histories (10 trees x k=4), 8 bytes each
-    delta = int(rows["ARLIF-IDS"]["model_bytes"]) - int(rows["IsolationForest"]["model_bytes"])
+    delta = int(rows["arlif"][1]["model_bytes"]) - int(rows["baseline-if"][1]["model_bytes"])
     assert delta == 8 * (60 + 10 * 4)
-
-    tau_line = next(l for l in lines if l.startswith("baseline_tau="))
-    tau = float(tau_line.split("=", 1)[1])
-    assert 0.01 <= tau <= 0.99
+    # the model file is the saved bench model: its size is what train reports
+    assert int(rows["arlif"][1]["model_bytes"]) == cli_env["model"].stat().st_size
+    assert rows["arlif"][1]["tau"] == "0.500000"
+    assert 0.01 <= float(rows["baseline-if"][1]["tau"]) <= 0.99
 
 
 def test_bench_missing_test_file(cli_env, capsys, tmp_path):

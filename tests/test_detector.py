@@ -26,6 +26,7 @@ from arlif.detector import (
 from arlif.errors import (
     ArlifError,
     BadMagic,
+    CorruptModel,
     DimensionMismatch,
     Diverged,
     EmptyStream,
@@ -35,7 +36,7 @@ from arlif.errors import (
 from arlif.iforest import IsolationForest, build_forest, forest_probas
 from arlif.ingest import fit_preprocessor, transform
 from arlif.metrics import evaluate
-from conftest import synth_records
+from conftest import sealed, synth_records
 from reference import tree_proba
 
 
@@ -56,15 +57,17 @@ def test_new_detector_initial_state(pipe):
     assert det.histories.shape == (det.forest.n_trees, 4)
     assert np.all(det.histories == 0.5)
     assert det.samples_seen == 0
-    assert det.tau == 0.5 and det.eta == 0.05
+    assert det.tau == 0.5 and det.eta == 0.05 and det.forest_tau == 0.5
 
 
 def test_new_detector_guards(pipe):
     records, pre, vectors, forest = pipe
     params = init_params(4, seed=0)
-    for tau in (0.0, 1.0, -0.2, 1.5):
+    for tau in (0.0, 1.0, -0.2, 1.5, float("nan")):
         with pytest.raises(ValueError):
             new_detector(forest, params, pre, tau=tau)
+        with pytest.raises(ValueError, match="forest_tau in"):
+            new_detector(forest, params, pre, forest_tau=tau)
     for eta in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             new_detector(forest, params, pre, eta=eta)
@@ -86,11 +89,11 @@ def test_detector_constructor_checks_every_part(pipe):
         histories = det.histories.copy()
         histories[2, 1] = bad
         with pytest.raises(ValueError, match="lie in"):
-            Detector(forest, det.params, pre, histories, tau=0.5, eta=0.05)
+            Detector(forest, det.params, pre, histories, tau=0.5, eta=0.05, forest_tau=0.5)
     five = build_forest(np.asarray(pipe[2]), T=5, psi=64, seed=0)
     for shape in ((4, 4), (5, 3)):  # (T - 1, k) and (T, k - 1) at T=5, k=4
         with pytest.raises(DimensionMismatch, match=r"histories must be T x k = 5 x 4"):
-            Detector(five, init_params(4, seed=0), pre, np.full(shape, 0.5), 0.5, 0.05)
+            Detector(five, init_params(4, seed=0), pre, np.full(shape, 0.5), 0.5, 0.05, 0.5)
 
 
 # --- observe --------------------------------------------------------------------
@@ -323,12 +326,13 @@ def test_round_trip_fresh(pipe):
 def test_round_trip_after_training(pipe):
     records, _, _, _ = pipe
     det = mk_detector(pipe, k=4, eta=0.01, tau=0.4)
+    det.forest_tau = 0.37
     train_online(det, records[:100], epochs=1)
     data = to_bytes(det)
     clone = from_bytes(data)
     assert to_bytes(clone) == data
     assert clone.samples_seen == 100
-    assert clone.tau == 0.4 and clone.eta == 0.01
+    assert clone.tau == 0.4 and clone.eta == 0.01 and clone.forest_tau == 0.37
     assert np.array_equal(clone.histories, det.histories)
 
 
@@ -387,9 +391,10 @@ def test_from_bytes_bad_magic(pipe):
 
 def test_from_bytes_unknown_version(pipe):
     data = bytearray(to_bytes(mk_detector(pipe)))
-    data[4:6] = (3).to_bytes(2, "little")
-    with pytest.raises(VersionUnsupported):
-        from_bytes(bytes(data))
+    for version in (1, 2, 4):  # 2 had no forest_tau and no trailer; neither is converted
+        data[4:6] = version.to_bytes(2, "little")
+        with pytest.raises(VersionUnsupported, match=f"format version {version},"):
+            from_bytes(bytes(data))
 
 
 def test_from_bytes_rejects_forest_only_payload(pipe):
@@ -403,17 +408,38 @@ def test_from_bytes_rejects_forest_only_payload(pipe):
 
 def test_from_bytes_truncation_and_trailing_garbage(pipe):
     data = to_bytes(mk_detector(pipe))
-    for cut in (3, 17, 40, len(data) // 2, len(data) - 1):
+    for cut in (3, 17, 40, 59):  # no room for the header and the trailer
         with pytest.raises((TruncatedFile, BadMagic)):
             from_bytes(data[:cut])
-    with pytest.raises(TruncatedFile):
+    payload = data[:-4]
+    for cut in (len(payload) // 2, len(payload) - 1):
+        with pytest.raises(CorruptModel, match="checksum mismatch"):
+            from_bytes(data[:cut])
+        with pytest.raises(TruncatedFile, match="needed"):  # resealed: the layout catches it
+            from_bytes(sealed(payload[:cut]))
+    with pytest.raises(CorruptModel, match="checksum mismatch"):
         from_bytes(data + b"\x00")
+    with pytest.raises(TruncatedFile, match="1 trailing bytes"):
+        from_bytes(sealed(payload + b"\x00"))
+
+
+def test_every_one_bit_flip_after_the_flags_is_rejected(pipe):
+    """A flipped bit anywhere after magic, version and flags, trailer included,
+    fails the checksum before the body is parsed."""
+    data = to_bytes(mk_detector(pipe, k=3))
+    buf = bytearray(data)
+    for i in range(8, len(data)):
+        buf[i] ^= 1 << (i % 8)
+        with pytest.raises(CorruptModel, match="checksum mismatch"):
+            from_bytes(bytes(buf))
+        buf[i] = data[i]
 
 
 def test_random_corruptions_fail_cleanly_or_score(pipe):
-    """1-4 random byte overwrites: ArlifError at load, or a model that scores."""
+    """1-4 random byte overwrites, then the trailer resealed so that the loader's
+    rules see them: ArlifError at load, or a model that scores."""
     records = pipe[0][:5]
-    data = to_bytes(mk_detector(pipe, k=3, scale=0.5))
+    data = to_bytes(mk_detector(pipe, k=3, scale=0.5))[:-4]
     rng = random.Random(20221)
     outcomes = {"rejected": 0, "scored": 0}
     t0 = time.perf_counter()
@@ -422,7 +448,7 @@ def test_random_corruptions_fail_cleanly_or_score(pipe):
         for _ in range(rng.randint(1, 4)):
             buf[rng.randrange(len(buf))] = rng.randrange(256)
         try:
-            det = from_bytes(bytes(buf))
+            det = from_bytes(sealed(bytes(buf)))
         except ArlifError:
             outcomes["rejected"] += 1
             continue

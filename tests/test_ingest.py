@@ -160,6 +160,18 @@ def test_fitting_a_column_whose_span_overflows_raises_without_warnings():
             fit_preprocessor(recs, 3)
 
 
+def test_rank_a_column_holding_a_value_past_1e154_without_overflow():
+    recs = synth_records(300, seed=0, attack_rate=0.5)
+    recs[0].features[4] = "1e200"  # its square overflowed: the column scored 0.0, with a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scores = dict(rank_features(recs))
+    x = np.array([float(r.features[4]) for r in recs]) / 1e200  # correlation ignores scale
+    expected = abs(np.corrcoef(x, [r.label for r in recs])[0, 1])
+    assert expected > 0.05
+    assert scores[4] == pytest.approx(expected, abs=1e-12)
+
+
 @pytest.mark.parametrize("vocab", [
     {},
     {1: ["tcp"], 2: ["http"]},

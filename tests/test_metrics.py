@@ -143,13 +143,16 @@ def test_evaluate_baseline_matches_manual_threshold(pipe):
     assert rep.mode == "baseline-if"
 
 
-def test_evaluate_baseline_falls_back_to_detector_tau(pipe):
+def test_evaluate_cuts_each_mode_at_its_stored_threshold(pipe):
     records, _, _, _ = pipe
     det = mk_detector(pipe)
+    det.tau, det.forest_tau = 0.5, 0.44
     a = evaluate(det, records[:40], mode="baseline-if")
-    b = evaluate(det, records[:40], mode="baseline-if", baseline_tau=det.tau)
-    assert (a.confusion.tp, a.confusion.fp, a.confusion.fn, a.confusion.tn) == \
-        (b.confusion.tp, b.confusion.fp, b.confusion.fn, b.confusion.tn)
+    b = evaluate(det, records[:40], mode="baseline-if", baseline_tau=0.44)
+    assert a.confusion == b.confusion and a.tau == b.tau == 0.44
+    assert a.confusion != evaluate(det, records[:40], mode="baseline-if", baseline_tau=0.5).confusion
+    assert evaluate(det, records[:40], mode="baseline-if", baseline_tau=0.3).tau == 0.3
+    assert evaluate(det, records[:40]).tau == 0.5
 
 
 def test_evaluate_leaves_detector_untouched(pipe):
@@ -195,11 +198,11 @@ def test_key_value_line_fields(pipe):
     rep = evaluate(mk_detector(pipe), records[:25])
     line = rep.key_value_line()
     pairs = dict(tok.split("=", 1) for tok in line.split())
-    for key in ("mode", "samples", "tp", "fp", "fn", "tn", "precision", "recall",
+    for key in ("mode", "tau", "samples", "tp", "fp", "fn", "tn", "precision", "recall",
                 "f1", "model_bytes", "total_detection_ns", "latency_mean_ns",
                 "latency_p50_ns", "latency_p99_ns"):
         assert key in pairs
-    assert pairs["mode"] == "arlif"
+    assert pairs["mode"] == "arlif" and pairs["tau"] == "0.500000"
     assert int(pairs["samples"]) == 25
     assert float(pairs["f1"]) == pytest.approx(rep.f1, abs=1e-6)
 
