@@ -5,10 +5,20 @@ mean over trees of the most-recent column of A.V, so the forward pass
 computes only that value column, v = H.Wv[:, -1] + bv[-1], and e = A.v.
 The other k-1 columns of Wv and entries of bv, (k-1)*(k+1) scalars, never
 reach a score and never get a gradient: they are inert, kept in the model
-file and in param_count but never computed with. The backward pass is
-hand-differentiated (readout mean -> e = A.v -> row softmax -> 1/sqrt(k)
-scaled logits -> the affine maps) and is verified against central finite
-differences in the test suite.
+file and in param_count but never computed with.
+
+Deferred normalization: the forward pass does not build the row softmax A.
+With E = exp(Z) of the scaled logits Z = Q.K^T / sqrt(k) and den the row
+sums of E, e = (E.v) / den; one product of E with [v, 1] gives both E.v and
+den, and the T x T divide goes away (the division FlashAttention defers to
+the end). The row max, subtracted only to keep exp from overflowing, is
+skipped when a bound on |Z| and |v| computed from the parameters alone shows
+that E, den and E.v stay finite and nonzero for every H with entries in
+[0, 1], which the detector guarantees. Otherwise forward falls back to the
+max-shifted softmax, normalized in E's own buffer. The backward pass is
+hand-differentiated from E and den (readout mean -> e -> row softmax ->
+1/sqrt(k) scaled logits -> the affine maps) and is verified against central
+finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -21,6 +31,12 @@ import numpy as np
 from .errors import DimensionMismatch, StaleCache
 
 EPS = 1e-6
+# forward skips the row max while the bound on |Z| is at most this: e^-64 to e^64
+# is far inside the normal doubles, so neither E nor den can overflow or reach zero
+LOGIT_LIMIT = 64.0
+# ...and while T * e^bound * (bound on |v|) is at most this, 2^-24 of the largest
+# double: no sum of E.v overflows, nor backward's terms, which |dL/ds| < 2^20 scales
+_SUM_LIMIT = 2.0 ** 1000
 
 
 def param_count(k: int) -> int:
@@ -81,14 +97,33 @@ def init_params(k: int, seed: int, scale: float = 0.01) -> AttentionParams:
     return params
 
 
+def _skips_row_max(flat: np.ndarray, k: int, T: int) -> bool:
+    """Whether forward may exponentiate the logits of any T x k matrix H with
+    entries in [0, 1] without subtracting the row max.
+
+    With H in [0, 1], |Q_il| <= sum_m |Wq_ml| + |bq_l|, so |Z_ij| is at most
+    (|Wq|_1 + |bq|_1)(|Wk|_1 + |bk|_1) / sqrt(k) in entrywise L1 norms, and
+    |v_i| at most |Wv|_1 + |bv|_1. Non-finite parameters give False.
+    """
+    kk = k * k
+    # summed at 2^-24 scale: no norm of finite parameters overflows, and warns, in numpy
+    s = np.add.reduceat(np.abs(flat) * 2.0 ** -24,
+                        [0, kk, 2 * kk, 3 * kk, 3 * kk + k, 3 * kk + 2 * k]).tolist()
+    bound = (s[0] + s[3]) * (s[1] + s[4]) * 2.0 ** 48 / math.sqrt(k)
+    return bound <= LOGIT_LIMIT and T * math.exp(bound) * (s[2] + s[5]) * 2.0 ** 24 <= _SUM_LIMIT
+
+
 @dataclass
 class ForwardCache:
+    """What backward reads. The attention weights are E / den[..., None]."""
+
     H: np.ndarray
     Q: np.ndarray
     K: np.ndarray
-    A: np.ndarray
+    E: np.ndarray  # exp of the scaled logits, each row shifted or not; (..., T, T)
+    den: np.ndarray  # row sums of E; all ones where forward normalized E itself
     v: np.ndarray  # the value column the readout reads, H.Wv[:, -1] + bv[-1]
-    e: np.ndarray  # A.v
+    e: np.ndarray  # the attention-weighted values, (E.v) / den
     r: float | np.ndarray  # one per matrix of a stack
     s: float | np.ndarray
 
@@ -96,12 +131,21 @@ class ForwardCache:
 def forward(params: AttentionParams, H) -> tuple[float | np.ndarray, ForwardCache]:
     """Score the current history matrix, or each matrix of a stack.
 
-    Q/K are affine images of H, A is the row softmax of Q.K^T / sqrt(k) and
-    e = A.v with v the last value column; the readout is the mean of e over
-    trees, clamped into [EPS, 1 - EPS]. H is one T x k matrix, giving a
-    float, or a stack (..., T, k), giving an array of readouts of shape (...):
-    each matrix of a stack gets the same BLAS calls, and so the same bits, as
-    it would alone.
+    Q/K are affine images of H, the attention weights are the row softmax of
+    Z = Q.K^T / sqrt(k), and e weights v, the last value column, by them; the
+    readout is the mean of e over trees, clamped into [EPS, 1 - EPS]. H is
+    one T x k matrix, giving a float, or a stack (..., T, k), giving an array
+    of readouts of shape (...). H's entries must lie in [0, 1]: the bound
+    that lets exp skip the row max assumes it.
+
+    The weights stay unnormalized: E = exp(Z), and one product of E with
+    [v, 1] gives E.v and the row sums den, so e = (E.v) / den. exp takes Z as
+    it is when _skips_row_max shows that |Z| <= LOGIT_LIMIT and that E.v
+    cannot overflow. Otherwise forward falls back to the max-shifted softmax:
+    each row is shifted by its max and E is normalized in place, so den is
+    all ones. The branch depends on the parameters and T alone, so each
+    matrix of a stack gets the same BLAS calls, and so the same bits, as it
+    would alone.
     """
     # a C-order snapshot: the caller's buffer may mutate, and a stack must lay
     # each matrix out as a lone one is
@@ -114,21 +158,29 @@ def forward(params: AttentionParams, H) -> tuple[float | np.ndarray, ForwardCach
     Wq, Wk, Wv, bq, bk, bv = _blocks(params.flat, k)
     Q = H @ Wq + bq
     K = H @ Wk + bk
-    v = H @ Wv[:, -1] + bv[-1]
-    A = Q @ K.swapaxes(-1, -2)
-    A /= math.sqrt(k)
-    # row softmax in A's own buffer, max subtracted first: no temporary the size of A
-    A -= A.max(axis=-1, keepdims=True)
-    np.exp(A, out=A)
-    A /= A.sum(axis=-1, keepdims=True)
-    e = (A @ v[..., None])[..., 0]
+    V1 = np.ones(H.shape[:-1] + (2,))  # [v, 1]: one product with E gives E.v and den
+    V1[..., 0] = H @ Wv[:, -1] + bv[-1]
+    # the logits and then E in one buffer: no other temporary the size of E
+    E = (Q / math.sqrt(k)) @ K.swapaxes(-1, -2)
+    if _skips_row_max(params.flat, k, H.shape[-2]):
+        np.exp(E, out=E)
+        Ev = E @ V1
+        den = Ev[..., 1]
+    else:
+        E -= E.max(axis=-1, keepdims=True)
+        np.exp(E, out=E)
+        # normalized before the product: E.v with E in (0, 1] could overflow where e cannot
+        E /= E.sum(axis=-1, keepdims=True)
+        Ev = E @ V1
+        den = np.ones(E.shape[:-1])
+    e = Ev[..., 0] / den
     r = e.mean(axis=-1)
     if r.ndim:
         s = np.clip(r, EPS, 1.0 - EPS)
     else:
         r = float(r)
         s = min(max(r, EPS), 1.0 - EPS)
-    return s, ForwardCache(H=H, Q=Q, K=K, A=A, v=v, e=e, r=r, s=s)
+    return s, ForwardCache(H=H, Q=Q, K=K, E=E, den=den, v=V1[..., 0], e=e, r=r, s=s)
 
 
 def bce_loss(s: float, label: int) -> float:
@@ -149,15 +201,24 @@ def backward(params: AttentionParams, cache: ForwardCache, label: int) -> Attent
     grads = np.zeros(param_count(params.k))
     if cache.s != cache.r:
         return AttentionParams(grads, params.k)
-    H, Q, K, A, v, e = cache.H, cache.Q, cache.K, cache.A, cache.v, cache.e
+    H, Q, K, E, den, v, e = cache.H, cache.Q, cache.K, cache.E, cache.den, cache.v, cache.e
     T, k = H.shape
     s, y = cache.s, label
     g = (s - y) / (s * (1.0 - s)) / T  # dL/de_i: dL/ds over the mean's T terms
 
-    dv = g * A.sum(axis=0)
-    # row-wise softmax Jacobian with dA_ij = g * v_j: dz_ij = a_ij * g * (v_j - e_i)
-    dlogits = A * (v - e[:, None])
-    dlogits *= g / math.sqrt(k)
+    # with weights a_ij = E_ij / den_i: dv_j = g * sum_i a_ij, and the row-wise
+    # softmax Jacobian gives dz_ij = E_ij * w_i * (v_j - e_i), w_i = g / sqrt(k) / den_i;
+    # w_i * (v_j - e_i) is one (T x 2).(2 x T) product, [w, -w*e].[v, 1]^T, with no
+    # broadcast over T x T. Unshifted, den_i >= T e^-bound keeps it under 2^21 * _SUM_LIMIT
+    dv = (g / den) @ E
+    w = g / math.sqrt(k) / den
+    L = np.empty((T, 2))
+    L[:, 0] = w
+    L[:, 1] = -w * e
+    R = np.ones((2, T))
+    R[0] = v
+    dlogits = L @ R
+    dlogits *= E
     dQ = dlogits @ K
     dK = dlogits.T @ Q
 

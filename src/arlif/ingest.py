@@ -141,7 +141,9 @@ def _rank_columns(X: np.ndarray, records: list[Record]) -> list[tuple[int, float
     sy = np.sqrt((yc * yc).sum())
     scores = np.zeros(N_FEATURES)
     nz = sx > 0.0
-    scores[nz] = np.abs(Xc[:, nz].T @ yc) / (sx[nz] * sy)
+    # summed down the rows, as sx is: every column gets the same additions, so equal
+    # columns score equal and the tie rule below decides their order
+    scores[nz] = np.abs((Xc[:, nz] * yc[:, None]).sum(axis=0)) / (sx[nz] * sy)
     order = sorted(range(N_FEATURES), key=lambda c: (-scores[c], c))
     return [(c, float(scores[c])) for c in order]
 

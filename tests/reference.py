@@ -2,10 +2,12 @@
 
 Each is written apart from the package's vectorized code, so agreement is
 evidence: a naive recursive walk of one tree, the per-tree probability built
-on it, and a textbook row softmax.
+on it, a textbook row softmax, and the attention readout built on it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -33,3 +35,12 @@ def softmax_rows(M) -> np.ndarray:
     M = np.asarray(M, dtype=np.float64)
     E = np.exp(M - M.max(axis=-1, keepdims=True))
     return E / E.sum(axis=-1, keepdims=True)
+
+
+def attention_readout(params, H) -> float:
+    """The attention layer's readout before its clamp, with the weights
+    normalized before they meet v: the mean of softmax_rows(Q.K^T / sqrt(k)).v."""
+    Q = H @ params.Wq + params.bq
+    K = H @ params.Wk + params.bk
+    v = H @ params.Wv[:, -1] + params.bv[-1]
+    return float((softmax_rows(Q @ K.T / math.sqrt(params.k)) @ v).mean())

@@ -8,6 +8,7 @@ import pytest
 from arlif.attention import (
     EPS,
     AttentionParams,
+    _skips_row_max,
     backward,
     bce_loss,
     forward,
@@ -18,7 +19,7 @@ from arlif.attention import (
 from arlif.detector import attention_params_bytes
 from arlif.errors import DimensionMismatch, StaleCache
 from grad_check import fd_grads, grad_errors
-from reference import softmax_rows
+from reference import attention_readout, softmax_rows
 
 
 def rand_params(k, seed):
@@ -32,6 +33,25 @@ def rand_params(k, seed):
     p.bk = rng.normal(0, 0.1, k)
     p.bv = rng.normal(0, 0.05, k)
     return p
+
+
+def wide(p, bias=5.0):
+    """A copy of p with bias added to every bq and bk entry. The default lifts
+    its bound on the logits past LOGIT_LIMIT, so forward shifts each row by its
+    max, while the logits themselves stay moderate."""
+    q = AttentionParams(p.flat.copy(), p.k)
+    q.bq += bias
+    q.bk += bias
+    return q
+
+
+def skips_row_max(p, T):
+    return _skips_row_max(p.flat, p.k, T)
+
+
+def weights(cache):
+    """The attention weights: forward keeps them unnormalized, as E and its row sums."""
+    return cache.E / cache.den[..., None]
 
 
 def shifted(p, bv_shift):
@@ -157,7 +177,7 @@ def test_forward_hand_example():
     assert s == pytest.approx(0.7, abs=1e-15)
     assert np.allclose(cache.v, [0.8, 0.6], atol=1e-15)
     assert np.allclose(cache.e, [0.7, 0.7], atol=1e-15)
-    assert np.allclose(cache.A, 0.5, atol=1e-15)
+    assert np.allclose(weights(cache), 0.5, atol=1e-15)
 
 
 def test_forward_uniform_attention_reduces_to_column_mean():
@@ -175,7 +195,7 @@ def test_forward_single_row_history():
     p = rand_params(3, seed=4)
     H = np.array([[0.3, 0.5, 0.6]])
     s, cache = forward(p, H)
-    assert cache.A.shape == (1, 1) and cache.A[0, 0] == 1.0
+    assert weights(cache).shape == (1, 1) and weights(cache)[0, 0] == 1.0
     v = H @ p.Wv + p.bv
     assert cache.r == pytest.approx(float(v[0, -1]), abs=1e-15)
     assert s == min(max(cache.r, EPS), 1.0 - EPS)
@@ -217,6 +237,28 @@ def test_forward_clamps_readout():
     assert s == EPS and cache.r < s
 
 
+def test_forward_keeps_huge_values_finite_where_the_max_shifted_path_does():
+    # unnormalized, E.v is up to T * e^bound times |v|: near the top of the double
+    # range it would overflow where the normalized weights keep the readout finite
+    T, k = 200, 3
+    H = np.random.default_rng(10).uniform(0.0, 1.0, (T, k))
+    small = init_params(k, seed=10)
+    steep = wide(small, 3.4)  # bound ~60, logits ~20: E up to ~e^20
+    cancel = shifted(small, 0.0)  # v is +-0.85e308, positive on the first T/2 rows
+    cancel.Wv[0, -1] = 1.7e308
+    split = H.copy()
+    split[:, 0] = np.arange(T) < T // 2
+    for p, X, bv, skips in ((small, H, 1e298, True), (small, H, 1e300, False),
+                            (steep, H, 0.0, True), (steep, H, 1e300, False),
+                            (cancel, split, -0.85e308, False)):
+        p = shifted(p, 0.0)
+        p.bv[-1] = bv
+        assert skips_row_max(p, T) == skips
+        _, cache = forward(p, X)
+        assert math.isfinite(cache.r)
+        assert abs(cache.r - attention_readout(p, X)) <= 1e-12 * np.abs(cache.v).max()
+
+
 def test_forward_attention_is_the_row_softmax_of_the_scaled_logits():
     # the biases lift every logit into the hundreds, where exp without the max
     # shift overflows to inf, while Wq/Wk keep the rows' weights spread out
@@ -230,9 +272,10 @@ def test_forward_attention_is_the_row_softmax_of_the_scaled_logits():
         _, cache = forward(p, H)
         logits = cache.Q @ cache.K.swapaxes(-1, -2) / math.sqrt(k)
         assert logits.min() > 710.0
-        assert np.all(np.isfinite(cache.A)) and cache.A.max() < 0.99
-        assert np.allclose(cache.A.sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(cache.A, softmax_rows(logits), rtol=1e-12, atol=1e-300)
+        A = weights(cache)
+        assert np.all(np.isfinite(A)) and A.max() < 0.99
+        assert np.allclose(A.sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(A, softmax_rows(logits), rtol=1e-12, atol=1e-300)
 
 
 # --- loss / backward -----------------------------------------------------------
@@ -267,13 +310,15 @@ def test_backward_single_row_leaves_query_key_untouched():
 def test_forward_on_a_stack_equals_each_matrix_alone():
     p = rand_params(3, seed=2)
     Hs = np.random.default_rng(2).uniform(0.1, 0.9, size=(2, 5, 4, 3))
-    for params in (p, shifted(p, 100.0), shifted(p, -100.0)):  # clamped readouts too
+    assert skips_row_max(p, 4) and not skips_row_max(wide(p), 4)
+    # both branches, and clamped readouts too
+    for params in (p, wide(p), shifted(p, 100.0), shifted(p, -100.0)):
         s, cache = forward(params, Hs)
         assert s.shape == cache.r.shape == (2, 5)
         for idx in np.ndindex(2, 5):
             one, alone = forward(params, Hs[idx])
             assert s[idx] == one and cache.r[idx] == alone.r
-            for name in ("H", "Q", "K", "A", "v", "e"):
+            for name in ("H", "Q", "K", "E", "den", "v", "e"):
                 assert np.array_equal(getattr(cache, name)[idx], getattr(alone, name))
 
 
@@ -304,6 +349,20 @@ def test_backward_matches_finite_differences():
         max_rel, max_abs = grad_errors(analytic, numeric)
         assert max_rel < 1e-4
         assert max_abs < 1e-8
+
+
+def test_backward_matches_finite_differences_on_the_max_shifted_path():
+    # criterion 2's tolerances, on parameters whose logit bound exceeds LOGIT_LIMIT
+    for k, T in ((2, 4), (3, 5), (5, 16)):
+        p = wide(rand_params(k, seed=k + T))
+        H = np.random.default_rng(T).uniform(0.1, 0.9, size=(T, k))
+        assert not skips_row_max(p, T)
+        for label in (0, 1):
+            _, cache = forward(p, H)
+            assert cache.s == cache.r
+            max_rel, max_abs = grad_errors(backward(p, cache, label), fd_grads(p, H, label))
+            assert max_rel < 1e-4
+            assert max_abs < 1e-8
 
 
 def test_backward_gradient_shapes():

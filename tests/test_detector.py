@@ -1,4 +1,5 @@
 import io
+import math
 import random
 import time
 import warnings
@@ -37,7 +38,7 @@ from arlif.iforest import IsolationForest, build_forest, forest_probas
 from arlif.ingest import fit_preprocessor, transform
 from arlif.metrics import evaluate
 from conftest import sealed, synth_records
-from reference import tree_proba
+from reference import attention_readout, tree_proba
 
 
 def mk_detector(pipe, k=4, tau=0.5, eta=0.05, seed=0, scale=0.01):
@@ -269,6 +270,41 @@ def test_learn_raises_diverged_instead_of_training_a_dead_layer(pipe):
     assert np.isfinite(forward(det.params, det.histories)[1].r)
     with pytest.raises(Diverged):
         learn(det, r, r.label)
+
+
+def test_learn_diverges_exactly_where_the_max_shifted_path_does(pipe):
+    # |v| near the top of the double range at T = 200: the readout overflows in its
+    # mean over trees at bv = 1e306 but not at 1e300, whatever the bound on the
+    # logits, and values of +-0.85e308 that cancel each other keep it finite
+    records, pre, vectors, _ = pipe
+    forest = build_forest(vectors, T=200, psi=16, seed=7)
+    r = records[0]
+
+    def diverges(bias, bv, cancel=False):
+        det = new_detector(forest, init_params(3, seed=10), pre, eta=0.01)
+        det.params.bq += bias
+        det.params.bk += bias
+        det.params.bv[-1] = bv
+        if cancel:  # v is +0.85e308 on the first 100 trees, -0.85e308 on the rest
+            det.params.Wv[0, -1] = 1.7e308
+            det.histories[:, 1] = np.arange(200) < 100
+        H = det.histories.copy()
+        H[:, :-1] = H[:, 1:]
+        H[:, -1] = probas_for(det, r)
+        with np.errstate(over="ignore"):
+            expected = not math.isfinite(attention_readout(det.params, H))
+        try:
+            learn(det, r, r.label)
+        except Diverged:
+            assert expected, (bias, bv)
+            return True
+        assert not expected, (bias, bv)
+        return False
+
+    # biases 0 and 3.4 give logits ~0 and ~20
+    outcomes = [diverges(bias, bv) for bias in (0.0, 3.4) for bv in (1e300, 1e306)]
+    assert outcomes == [False, True, False, True]
+    assert not diverges(0.0, -0.85e308, cancel=True)
 
 
 def test_train_online_diverges_at_the_same_sample_as_a_learn_loop(pipe, monkeypatch):

@@ -250,6 +250,21 @@ def test_rank_order_and_bounds():
     assert np.allclose([s for _, s in reranked], scores, atol=1e-12)
 
 
+def test_rank_scores_equal_columns_equally():
+    # columns 24, 25 and 38 of this stream hold the same values; a row shuffle
+    # may move their common score in the last bits, but never split it
+    recs = synth_records(300, seed=5)
+    shuffled = recs[:]
+    random.Random(9).shuffle(shuffled)
+    for rows in (recs, shuffled):
+        assert all(r.features[24] == r.features[25] == r.features[38] for r in rows)
+        ranked = rank_features(rows)
+        scores = dict(ranked)
+        assert scores[24] == scores[25] == scores[38] > 0.0
+        order = [c for c, _ in ranked]
+        assert order.index(24) < order.index(25) < order.index(38)
+
+
 # --- fit_preprocessor / transform -------------------------------------------
 
 def test_fit_full_retention_permutation():
