@@ -13,10 +13,10 @@ import sys
 
 from .attention import init_params
 from .detector import (
+    DEFAULT_ETA,
     Detector,
     TrainingReport,
     load_model,
-    model_size_bytes,
     new_detector,
     observe,
     save_model,
@@ -33,29 +33,34 @@ from .ingest import (
     parse_record,
     transform,
 )
-from .metrics import evaluate, tune_baseline_threshold
+from .metrics import evaluate, replay, tune_baseline_threshold, tune_threshold
 
 
 def _train_detector(args: argparse.Namespace) -> tuple[Detector, TrainingReport]:
-    """Shared train pipeline: tau is --tau, forest_tau is tuned on the training rows."""
+    """Shared train pipeline. Both thresholds are tuned on the training rows:
+    forest_tau on the plain forest score, then, after online training, tau on
+    the trained layer's scores of a replay of those rows from fresh histories."""
     records = load_records(args.train, args.format, args.train_limit)
+    labels = [r.label for r in records]
     pre = fit_preprocessor(records, args.m)
     vectors = transform(pre, records)
     forest = build_forest(vectors, args.trees, args.psi, args.seed)
-    forest_tau = tune_baseline_threshold(forest, vectors, [r.label for r in records])
-    det = new_detector(forest, init_params(args.k, args.seed), pre, tau=args.tau, eta=args.eta,
+    forest_tau = tune_baseline_threshold(forest, vectors, labels)
+    det = new_detector(forest, init_params(args.k, args.seed), pre, eta=args.eta,
                        forest_tau=forest_tau)
-    return det, train_online(det, records, args.epochs)
+    report = train_online(det, records, args.epochs)
+    det.tau = tune_threshold(replay(det, records)[0], labels)
+    return det, report
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     det, report = _train_detector(args)
-    save_model(det, args.model)
+    model_bytes = save_model(det, args.model)
     for i, loss in enumerate(report.mean_losses, start=1):
         print(f"epoch={i} mean_loss={loss:.6f}")
     print(
-        f"model={args.model} model_bytes={model_size_bytes(det)} "
-        f"samples_seen={det.samples_seen}"
+        f"model={args.model} model_bytes={model_bytes} samples_seen={det.samples_seen} "
+        f"tau={det.tau:.6f} forest_tau={det.forest_tau:.6f}"
     )
     return 0
 
@@ -156,10 +161,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("-k", "--window", type=_POSITIVE, default=10, dest="k",
                      help="history window length (default %(default)s)")
     fit.add_argument("--eta", type=_number(float, lambda v: 0.0 < v < math.inf,
-                                           "a finite number > 0"), default=0.05,
+                                           "a finite number > 0"), default=DEFAULT_ETA,
                      help="SGD learning rate (default %(default)s)")
-    fit.add_argument("--tau", type=_number(float, lambda v: 0.0 < v < 1.0, "in (0,1)"),
-                     default=0.5, help="threshold on the attention readout (default %(default)s)")
     fit.add_argument("--epochs", type=_POSITIVE, default=1)
     fit.add_argument("--seed", type=_number(int, lambda v: v >= 0, ">= 0"), default=0)
     fit.add_argument("--train", required=True, help="training record file")
@@ -172,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # Flags are spelled in full: an abbreviation would take `eval --mode` for --model.
     p_train = sub.add_parser("train", parents=[fit], allow_abbrev=False,
-                             help="fit everything, tune the forest threshold, write a model file")
+                             help="fit everything, tune both thresholds, write a model file")
     p_train.add_argument("--model", required=True, help="output model path")
 
     p_eval = sub.add_parser("eval", parents=[fmt, test], allow_abbrev=False,

@@ -51,6 +51,9 @@ from .iforest import NODE_DTYPE, IsolationForest, forest_probas
 from .ingest import CATEGORICAL_COLUMNS, N_FEATURES, Preprocessor, Record, transform
 
 WALK_SLICE = 4096  # points per forest walk: its temporaries take ~2.5 KB per point at T=100
+# SGD learning rate of new_detector and arlif's --eta. At 0.05 one step pushes the
+# readout onto its clamp, where backward returns zero for good.
+DEFAULT_ETA = 0.001
 
 MAGIC = b"ARLF"
 FORMAT_VERSION = 3
@@ -105,7 +108,7 @@ class Detector:
 
 
 def new_detector(forest: IsolationForest, params: AttentionParams, pre: Preprocessor,
-                 tau: float = 0.5, eta: float = 0.05, forest_tau: float = 0.5) -> Detector:
+                 tau: float = 0.5, eta: float = DEFAULT_ETA, forest_tau: float = 0.5) -> Detector:
     """Fresh detector; every history slot starts at the neutral 0.5."""
     return Detector(forest=forest, params=params, pre=pre,
                     histories=np.full((forest.n_trees, params.k), 0.5), tau=tau, eta=eta,
@@ -248,14 +251,15 @@ def model_size_bytes(det: Detector) -> int:
     return len(to_bytes(det))
 
 
-def save_model(det: Detector, sink) -> None:
-    """Write the model to a path or binary file object."""
+def save_model(det: Detector, sink) -> int:
+    """Write the model to a path or binary file object; returns its byte length."""
     data = to_bytes(det)
     if hasattr(sink, "write"):
         sink.write(data)
     else:
         with open(sink, "wb") as fh:
             fh.write(data)
+    return len(data)
 
 
 class _Reader:

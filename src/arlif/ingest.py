@@ -128,6 +128,8 @@ def _encode_matrix(records: Sequence[Record], index: dict[int, dict[str, int]],
 
 
 def _rank_columns(X: np.ndarray, records: list[Record]) -> list[tuple[int, float]]:
+    """(column, score) for all 41 columns of X by descending absolute point-biserial
+    correlation with the label, ties by ascending column; zero variance scores 0."""
     labels = [r.label for r in records]
     if len(set(labels)) < 2:
         raise SingleClass("feature ranking needs both classes present")
@@ -192,16 +194,6 @@ class Preprocessor:
     @property
     def m(self) -> int:  # length of a transformed vector
         return len(self.selected)
-
-
-def rank_features(records: list[Record]) -> list[tuple[int, float]]:
-    """Rank all 41 columns by absolute point-biserial correlation with the label.
-
-    Returns (column, score) pairs sorted by descending score, ties broken by
-    ascending column index. Zero-variance columns score 0.
-    """
-    X = _encode_matrix(records, _vocab_index(_build_vocab(records)), range(N_FEATURES))
-    return _rank_columns(X, records)
 
 
 def fit_preprocessor(records: list[Record], m: int) -> Preprocessor:

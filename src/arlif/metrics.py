@@ -1,9 +1,11 @@
 """Quality, timing, and size measurement for ARLIF and the plain-forest baseline.
 
-evaluate() is detection-only: it streams the test set in order through a
-copy of the detector whose histories start at 0.5, for a reproducible run.
-The detector itself is never mutated, so the serialized model is
-byte-identical before and after an evaluation.
+evaluate() is detection-only: it streams the test set in order through
+replay(), which scores a copy of the detector whose histories start at 0.5,
+for a reproducible run. The detector itself is never mutated, so the
+serialized model is byte-identical before and after an evaluation.
+tune_threshold() is the one threshold rule: arlif train applies it to the
+forest score (tune_baseline_threshold) and to a replay of the training rows.
 """
 
 from __future__ import annotations
@@ -96,52 +98,60 @@ class EvalReport:
         )
 
 
-def evaluate(det: Detector, test, mode: str = "arlif", baseline_tau: float | None = None) -> EvalReport:
-    """Stream the test set in order, detection only (no learning).
+def replay(det: Detector, records: list, mode: str = "arlif") -> tuple[np.ndarray, list[int]]:
+    """Score a list of records in order, detection only, BLOCK rows per call;
+    returns the scores and each block's measured ns.
 
-    Rows are scored BLOCK at a time: in arlif mode with observe_block, whose
-    scores equal a loop of observe, in baseline-if mode with one forest_score
-    call per block. Each block is timed as a whole, so total_detection_ns is
-    the measured sum and each row's latency is its block's time over its
-    rows: the mean, p50 and p99 are of per-row times amortized over a block.
+    In arlif mode the rows go through a copy of det whose histories start at
+    0.5, with observe_block, whose scores equal a loop of observe; in
+    baseline-if mode each block is one forest_score call. det is never mutated.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "arlif":
+        run = replace(det, histories=np.full_like(det.histories, 0.5))
+
+        def score(block):
+            return observe_block(run, block)
+    else:
+        def score(block):
+            return forest_score(det.forest, transform(det.pre, block))
+
+    scores, block_ns = np.empty(len(records)), []
+    for b in range(0, len(records), BLOCK):
+        t0 = time.perf_counter_ns()
+        scores[b:b + BLOCK] = score(records[b:b + BLOCK])
+        block_ns.append(time.perf_counter_ns() - t0)
+    return scores, block_ns
+
+
+def evaluate(det: Detector, test, mode: str = "arlif", baseline_tau: float | None = None) -> EvalReport:
+    """Stream the test set in order through replay, detection only (no learning).
+
+    Each block is timed as a whole, so total_detection_ns is the measured sum
+    and each row's latency is its block's time over its rows: the mean, p50
+    and p99 are of per-row times amortized over a block.
 
     In arlif mode the readout is cut at det.tau. In baseline-if mode the
     attention layer is bypassed: the classical forest score is cut at
     baseline_tau, or at the model's stored det.forest_tau when it is None,
     and model bytes leave out the attention parameters and the histories.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     test = list(test)
     if not test:
         raise Empty("test set is empty")
-
+    scores, block_ns = replay(det, test, mode)
     if mode == "arlif":
-        run = replace(det, histories=np.full_like(det.histories, 0.5))
         tau = det.tau
-
-        def score(block):
-            return observe_block(run, block)
     else:
         tau = det.forest_tau if baseline_tau is None else baseline_tau
-
-        def score(block):
-            return forest_score(det.forest, transform(det.pre, block))
-
-    scores, lats, total_ns = [], [], 0
-    for b in range(0, len(test), BLOCK):
-        block = test[b:b + BLOCK]
-        t0 = time.perf_counter_ns()
-        scores.append(score(block))
-        ns = time.perf_counter_ns() - t0
-        total_ns += ns
-        lats += [ns / len(block)] * len(block)
+    sizes = [min(BLOCK, len(test) - b) for b in range(0, len(test), BLOCK)]
+    lats = np.repeat(np.divide(block_ns, sizes), sizes)
 
     size = model_size_bytes(det)
     if mode != "arlif":
         size -= det.params.flat.nbytes + det.histories.nbytes
-    conf = confusion_matrix(np.concatenate(scores) >= tau, [r.label for r in test])
-    lats = np.asarray(lats)
+    conf = confusion_matrix(scores >= tau, [r.label for r in test])
     return EvalReport(
         mode=mode,
         tau=tau,
@@ -149,7 +159,7 @@ def evaluate(det: Detector, test, mode: str = "arlif", baseline_tau: float | Non
         precision=precision_score(conf),
         recall=recall_score(conf),
         f1=f1_score(conf),
-        total_detection_ns=total_ns,
+        total_detection_ns=sum(block_ns),
         latency_mean_ns=float(lats.mean()),
         latency_p50_ns=int(np.percentile(lats, 50, method="nearest")),
         latency_p99_ns=int(np.percentile(lats, 99, method="nearest")),
@@ -157,15 +167,22 @@ def evaluate(det: Detector, test, mode: str = "arlif", baseline_tau: float | Non
     )
 
 
-def tune_baseline_threshold(forest: IsolationForest, vectors, labels) -> float:
-    """Grid-search thresholds {0.01..0.99} on forest_score, max F1, ties low.
-    The vectors are scored WALK_SLICE at a time, which bounds the walk's memory."""
-    labels = list(labels)
-    if len(set(labels)) < 2:
-        raise SingleClass("baseline threshold tuning needs both classes")
-    X = np.array(vectors, dtype=np.float64)
-    scores = np.concatenate([forest_score(forest, X[i:i + WALK_SLICE])
-                             for i in range(0, len(X), WALK_SLICE)])
+def tune_threshold(scores, labels) -> float:
+    """Of the thresholds 0.01, 0.02, ..., 0.99, the one whose cut of scores
+    has the best F1, the lowest on a tie."""
     y = np.asarray(labels)
+    if len(np.unique(y)) < 2:
+        raise SingleClass("threshold tuning needs both classes")
+    scores = np.asarray(scores)
     f1s = [f1_score(confusion_matrix(scores >= i / 100.0, y)) for i in range(1, 100)]
     return (1 + int(np.argmax(f1s))) / 100.0
+
+
+def tune_baseline_threshold(forest: IsolationForest, vectors, labels) -> float:
+    """tune_threshold on forest_score of the vectors, which are scored
+    WALK_SLICE at a time: that bounds the walk's memory."""
+    X = np.array(vectors, dtype=np.float64)
+    scores = np.empty(len(X))
+    for i in range(0, len(X), WALK_SLICE):
+        scores[i:i + WALK_SLICE] = forest_score(forest, X[i:i + WALK_SLICE])
+    return tune_threshold(scores, labels)

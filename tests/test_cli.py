@@ -11,7 +11,7 @@ from arlif.cli import main
 from arlif.detector import _HEADER, attention_params_bytes, forest_bytes, load_model
 from arlif.iforest import NODE_DTYPE
 from arlif.ingest import load_records
-from arlif.metrics import evaluate
+from arlif.metrics import evaluate, replay, tune_threshold
 from conftest import sealed
 from synth_stream import synth_lines, write_stream
 
@@ -41,7 +41,10 @@ def test_train_output_shape(cli_env, capsys, tmp_path):
     out = capsys.readouterr().out
     assert rc == 0
     assert re.search(r"^epoch=1 mean_loss=\d\.\d{6}$", out, re.M)
-    assert re.search(rf"^model={re.escape(str(model))} model_bytes=\d+ samples_seen=400$", out, re.M)
+    line = re.search(rf"^model={re.escape(str(model))} model_bytes=(\d+) samples_seen=400 "
+                     r"tau=(0\.\d{6}) forest_tau=(0\.\d{6})$", out, re.M)
+    det = load_model(model)
+    assert line.groups() == (str(model.stat().st_size), f"{det.tau:.6f}", f"{det.forest_tau:.6f}")
 
 
 def test_train_is_deterministic(cli_env, tmp_path):
@@ -114,7 +117,6 @@ def test_bad_flag_values_are_usage_errors(cli_env, capsys, tmp_path):
     base = ["train", "--train", str(cli_env["train"]), "--model", model]
     for eta in ("0", "nan", "inf"):
         assert main(base + ["--eta", eta]) == 2
-    assert main(base + ["--tau", "1.5"]) == 2
     assert main(base + ["--trees", "0"]) == 2
     assert main(base + ["--epochs", "0"]) == 2
     capsys.readouterr()
@@ -147,9 +149,12 @@ def test_train_diverging_sgd_fails_without_model(cli_env, capsys, tmp_path, eta)
     ["stream", "--eta", "0.1"],
     ["stream", "--test-limit", "3"],
     ["train", "--test-limit", "3"],
+    ["train", "--tau", "0.3"],  # train tunes tau on its training rows
+    ["bench", "--tau", "0.3"],
 ], ids=lambda argv: "_".join(argv).replace("-", ""))
 def test_flags_a_command_does_not_read_are_usage_errors(cli_env, capsys, tmp_path, argv):
     files = {"train": ["--train", str(cli_env["train"]), "--model", str(tmp_path / "m.arlf")],
+             "bench": ["--train", str(cli_env["train"]), "--test", str(cli_env["test"])],
              "eval": ["--model", str(cli_env["model"]), "--test", str(cli_env["test"])],
              "stream": ["--model", str(cli_env["model"])]}
     assert main(argv[:1] + files[argv[0]] + argv[1:]) == 2
@@ -178,7 +183,10 @@ def test_eval_both_modes(cli_env, capsys):
     rows = report_rows(capsys.readouterr().out)
     assert rc == 0
     det = load_model(cli_env["model"])
-    assert det.tau == 0.5 and 0.01 <= det.forest_tau <= 0.99
+    # train tuned tau on the trained layer's replay of its training rows
+    train = load_records(cli_env["train"])
+    assert det.tau == tune_threshold(replay(det, train)[0], [r.label for r in train])
+    assert 0.01 <= det.forest_tau <= 0.99
     test = load_records(cli_env["test"])
     for mode, tau in (("arlif", det.tau), ("baseline-if", det.forest_tau)):
         table, pairs = rows[mode]
@@ -485,7 +493,7 @@ def test_bench_table_and_machine_lines(cli_env, capsys):
     assert delta == 8 * (60 + 10 * 4)
     # the model file is the saved bench model: its size is what train reports
     assert int(rows["arlif"][1]["model_bytes"]) == cli_env["model"].stat().st_size
-    assert rows["arlif"][1]["tau"] == "0.500000"
+    assert rows["arlif"][1]["tau"] == f"{load_model(cli_env['model']).tau:.6f}"
     assert 0.01 <= float(rows["baseline-if"][1]["tau"]) <= 0.99
 
 

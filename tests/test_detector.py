@@ -10,6 +10,7 @@ import pytest
 import arlif.detector
 from arlif.attention import forward, init_params, sgd_step
 from arlif.detector import (
+    DEFAULT_ETA,
     Detector,
     attention_params_bytes,
     forest_bytes,
@@ -59,6 +60,8 @@ def test_new_detector_initial_state(pipe):
     assert np.all(det.histories == 0.5)
     assert det.samples_seen == 0
     assert det.tau == 0.5 and det.eta == 0.05 and det.forest_tau == 0.5
+    _, pre, _, forest = pipe
+    assert new_detector(forest, init_params(4, seed=0), pre).eta == DEFAULT_ETA == 0.001
 
 
 def test_new_detector_guards(pipe):
@@ -385,10 +388,10 @@ def test_save_and_load_path_or_filelike(pipe, tmp_path):
     det = mk_detector(pipe)
     data = to_bytes(det)
     path = tmp_path / "m.arlf"
-    save_model(det, path)
+    assert save_model(det, path) == len(data)  # the byte length it wrote
     assert path.read_bytes() == data
     buf = io.BytesIO()
-    save_model(det, buf)
+    assert save_model(det, buf) == len(data)
     assert buf.getvalue() == data
     assert to_bytes(load_model(path)) == data
     assert to_bytes(load_model(io.BytesIO(data))) == data

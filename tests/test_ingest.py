@@ -11,15 +11,24 @@ from arlif.ingest import (
     N_FEATURES,
     Preprocessor,
     Record,
+    _build_vocab,
+    _encode_matrix,
+    _rank_columns,
+    _vocab_index,
     fit_preprocessor,
     load_records,
     parse_record,
-    rank_features,
     transform,
 )
 
 from conftest import DATA_DIR, requires_dataset, synth_records
 from synth_stream import synth_lines
+
+
+def rank_features(records):
+    """All 41 columns ranked as fit_preprocessor ranks them, (column, score) pairs."""
+    X = _encode_matrix(records, _vocab_index(_build_vocab(records)), range(N_FEATURES))
+    return _rank_columns(X, records)
 
 
 def mk_fields(overrides=None):

@@ -17,7 +17,9 @@ from arlif.metrics import (
     f1_score,
     precision_score,
     recall_score,
+    replay,
     tune_baseline_threshold,
+    tune_threshold,
 )
 from conftest import synth_records
 
@@ -109,6 +111,8 @@ def test_evaluate_across_blocks_and_a_window_longer_than_one(pipe):
     c = confusion_matrix([int(s >= det.tau) for s in scores], [r.label for r in test])
     rep = evaluate(det, test)
     assert rep.confusion == c and rep.f1 == f1_score(c)
+    replayed, block_ns = replay(det, test)
+    assert replayed.tolist() == scores and len(block_ns) == 3
 
 
 def test_evaluate_equals_the_per_row_reference_at_the_default_shape(default_shape):
@@ -267,6 +271,15 @@ def test_tune_single_class_rejected(pipe):
     _, _, vectors, forest = pipe
     with pytest.raises(SingleClass):
         tune_baseline_threshold(forest, vectors[:10], [1] * 10)
+    with pytest.raises(SingleClass):
+        tune_threshold([0.2, 0.7], [0, 0])
+
+
+def test_tune_threshold_hand_example():
+    # every cut in (0.2, 0.6] separates the classes: the lowest grid point wins
+    assert tune_threshold([0.2, 0.6, 0.2, 0.6], [0, 1, 0, 1]) == 0.21
+    # no cut does: F1 is best (2/3) while every row is flagged, below 0.3
+    assert tune_threshold([0.3, 0.3], [0, 1]) == 0.01
 
 
 def test_tune_separated_scores_lands_in_the_gap(pipe):
