@@ -3,9 +3,9 @@
 A Detector owns a frozen isolation forest and preprocessor, the trainable
 attention parameters, and one k-length probability history per tree
 (kept as a T x k matrix whose last column is the most recent response).
-observe() scores a record; learn() additionally applies one online SGD
-update to the attention layer. Nothing ever mutates the forest or the
-preprocessor after construction.
+observe() scores a record or a block of records; learn() additionally
+applies one online SGD update to the attention layer. Nothing ever mutates
+the forest or the preprocessor after construction.
 
 Model files are versioned little-endian binary ("ARLF" magic), 64-bit
 reals throughout:
@@ -31,6 +31,7 @@ import math
 import struct
 import time
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,10 +66,14 @@ _CRC = struct.Struct("<I")
 
 @dataclass
 class DetectionResult:
-    score: float
-    predicted: int
+    """observe's result: for one record a float score, an int prediction and
+    the forward cache; for a block an array of scores and one of predictions,
+    and no cache. latency_ns is the call's."""
+
+    score: float | np.ndarray
+    predicted: int | np.ndarray
     latency_ns: int
-    cache: ForwardCache = field(repr=False, compare=False)
+    cache: ForwardCache | None = field(repr=False, compare=False)
 
 
 @dataclass
@@ -79,8 +84,9 @@ class TrainingReport:
 
 @dataclass(eq=False)
 class Detector:
-    """Construction checks the rules on its parts, however they were made: a
-    bad value raises CorruptModel, parts that differ in size DimensionMismatch."""
+    """Construction and to_bytes check the rules on its parts, however they
+    were made or assigned since: a bad value raises CorruptModel, parts that
+    differ in size DimensionMismatch."""
 
     forest: IsolationForest
     params: AttentionParams
@@ -92,6 +98,9 @@ class Detector:
     samples_seen: int = 0
 
     def __post_init__(self):
+        self._check()
+
+    def _check(self):
         if not (0.0 < self.tau < 1.0 and 0.0 < self.forest_tau < 1.0 and 0.0 < self.eta < np.inf):
             raise CorruptModel(f"need tau and forest_tau in (0,1) and a finite eta > 0, got "
                                f"tau={self.tau}, forest_tau={self.forest_tau}, eta={self.eta}")
@@ -120,45 +129,42 @@ def _walk(det: Detector, records) -> np.ndarray:
     return forest_probas(det.forest, transform(det.pre, records))
 
 
-def observe(det: Detector, r: Record, *, probas: np.ndarray | None = None) -> DetectionResult:
-    """Score one record: push per-tree probas into the histories, run the
+def observe(det: Detector, r: Record | Sequence[Record], *,
+            probas: np.ndarray | None = None) -> DetectionResult:
+    """Score one record, or a block of records in order.
+
+    One record: push its per-tree probas into the histories, run the
     attention forward pass, threshold at tau. The result carries the forward
-    cache, which learn() differentiates.
+    cache, which learn() differentiates. probas, when given, is r's per-tree
+    probability vector (T,) from an earlier forest walk; r is then not walked
+    again, and latency_ns leaves the walk out.
 
-    probas, when given, is r's per-tree probability vector (T,) from an
-    earlier forest walk; r is then not walked again, and latency_ns leaves
-    the walk out."""
-    t0 = time.perf_counter_ns()
-    if probas is None:
-        probas = forest_probas(det.forest, transform(det.pre, r))
-    H = det.histories
-    H[:, :-1] = H[:, 1:]
-    H[:, -1] = probas
-    s, cache = forward(det.params, H)
-    latency = time.perf_counter_ns() - t0
-    det.samples_seen += 1
-    return DetectionResult(score=s, predicted=1 if s >= det.tau else 0, latency_ns=latency,
-                           cache=cache)
-
-
-def observe_block(det: Detector, records) -> np.ndarray:
-    """Score records in order, as len(records) calls of observe would: the
-    same scores, and the same histories and samples_seen afterwards.
-
-    One forest walk covers the whole block, and one forward call scores the
-    stack of history matrices the records produce in turn: window i of the
-    per-tree probability sequence (the current history, then each record's
-    probabilities) is the matrix observe would see at record i.
+    A block gives the scores, histories and samples_seen that one call per
+    record would, with one forest walk and one forward call over the stack of
+    history matrices the records produce in turn: window i of the per-tree
+    probability sequence (the current history, then each record's
+    probabilities) is the matrix the single path would see at record i.
     """
-    if not len(records):
-        return np.empty(0)
-    P = _walk(det, records)
-    k = det.params.k
-    seq = np.concatenate([det.histories[:, 1:].T, P])  # (k - 1 + N) x T
-    scores, _ = forward(det.params, sliding_window_view(seq, k, axis=0))  # N x T x k
-    det.histories[...] = seq[-k:].T
-    det.samples_seen += len(records)
-    return scores
+    t0 = time.perf_counter_ns()
+    if isinstance(r, Record):
+        if probas is None:
+            probas = forest_probas(det.forest, transform(det.pre, r))
+        H = det.histories
+        H[:, :-1] = H[:, 1:]
+        H[:, -1] = probas
+        s, cache = forward(det.params, H)
+        predicted, n = (1 if s >= det.tau else 0), 1
+    elif len(r):
+        k = det.params.k
+        seq = np.concatenate([det.histories[:, 1:].T, _walk(det, r)])  # (k - 1 + N) x T
+        s, _ = forward(det.params, sliding_window_view(seq, k, axis=0))  # N x T x k
+        det.histories[...] = seq[-k:].T
+        cache, predicted, n = None, (s >= det.tau).astype(int), len(r)
+    else:
+        s, cache, predicted, n = np.empty(0), None, np.empty(0, int), 0
+    latency = time.perf_counter_ns() - t0
+    det.samples_seen += n
+    return DetectionResult(score=s, predicted=predicted, latency_ns=latency, cache=cache)
 
 
 def learn(det: Detector, r: Record, label: int, *,
@@ -227,6 +233,9 @@ def attention_params_bytes(params: AttentionParams) -> bytes:
 
 
 def to_bytes(det: Detector) -> bytes:
+    """The model file's bytes; a field assigned a value the loader would
+    reject raises here instead (Detector's rules)."""
+    det._check()
     header = _HEADER.pack(
         MAGIC,
         FORMAT_VERSION,

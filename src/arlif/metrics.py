@@ -15,9 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# observe is unused here but stays an attribute of this module: perfbench's
-# tracer rebinds metrics.observe.
-from .detector import WALK_SLICE, Detector, model_size_bytes, observe, observe_block  # noqa: F401
+from .detector import WALK_SLICE, Detector, model_size_bytes, observe
 from .errors import Empty, LengthMismatch, SingleClass
 from .iforest import IsolationForest, forest_score
 from .ingest import transform
@@ -103,7 +101,7 @@ def replay(det: Detector, records: list, mode: str = "arlif") -> tuple[np.ndarra
     returns the scores and each block's measured ns.
 
     In arlif mode the rows go through a copy of det whose histories start at
-    0.5, with observe_block, whose scores equal a loop of observe; in
+    0.5, a block per observe call, whose scores equal a loop of observe; in
     baseline-if mode each block is one forest_score call. det is never mutated.
     """
     if mode not in MODES:
@@ -112,7 +110,7 @@ def replay(det: Detector, records: list, mode: str = "arlif") -> tuple[np.ndarra
         run = replace(det, histories=np.full_like(det.histories, 0.5))
 
         def score(block):
-            return observe_block(run, block)
+            return observe(run, block).score
     else:
         def score(block):
             return forest_score(det.forest, transform(det.pre, block))

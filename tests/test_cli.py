@@ -1,17 +1,24 @@
 import io
+import os
 import re
+import select
 import struct
+import subprocess
 import sys
+import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import arlif
 from arlif.cli import main
-from arlif.detector import _HEADER, attention_params_bytes, forest_bytes, load_model
+from arlif.detector import _HEADER, attention_params_bytes, forest_bytes, load_model, observe
+from arlif.errors import ArlifError
 from arlif.iforest import NODE_DTYPE
-from arlif.ingest import load_records
-from arlif.metrics import evaluate, replay, tune_threshold
+from arlif.ingest import load_records, parse_record
+from arlif.metrics import BLOCK, evaluate, replay, tune_threshold
 from conftest import sealed
 from synth_stream import synth_lines, write_stream
 
@@ -452,6 +459,118 @@ def test_stream_reports_a_line_that_is_not_utf8_and_continues(cli_env, monkeypat
     assert rc == 0
     assert len(out.splitlines()) == 5
     assert err == "line 4: not valid UTF-8\n"
+
+
+def observe_loop(model, lines: list[bytes]) -> tuple[list[str], list[int]]:
+    """A one-record-at-a-time observe loop over stream lines: each good line's
+    reply minus ns=, and the line numbers of the lines it cannot score."""
+    det = load_model(model)
+    replies, bad = [], []
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8")
+            if not line.strip():
+                continue
+            if line.count(",") == 40:
+                line = line.strip() + ",unlabeled,0"
+            res = observe(det, parse_record(line))
+        except (UnicodeDecodeError, ArlifError):
+            bad.append(lineno)
+            continue
+        replies.append(f"score={res.score:.9f} pred={res.predicted}")
+    return replies, bad
+
+
+class Pieces:
+    """A byte stdin's buffer whose read1 returns 1 to 7 bytes a call, as a
+    pipe written in small pieces would; `cuts` records where each read ended."""
+
+    def __init__(self, data: bytes):
+        self.data, self.pos, self.cuts = data, 0, []
+
+    def read1(self, n: int) -> bytes:
+        size = min(n, 1 + 3 * len(self.cuts) % 7)  # 1, 4, 7, 3, 6, 2, 5, 1, ...
+        piece = self.data[self.pos:self.pos + size]
+        self.pos += len(piece)
+        self.cuts.append(self.pos)
+        return piece
+
+
+def mixed_stream_lines() -> list[bytes]:
+    """More good lines than one block holds, around every kind of line the
+    reader must handle; the last line has no newline."""
+    good = [line.encode() for line in synth_lines(BLOCK + 2, seed=17, attack_rate=0.5)]
+    fields = good[0].split(b",")
+    fields[1] = "pr\u00f6t\u6f22\U0001f600".encode()  # 2-, 3- and 4-byte characters
+    wide = b",".join(fields)
+    bare = b",".join(good[2].split(b",")[:41])
+    return [wide, b"", good[1] + b"\r", bare, b"  \t", *good[3:9], b"only,three,fields",
+            good[9], b"\xff\xfe" + good[10], *good[11:]]  # 65 good
+
+
+@pytest.mark.parametrize("reads", ["pieces", "whole"])
+def test_stream_reader_equals_an_observe_loop(cli_env, monkeypatch, capsys, reads):
+    lines = mixed_stream_lines()
+    data = b"\n".join(lines)
+    buffer = Pieces(data) if reads == "pieces" else io.BytesIO(data)
+    monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=buffer))
+    rc = main(["stream", "--model", str(cli_env["model"])])
+    out, err = capsys.readouterr()
+    expected, bad = observe_loop(cli_env["model"], lines)
+    assert rc == 0 and bad == [12, 14]
+    assert err == "line 12: expected 43 fields for format nsl-kdd, got 3\nline 14: not valid UTF-8\n"
+    replies = out.splitlines()
+    assert [r.rsplit(" ns=", 1)[0] for r in replies] == expected
+    assert len(expected) == BLOCK + 1  # read whole: a block of BLOCK, then one of one line
+    ns = [int(STREAM_LINE.match(r).group(3)) for r in replies]
+    assert ns == sorted(ns)
+    if reads == "pieces":  # a multi-byte character split across reads, as every line is
+        inside = set()
+        for char in "\u00f6\u6f22\U0001f600":
+            start = data.index(char.encode())
+            inside.update(range(start + 1, start + len(char.encode())))
+        assert inside & set(buffer.cuts)
+
+
+def test_stream_reports_a_bad_line_after_the_replies_before_it(cli_env, monkeypatch):
+    """With stdout and stderr on one file, as under 2>&1, the lines of one read
+    come out in input order."""
+    good = [line.encode() for line in synth_lines(4, seed=19)]
+    data = b"\n".join([*good[:2], b"only,three,fields", *good[2:]]) + b"\n"
+    both = io.StringIO()
+    monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=io.BytesIO(data)))
+    monkeypatch.setattr(sys, "stdout", both)
+    monkeypatch.setattr(sys, "stderr", both)
+    assert main(["stream", "--model", str(cli_env["model"])]) == 0
+    kinds = [line.split("=", 1)[0] if line.startswith("score=") else line.split(":", 1)[0]
+             for line in both.getvalue().splitlines()]
+    assert kinds == ["score", "score", "line 3", "score", "score"]
+
+
+def test_stream_replies_to_a_line_before_the_next_is_written(cli_env):
+    """Over a real pipe: the first line's reply arrives while the stream stays
+    open, then a burst is scored like an observe loop."""
+    lines = [line.encode() for line in synth_lines(201, seed=18)]
+    env = dict(os.environ)
+    src = str(Path(arlif.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen([sys.executable, "-m", "arlif.cli", "stream", "--model",
+                             str(cli_env["model"])], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        proc.stdin.write(lines[0] + b"\n")
+        proc.stdin.flush()
+        ready, _, _ = select.select([proc.stdout], [], [], 30)
+        assert ready, "no reply to the first line within 30 s"
+        first = proc.stdout.readline()
+        out, err = proc.communicate(b"".join(line + b"\n" for line in lines[1:]), timeout=30)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 0 and err == b""
+    replies = [first.decode(), *out.decode().splitlines(keepends=True)]
+    expected, _ = observe_loop(cli_env["model"], lines)
+    assert [r.rstrip("\n").rsplit(" ns=", 1)[0] for r in replies] == expected
 
 
 def test_stream_skips_blank_lines(cli_env, monkeypatch, capsys):

@@ -20,7 +20,6 @@ from arlif.detector import (
     model_size_bytes,
     new_detector,
     observe,
-    observe_block,
     save_model,
     to_bytes,
     train_online,
@@ -98,6 +97,35 @@ def test_detector_constructor_checks_every_part(pipe):
     for shape in ((4, 4), (5, 3)):  # (T - 1, k) and (T, k - 1) at T=5, k=4
         with pytest.raises(DimensionMismatch, match=r"histories must be T x k = 5 x 4"):
             Detector(five, init_params(4, seed=0), pre, np.full(shape, 0.5), 0.5, 0.05, 0.5)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tau", 1.5), ("forest_tau", 0.0), ("eta", -0.05), ("eta", np.inf),
+    ("param", np.nan), ("history", 1.25),
+])
+def test_save_rejects_a_value_assigned_after_construction(pipe, tmp_path, field, value):
+    """A model is checked as it is written, so every file save_model writes loads."""
+    det = mk_detector(pipe)
+    good = to_bytes(det)
+    if field == "param":
+        det.params.flat[7] = value
+    elif field == "history":
+        det.histories[2, 1] = value
+    else:
+        setattr(det, field, value)
+    path = tmp_path / "m.arlf"
+    with pytest.raises(CorruptModel):
+        save_model(det, path)
+    assert not path.exists()
+    with pytest.raises(CorruptModel):
+        model_size_bytes(det)
+    if field == "param":
+        det.params.flat[7] = from_bytes(good).params.flat[7]
+    elif field == "history":
+        det.histories[2, 1] = 0.5
+    else:
+        setattr(det, field, getattr(from_bytes(good), field))
+    assert save_model(det, path) == len(good) and to_bytes(load_model(path)) == good
 
 
 # --- observe --------------------------------------------------------------------
@@ -179,12 +207,17 @@ def test_observe_block_equals_a_loop_of_observe(pipe, trees, k, block):
     looped = new_detector(forest, params, pre)
     blocked = new_detector(forest, params, pre)
     rows = records[:60]
-    scores = [observe(looped, r).score for r in rows]
-    out = [observe_block(blocked, rows[i:i + block]) for i in range(0, len(rows), block)]
-    assert np.concatenate(out).tolist() == scores
+    singles = [observe(looped, r) for r in rows]
+    out = [observe(blocked, rows[i:i + block]) for i in range(0, len(rows), block)]
+    assert np.concatenate([res.score for res in out]).tolist() == [res.score for res in singles]
+    predicted = np.concatenate([res.predicted for res in out]).tolist()
+    assert predicted == [res.predicted for res in singles] and 0 < sum(predicted) < len(rows)
+    for res in out:  # a block's predictions are its scores cut at tau
+        assert res.predicted.tolist() == (res.score >= blocked.tau).astype(int).tolist()
+        assert isinstance(res.latency_ns, int) and res.latency_ns >= 0
     assert blocked.histories.tolist() == looped.histories.tolist()
     assert blocked.samples_seen == looped.samples_seen == len(rows)
-    assert observe_block(blocked, []).size == 0 and blocked.samples_seen == len(rows)
+    assert observe(blocked, []).score.size == 0 and blocked.samples_seen == len(rows)
 
 
 def test_observe_with_precomputed_probas_equals_observe(pipe):
