@@ -19,6 +19,14 @@ max-shifted softmax, normalized in E's own buffer. The backward pass is
 hand-differentiated from E and den (readout mean -> e -> row softmax ->
 1/sqrt(k) scaled logits -> the affine maps) and is verified against central
 finite differences in the test suite.
+
+Buffers: forward writes every intermediate into a ForwardCache, fresh
+arrays per call unless it is handed a workspace (out=). A workspace also
+holds backward's buffers and its gradient vector, so a training step on one
+T x k matrix (forward, backward, sgd_step) allocates none of its T x T,
+T x k or T x 2 arrays; the bits are those of fresh buffers. Q and K come
+from one product of H with the stacked [Wq, Wk], and both their weight
+gradients from one product of H^T with the stacked [dQ, dK].
 """
 
 from __future__ import annotations
@@ -115,20 +123,70 @@ def _skips_row_max(flat: np.ndarray, k: int, T: int) -> bool:
 
 @dataclass
 class ForwardCache:
-    """What backward reads. The attention weights are E / den[..., None]."""
+    """forward's buffers, which backward reads. The attention weights are
+    E / den[..., None]. A workspace (see workspace()) also holds backward's
+    buffers in back, and forward and backward write into it again on each call."""
 
-    H: np.ndarray
-    Q: np.ndarray
-    K: np.ndarray
+    H: np.ndarray  # a copy of forward's input, (..., T, k)
+    QK: np.ndarray  # Q and K, (2, ..., T, k)
+    Qs: np.ndarray  # Q / sqrt(k), the left factor of the logits
     E: np.ndarray  # exp of the scaled logits, each row shifted or not; (..., T, T)
-    den: np.ndarray  # row sums of E; all ones where forward normalized E itself
-    v: np.ndarray  # the value column the readout reads, H.Wv[:, -1] + bv[-1]
+    V1: np.ndarray  # [v, 1], (..., T, 2): v is the value column the readout reads
+    Ev: np.ndarray  # [E.v, den], den the row sums of E, or all ones where forward normalized E
     e: np.ndarray  # the attention-weighted values, (E.v) / den
-    r: float | np.ndarray  # one per matrix of a stack
-    s: float | np.ndarray
+    r: float | np.ndarray = 0.0  # one per matrix of a stack
+    s: float | np.ndarray = 0.0
+    back: _Backward | None = None
+
+    Q = property(lambda c: c.QK[0])
+    K = property(lambda c: c.QK[1])
+    v = property(lambda c: c.V1[..., 0])
+    den = property(lambda c: c.Ev[..., 1])
 
 
-def forward(params: AttentionParams, H) -> tuple[float | np.ndarray, ForwardCache]:
+def _cache(shape: tuple[int, ...]) -> ForwardCache:
+    """Fresh forward buffers for an input of this shape."""
+    rows = shape[:-1]
+    return ForwardCache(H=np.empty(shape), QK=np.empty((2,) + shape), Qs=np.empty(shape),
+                        E=np.empty(rows + rows[-1:]), V1=np.ones(rows + (2,)),
+                        Ev=np.empty(rows + (2,)), e=np.empty(rows))
+
+
+@dataclass
+class _Backward:
+    """backward's buffers for one T x k matrix. grad is what backward returns;
+    gW, gb and gv are views of it, and its inert entries are never written."""
+
+    grad: AttentionParams
+    gW: np.ndarray  # gradients of Wq and Wk, (2, k, k)
+    gb: np.ndarray  # of bq and bk, (2, k)
+    gv: np.ndarray  # of Wv[:, -1]
+    gd: np.ndarray  # dL/de over den, (T,)
+    dv: np.ndarray  # (T,)
+    L: np.ndarray  # (T, 2)
+    R: np.ndarray  # [v, 1]^T, (2, T): a transposed view of V1 makes the product slower
+    dE: np.ndarray  # the logits' gradient, (T, T)
+    dQK: np.ndarray  # Q's and K's, (2, T, k)
+
+    @classmethod
+    def new(cls, T: int, k: int) -> _Backward:
+        grad = AttentionParams(np.zeros(param_count(k)), k)
+        W, b = grad.flat[:3 * k * k].reshape(3, k, k), grad.flat[3 * k * k:].reshape(3, k)
+        return cls(grad=grad, gW=W[:2], gb=b[:2], gv=W[2, :, -1], gd=np.empty(T),
+                   dv=np.empty(T), L=np.empty((T, 2)), R=np.ones((2, T)), dE=np.empty((T, T)),
+                   dQK=np.empty((2, T, k)))
+
+
+def workspace(T: int, k: int) -> ForwardCache:
+    """Buffers for forward(..., out=) on one T x k matrix and the backward
+    that follows it, allocated once for any number of training rows."""
+    ws = _cache((T, k))
+    ws.back = _Backward.new(T, k)
+    return ws
+
+
+def forward(params: AttentionParams, H, *,
+            out: ForwardCache | None = None) -> tuple[float | np.ndarray, ForwardCache]:
     """Score the current history matrix, or each matrix of a stack.
 
     Q/K are affine images of H, the attention weights are the row softmax of
@@ -146,41 +204,52 @@ def forward(params: AttentionParams, H) -> tuple[float | np.ndarray, ForwardCach
     all ones. The branch depends on the parameters and T alone, so each
     matrix of a stack gets the same BLAS calls, and so the same bits, as it
     would alone.
+
+    The cache returned is out, when given, written over (a workspace of H's
+    shape); otherwise fresh buffers. Either way it holds a copy of H, so the
+    caller's buffer may change afterwards.
     """
-    # a C-order snapshot: the caller's buffer may mutate, and a stack must lay
-    # each matrix out as a lone one is
-    H = np.array(H, dtype=np.float64, order="C")
+    H = np.asarray(H)
     if H.ndim < 2 or H.shape[-2] < 1:
         raise DimensionMismatch(f"H must be a T x k matrix or a stack of them, got shape {H.shape}")
     k = params.k
     if H.shape[-1] != k:
         raise DimensionMismatch(f"H has {H.shape[-1]} columns, params expect k={k}")
-    Wq, Wk, Wv, bq, bk, bv = _blocks(params.flat, k)
-    Q = H @ Wq + bq
-    K = H @ Wk + bk
-    V1 = np.ones(H.shape[:-1] + (2,))  # [v, 1]: one product with E gives E.v and den
-    V1[..., 0] = H @ Wv[:, -1] + bv[-1]
+    if out is None:
+        c = _cache(H.shape)
+    elif out.H.shape == H.shape:
+        c = out
+    else:
+        raise DimensionMismatch(f"workspace holds a {out.H.shape} input, H has shape {H.shape}")
+    # a C-order snapshot: a stack lays each matrix out as a lone one is
+    np.copyto(c.H, H)
+    T, kk, flat, ones = H.shape[-2], k * k, params.flat, (1,) * (H.ndim - 2)
+    # Q and K in one product: [Wq, Wk] broadcast against H, then [bq, bk]
+    np.matmul(c.H, flat[:2 * kk].reshape((2,) + ones + (k, k)), out=c.QK)
+    c.QK += flat[3 * kk:3 * kk + 2 * k].reshape((2,) + ones + (1, k))
+    np.add(c.H @ flat[2 * kk + k - 1:3 * kk:k], flat[-1], out=c.V1[..., 0])  # H.Wv[:, -1] + bv[-1]
     # the logits and then E in one buffer: no other temporary the size of E
-    E = (Q / math.sqrt(k)) @ K.swapaxes(-1, -2)
-    if _skips_row_max(params.flat, k, H.shape[-2]):
+    np.divide(c.Q, math.sqrt(k), out=c.Qs)
+    E = np.matmul(c.Qs, c.K.swapaxes(-1, -2), out=c.E)
+    if _skips_row_max(flat, k, T):
         np.exp(E, out=E)
-        Ev = E @ V1
-        den = Ev[..., 1]
+        np.matmul(E, c.V1, out=c.Ev)
     else:
         E -= E.max(axis=-1, keepdims=True)
         np.exp(E, out=E)
         # normalized before the product: E.v with E in (0, 1] could overflow where e cannot
         E /= E.sum(axis=-1, keepdims=True)
-        Ev = E @ V1
-        den = np.ones(E.shape[:-1])
-    e = Ev[..., 0] / den
-    r = e.mean(axis=-1)
+        np.matmul(E, c.V1, out=c.Ev)
+        c.Ev[..., 1] = 1.0
+    np.divide(c.Ev[..., 0], c.Ev[..., 1], out=c.e)
+    r = np.add.reduce(c.e, axis=-1) / T
     if r.ndim:
         s = np.clip(r, EPS, 1.0 - EPS)
     else:
         r = float(r)
         s = min(max(r, EPS), 1.0 - EPS)
-    return s, ForwardCache(H=H, Q=Q, K=K, E=E, den=den, v=V1[..., 0], e=e, r=r, s=s)
+    c.r, c.s = r, s
+    return s, c
 
 
 def bce_loss(s: float, label: int) -> float:
@@ -193,16 +262,19 @@ def backward(params: AttentionParams, cache: ForwardCache, label: int) -> Attent
 
     Returns an AttentionParams holding the gradients. The gradient is zero
     whenever the readout was clamped (s != r), and always zero on the inert
-    Wv/bv entries.
+    Wv/bv entries. A workspace cache lends its buffers: the result is then
+    the workspace's, and the next backward on it writes over it.
     """
-    if cache.H.ndim != 2 or cache.H.shape[1] != params.k or cache.Q.shape != cache.H.shape:
-        raise StaleCache(f"cache built for H of shape {cache.H.shape}, params expect "
+    H = cache.H
+    if H.ndim != 2 or H.shape[1] != params.k:
+        raise StaleCache(f"cache built for H of shape {H.shape}, params expect "
                          f"one T x {params.k} matrix")
-    grads = np.zeros(param_count(params.k))
-    if cache.s != cache.r:
-        return AttentionParams(grads, params.k)
-    H, Q, K, E, den, v, e = cache.H, cache.Q, cache.K, cache.E, cache.den, cache.v, cache.e
     T, k = H.shape
+    b = cache.back if cache.back is not None else _Backward.new(T, k)
+    if cache.s != cache.r:
+        b.grad.flat.fill(0.0)
+        return b.grad
+    E, den, e = cache.E, cache.den, cache.e
     s, y = cache.s, label
     g = (s - y) / (s * (1.0 - s)) / T  # dL/de_i: dL/ds over the mean's T terms
 
@@ -210,26 +282,22 @@ def backward(params: AttentionParams, cache: ForwardCache, label: int) -> Attent
     # softmax Jacobian gives dz_ij = E_ij * w_i * (v_j - e_i), w_i = g / sqrt(k) / den_i;
     # w_i * (v_j - e_i) is one (T x 2).(2 x T) product, [w, -w*e].[v, 1]^T, with no
     # broadcast over T x T. Unshifted, den_i >= T e^-bound keeps it under 2^21 * _SUM_LIMIT
-    dv = (g / den) @ E
-    w = g / math.sqrt(k) / den
-    L = np.empty((T, 2))
-    L[:, 0] = w
-    L[:, 1] = -w * e
-    R = np.ones((2, T))
-    R[0] = v
-    dlogits = L @ R
-    dlogits *= E
-    dQ = dlogits @ K
-    dK = dlogits.T @ Q
+    dv = np.matmul(np.divide(g, den, out=b.gd), E, out=b.dv)
+    w, nwe = b.L.T  # the columns of L = [w, -w*e]
+    np.divide(g / math.sqrt(k), den, out=w)
+    np.negative(w, out=nwe)
+    nwe *= e
+    np.copyto(b.R[0], cache.v)  # R = [v, 1]^T
+    dE = np.matmul(b.L, b.R, out=b.dE)
+    dE *= E
+    np.matmul(dE, cache.K, out=b.dQK[0])
+    np.matmul(dE.T, cache.Q, out=b.dQK[1])
 
-    gWq, gWk, gWv, gbq, gbk, gbv = _blocks(grads, k)
-    gWq[...] = H.T @ dQ
-    gWk[...] = H.T @ dK
-    gbq[...] = dQ.sum(axis=0)
-    gbk[...] = dK.sum(axis=0)
-    gWv[:, -1] = H.T @ dv
-    gbv[-1] = dv.sum()
-    return AttentionParams(grads, k)
+    np.matmul(H.T, b.dQK, out=b.gW)
+    np.add.reduce(b.dQK, axis=1, out=b.gb)
+    b.gv[...] = H.T @ dv
+    b.grad.flat[-1] = np.add.reduce(dv)  # bv[-1]
+    return b.grad
 
 
 def sgd_step(params: AttentionParams, grads: AttentionParams, eta: float) -> AttentionParams:

@@ -4,8 +4,12 @@ A Detector owns a frozen isolation forest and preprocessor, the trainable
 attention parameters, and one k-length probability history per tree
 (kept as a T x k matrix whose last column is the most recent response).
 observe() scores a record or a block of records; learn() additionally
-applies one online SGD update to the attention layer. Nothing ever mutates
-the forest or the preprocessor after construction.
+applies one online SGD update to the attention layer. A single-record
+observe or learn runs the attention layer in the detector's own workspace
+(attention.workspace), made at its first such call and never saved, so a
+training row allocates none of the layer's T x T, T x k or T x 2 arrays; a
+copy by dataclasses.replace or a loaded model makes its own. Nothing ever
+mutates the forest or the preprocessor after construction.
 
 Model files are versioned little-endian binary ("ARLF" magic), 64-bit
 reals throughout:
@@ -38,7 +42,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .attention import (AttentionParams, ForwardCache, backward, bce_loss, forward,
-                        param_count, sgd_step)
+                        param_count, sgd_step, workspace)
 from .errors import (
     BadMagic,
     CorruptModel,
@@ -67,8 +71,9 @@ _CRC = struct.Struct("<I")
 @dataclass
 class DetectionResult:
     """observe's result: for one record a float score, an int prediction and
-    the forward cache; for a block an array of scores and one of predictions,
-    and no cache. latency_ns is the call's."""
+    the forward cache, which is the detector's workspace and stays valid until
+    its next single-record observe or learn; for a block an array of scores
+    and one of predictions, and no cache. latency_ns is the call's."""
 
     score: float | np.ndarray
     predicted: int | np.ndarray
@@ -96,6 +101,8 @@ class Detector:
     eta: float
     forest_tau: float  # cuts the plain forest score, the baseline's threshold
     samples_seen: int = 0
+    # forward/backward buffers of single-record steps, made by the first; not in the file
+    _workspace: ForwardCache | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self._check()
@@ -134,10 +141,13 @@ def observe(det: Detector, r: Record | Sequence[Record], *,
     """Score one record, or a block of records in order.
 
     One record: push its per-tree probas into the histories, run the
-    attention forward pass, threshold at tau. The result carries the forward
-    cache, which learn() differentiates. probas, when given, is r's per-tree
-    probability vector (T,) from an earlier forest walk; r is then not walked
-    again, and latency_ns leaves the walk out.
+    attention forward pass in the detector's workspace, threshold at tau.
+    The result carries the forward cache, which learn() differentiates.
+    probas, when given, is r's per-tree probability vector (T,) from an
+    earlier forest walk; r is then not walked again, and latency_ns leaves
+    the walk out. A probas of another shape raises DimensionMismatch, one
+    with an entry outside [0, 1] CorruptModel, and either leaves the
+    detector as it was.
 
     A block gives the scores, histories and samples_seen that one call per
     record would, with one forest walk and one forward call over the stack of
@@ -147,12 +157,19 @@ def observe(det: Detector, r: Record | Sequence[Record], *,
     """
     t0 = time.perf_counter_ns()
     if isinstance(r, Record):
+        H = det.histories
         if probas is None:
             probas = forest_probas(det.forest, transform(det.pre, r))
-        H = det.histories
+        elif np.shape(probas) != H.shape[:1]:
+            raise DimensionMismatch(f"probas must have shape {H.shape[:1]}, one per tree, "
+                                    f"got {np.shape(probas)}")
+        elif not (0.0 <= np.minimum.reduce(probas) and np.maximum.reduce(probas) <= 1.0):
+            raise CorruptModel("probas must lie in [0,1]")
+        if det._workspace is None:
+            det._workspace = workspace(*H.shape)
         H[:, :-1] = H[:, 1:]
         H[:, -1] = probas
-        s, cache = forward(det.params, H)
+        s, cache = forward(det.params, H, out=det._workspace)
         predicted, n = (1 if s >= det.tau else 0), 1
     elif len(r):
         k = det.params.k

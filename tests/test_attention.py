@@ -15,6 +15,7 @@ from arlif.attention import (
     init_params,
     param_count,
     sgd_step,
+    workspace,
 )
 from arlif.detector import attention_params_bytes
 from arlif.errors import DimensionMismatch, StaleCache
@@ -224,6 +225,9 @@ def test_forward_shape_guards():
         forward(p, np.zeros((4, 2)))
     with pytest.raises(DimensionMismatch):
         forward(p, np.zeros((0, 3)))
+    for shape in ((5, 3), (2, 4, 3)):  # a workspace serves one T x k shape
+        with pytest.raises(DimensionMismatch):
+            forward(p, np.zeros(shape), out=workspace(4, 3))
 
 
 def test_forward_clamps_readout():
@@ -320,6 +324,35 @@ def test_forward_on_a_stack_equals_each_matrix_alone():
             assert s[idx] == one and cache.r[idx] == alone.r
             for name in ("H", "Q", "K", "E", "den", "v", "e"):
                 assert np.array_equal(getattr(cache, name)[idx], getattr(alone, name))
+
+
+CACHE_FIELDS = ("H", "Q", "K", "E", "den", "v", "e", "r", "s")
+
+
+@pytest.mark.parametrize("k, T", [(3, 6), (1, 5), (4, 1), (1, 1)])
+def test_a_reused_workspace_gives_the_bits_of_fresh_buffers(k, T):
+    # one workspace through a sequence of steps on both forward branches, with
+    # clamped readouts between live ones: nothing a step leaves behind reaches the next
+    rng = np.random.default_rng(k * 10 + T)
+    p = rand_params(k, seed=T)
+    steps = [p, wide(p, 10.0), shifted(p, 100.0), p, shifted(wide(p, 10.0), -100.0),
+             wide(p, 10.0), p]
+    assert [skips_row_max(q, T) for q in steps] == [True, False, True, True, False, False, True]
+    ws = workspace(T, k)
+    clamped = 0
+    for i, params in enumerate(steps):
+        H = rng.uniform(0.0, 1.0, (T, k))
+        s, fresh = forward(params, H)
+        s_ws, cache = forward(params, H, out=ws)
+        assert cache is ws and s_ws == s
+        for name in CACHE_FIELDS:
+            assert np.array_equal(getattr(cache, name), getattr(fresh, name)), name
+        assert skips_row_max(params, T) or np.all(cache.den == 1.0)
+        clamped += fresh.s != fresh.r
+        g = backward(params, cache, label=i % 2)
+        assert g is ws.back.grad
+        assert g.flat.tobytes() == backward(params, fresh, label=i % 2).flat.tobytes()
+    assert clamped == 2
 
 
 def test_backward_rejects_a_cache_from_a_stacked_forward():

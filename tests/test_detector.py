@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import random
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import arlif.detector
-from arlif.attention import forward, init_params, sgd_step
+from arlif.attention import _skips_row_max, backward, bce_loss, forward, init_params, sgd_step
 from arlif.detector import (
     DEFAULT_ETA,
     Detector,
@@ -231,6 +232,48 @@ def test_observe_with_precomputed_probas_equals_observe(pipe):
     assert given.samples_seen == walked.samples_seen == len(rows)
 
 
+@pytest.mark.parametrize("bad, error", [
+    ("long", DimensionMismatch),
+    ("short", DimensionMismatch),
+    ("matrix", DimensionMismatch),
+    (7.0, CorruptModel),
+    (-0.25, CorruptModel),
+    (math.nan, CorruptModel),
+])
+def test_bad_probas_raise_and_leave_the_detector_as_it_was(pipe, bad, error):
+    records, _, _, _ = pipe
+    det = mk_detector(pipe)
+    learn(det, records[0], 1)
+    T = det.forest.n_trees
+    p = np.asarray(probas_for(det, records[1]))
+    probas = {"long": np.full(T + 1, 0.5), "short": p[:-1], "matrix": p[None]}.get(bad)
+    if probas is None:
+        probas = p.copy()
+        probas[T // 2] = bad
+    before, hist, seen = to_bytes(det), det.histories.copy(), det.samples_seen
+    for step in (lambda: observe(det, records[1], probas=probas),
+                 lambda: learn(det, records[1], 1, probas=probas)):
+        with pytest.raises(error):
+            step()
+        assert to_bytes(det) == before and det.samples_seen == seen
+        assert np.array_equal(det.histories, hist)
+    learn(det, records[1], 1, probas=p)  # the detector goes on, and saves
+    assert det.samples_seen == seen + 1
+    save_model(det, io.BytesIO())
+
+
+def test_a_single_record_result_holds_its_detectors_own_workspace(pipe):
+    records, _, _, _ = pipe
+    det = mk_detector(pipe)
+    first = observe(det, records[0]).cache
+    assert observe(det, records[1]).cache is first  # written over by the next observe
+    twins = [dataclasses.replace(det, histories=det.histories.copy()), from_bytes(to_bytes(det))]
+    for r in records[2:6]:
+        res = [observe(d, r) for d in [det] + twins]
+        assert res[0].cache is first and len({id(x.cache) for x in res}) == 3
+        assert res[1].score == res[2].score == res[0].score
+
+
 # --- learn / train_online --------------------------------------------------------
 
 def test_learn_never_touches_forest(pipe):
@@ -276,6 +319,78 @@ def test_train_online_equals_manual_loop(pipe, monkeypatch):
     assert report.samples_per_epoch == 60
     assert report.mean_losses == manual
     assert to_bytes(a) == to_bytes(b)
+
+
+def test_train_online_calls_each_traced_layer_once_per_row(pipe, monkeypatch):
+    # the layer boundaries a tracer wraps: learn -> observe -> forward, then
+    # backward and sgd_step, once per row, resolved as module attributes; a
+    # span counter reads backward's three positional arguments
+    records, _, _, _ = pipe
+    calls = {name: 0 for name in ("learn", "observe", "forward", "backward", "sgd_step")}
+    arities = []
+
+    def counting(name):
+        orig = getattr(arlif.detector, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            if name == "backward":
+                arities.append((len(args), sorted(kwargs)))
+            return orig(*args, **kwargs)
+        return counted
+    for name in calls:
+        monkeypatch.setattr(arlif.detector, name, counting(name))
+    monkeypatch.setattr(arlif.detector, "WALK_SLICE", 7)
+    train_online(mk_detector(pipe, eta=0.01), records[:30], epochs=2)
+    assert calls == dict.fromkeys(calls, 60)
+    assert arities == [(3, [])] * 60
+
+
+@pytest.mark.parametrize("trees, k, eta, scale", [
+    (10, 4, 0.01, 0.01),   # the unshifted branch, live steps
+    (10, 4, 0.01, 2.0),    # the max-shifted branch
+    (10, 4, 0.5, 0.01),    # from here on most steps end on the clamp
+    (1, 4, 0.05, 0.5),     # one tree
+    (10, 1, 0.05, 0.5),    # a window of one step
+    (1, 1, 0.05, 0.5),
+])
+def test_train_online_equals_fresh_buffer_steps(pipe, trees, k, eta, scale):
+    # the workspace gives the model bytes and losses of a loop that runs every
+    # step on fresh buffers, and an evaluate between steps changes neither
+    records, pre, vectors, _ = pipe
+    forest = build_forest(vectors, T=trees, psi=64, seed=7)
+    rows = records[:40]
+    det = new_detector(forest, init_params(k, seed=1, scale=scale), pre, eta=eta)
+    assert _skips_row_max(det.params.flat, k, trees) == (scale != 2.0)
+    report = train_online(det, rows, epochs=2)
+
+    ref = new_detector(forest, init_params(k, seed=1, scale=scale), pre, eta=eta)
+    P = forest_probas(forest, transform(pre, rows))
+    means, clamped = [], 0
+    for _ in range(2):
+        total = 0.0
+        for r, p in zip(rows, P):
+            ref.histories[:, :-1] = ref.histories[:, 1:]
+            ref.histories[:, -1] = p
+            s, cache = forward(ref.params, ref.histories)
+            clamped += cache.s != cache.r
+            sgd_step(ref.params, backward(ref.params, cache, r.label), eta)
+            total += bce_loss(s, r.label)
+        means.append(total / len(rows))
+    ref.samples_seen = 2 * len(rows)
+    assert report.mean_losses == means
+    assert to_bytes(det) == to_bytes(ref)
+    assert (clamped > 0) == (eta > 0.01) and clamped < 2 * len(rows)
+
+    looped = new_detector(forest, init_params(k, seed=1, scale=scale), pre, eta=eta)
+    losses = []
+    for i, r in enumerate(rows):
+        if i % 10 == 5:
+            evaluate(looped, records[100:170])
+        losses.append(learn(looped, r, r.label))
+    mid = new_detector(forest, init_params(k, seed=1, scale=scale), pre, eta=eta)
+    assert losses == [learn(mid, r, r.label) for r in rows]
+    assert to_bytes(looped) == to_bytes(mid)
 
 
 def test_training_leaves_inert_value_parameters_untouched():
