@@ -16,7 +16,7 @@ class FieldCountMismatch(ArlifError):
 
 
 class NumericParse(ArlifError):
-    """Non-numeric text in a numeric column."""
+    """A numeric column holds text, a value or a range that is not a finite number."""
 
 
 class NotUtf8(ArlifError):

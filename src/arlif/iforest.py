@@ -1,5 +1,14 @@
 """Isolation forest: random trees on subsamples, per-tree anomaly probabilities.
 
+build_forest grows all T trees together. A node is a segment of one array
+holding every tree's subsample as row numbers into the data, and a split
+partitions its segment in place, so no tree holds a copy of its subsample.
+Each step takes from every tree that has one its next node in preorder that
+may split (the leaves before it are emitted on the way). For all taken nodes
+at once, one gather and two reduceat give each column's min and max, and one
+stable argsort partitions every segment; only each tree's own two draws run
+node by node. build_tree is the same grower with one tree.
+
 A tree is one NODE_DTYPE array, the records a model file holds. IsolationForest
 derives a walk table from its trees once (every node's feature, threshold and
 two successors, a leaf leading to itself, and each leaf's path length and
@@ -7,7 +16,7 @@ probability), so one walk of height_limit steps reaches every tree's leaf for
 one point or for a block of points.
 
 path_length is unused here: the benchmark's mean_path_length calls it, and it
-moves to tests/reference.py with the next benchmark change (ROADMAP item 2).
+moves to tests/reference.py with the next benchmark change (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorruptModel, InsufficientData
+from .errors import CorruptModel, InsufficientData, NumericParse
 
 EULER_GAMMA = 0.5772156649
 
@@ -42,39 +51,103 @@ def c_factor(n: int) -> float:
     return 2.0 * (math.log(nm1) + EULER_GAMMA) - 2.0 * nm1 / n
 
 
+def _check_finite(X: np.ndarray) -> None:
+    """Raise NumericParse unless every value, and every column's max - min, is a
+    finite number: a threshold is drawn as lo + (hi - lo) * u, so a NaN, an
+    infinity or a range that overflows would give no threshold."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = X.max(axis=0) - X.min(axis=0)
+    bad = np.flatnonzero(~np.isfinite(span))
+    if bad.size:
+        col = int(bad[0])
+        what = "max - min" if np.isfinite(X[:, col]).all() else "a value"
+        raise NumericParse(f"column {col}: {what} is not a finite number")
+
+
+def _grow(X: np.ndarray, subsamples: np.ndarray, rngs: list, height_limit: int) -> list:
+    """Grow tree i over the rows subsamples[i] of X, drawing from rngs[i], all
+    trees together; returns each tree's NODE_DTYPE records."""
+    n_trees, size = subsamples.shape
+    if X.shape[1] == 0:
+        height_limit = 0  # with no column, every root is a leaf
+    order = subsamples.ravel().copy()
+    feats = [[] for _ in range(n_trees)]
+    thresholds = [[] for _ in range(n_trees)]
+    rights = [[] for _ in range(n_trees)]
+    # Pending nodes (start, size, depth, parent): the segment order[start:start + size],
+    # and the record whose right child the node is (-1 for a left child, its parent + 1).
+    stacks = [[(i * size, size, 0, -1)] for i in range(n_trees)]
+    live = list(range(n_trees))
+    while live:
+        taken = []  # (tree, record, start, size, depth) of the nodes that may split
+        for i in live:
+            stack, f, t, r = stacks[i], feats[i], thresholds[i], rights[i]
+            while stack:
+                start, c, d, parent = stack.pop()
+                j = len(r)
+                if parent >= 0:
+                    r[parent] = j
+                f.append(-1)  # a leaf unless split below
+                t.append(0.0)
+                r.append(c)
+                if c > 1 and d < height_limit:
+                    taken.append((i, j, start, c, d))
+                    break
+        if not taken:
+            break
+        tree, node, start, count, depth = zip(*taken)
+        counts = np.array(count)
+        offsets = np.cumsum(counts) - counts
+        pos = np.arange(offsets[-1] + counts[-1]) + np.repeat(np.array(start) - offsets, counts)
+        rows = order[pos]
+        pts = X[rows]
+        lo = np.minimum.reduceat(pts, offsets)
+        hi = np.maximum.reduceat(pts, offsets)
+        del pts
+        splittable = hi > lo
+        ks = np.count_nonzero(splittable, axis=1).tolist()
+        # Each tree's own draws in its own order: the rank of the column, then u.
+        rank, u = np.zeros(len(ks), dtype=np.intp), np.zeros(len(ks))
+        for a, (i, k) in enumerate(zip(tree, ks)):
+            if k:
+                rank[a] = rngs[i].integers(k)
+                u[a] = rngs[i].random()
+        at = np.arange(len(ks))
+        col = np.argmax(np.cumsum(splittable, axis=1) > rank[:, None], axis=1)
+        lo, hi = lo[at, col], hi[at, col]
+        thr = lo + (hi - lo) * u  # rng.uniform(lo, hi), bit for bit
+        # Strictly-less first within each segment; a node that does not split moves nothing.
+        left = X[rows, np.repeat(col, counts)] < np.repeat(thr, counts)
+        n_left = np.add.reduceat(left, offsets, dtype=np.intp).tolist()
+        order[pos] = rows[np.argsort(2 * np.repeat(at, counts) + ~left, kind="stable")]
+        for i, j, s, c, d, k, fj, tj, nl in zip(tree, node, start, count, depth, ks,
+                                                col.tolist(), thr.tolist(), n_left):
+            if k:  # push right, then left, so that the left child is visited next
+                feats[i][j], thresholds[i][j] = fj, tj
+                stacks[i] += (s + nl, c - nl, d + 1, j), (s, nl, d + 1, -1)
+        live = [i for i in live if stacks[i]]
+    trees = []
+    for f, t, r in zip(feats, thresholds, rights):
+        rec = np.empty(len(f), dtype=NODE_DTYPE)
+        rec["f"], rec["t"], rec["r"] = f, t, r
+        trees.append(rec)
+    return trees
+
+
 def build_tree(subsample, rng: np.random.Generator, height_limit: int) -> np.ndarray:
     """Grow one isolation tree over the subsample; returns its NODE_DTYPE records.
 
     A node becomes a leaf when it holds <= 1 point, sits at the height
     limit, or is constant in every column; otherwise split on a uniformly
     random non-constant column at a uniform threshold between that
-    column's min and max, strictly-less going left.
+    column's min and max, strictly-less going left. A value or a column
+    range that is not finite raises NumericParse.
     """
     X = np.asarray(subsample, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("subsample must be a non-empty 2-d array of vectors")
-    nodes: list[tuple] = []
-
-    def grow(idx: np.ndarray, d: int) -> int:
-        node = len(nodes)
-        nodes.append((-1, 0.0, int(idx.size)))  # a leaf unless split below
-        if idx.size <= 1 or d >= height_limit:
-            return node
-        pts = X[idx]
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-        splittable = np.nonzero(hi > lo)[0]
-        if splittable.size == 0:
-            return node
-        col = int(splittable[rng.integers(splittable.size)])
-        t = float(rng.uniform(lo[col], hi[col]))
-        mask = pts[:, col] < t
-        grow(idx[mask], d + 1)  # preorder: the left child is node + 1
-        nodes[node] = (col, t, grow(idx[~mask], d + 1))
-        return node
-
-    grow(np.arange(X.shape[0]), 0)
-    return np.array(nodes, dtype=NODE_DTYPE)
+    _check_finite(X)
+    return _grow(X, np.arange(X.shape[0])[None], [rng], height_limit)[0]
 
 
 @dataclass(eq=False)
@@ -162,21 +235,26 @@ class IsolationForest:
 def build_forest(data, T: int, psi: int, seed: int) -> IsolationForest:
     """Build T trees, each on a without-replacement subsample of min(psi, n).
 
-    Every tree draws from its own random stream, derived deterministically
-    from (seed, tree index), so construction order (or parallelism) cannot
-    change the result.
+    Tree i draws from its own random stream, SeedSequence(seed, spawn_key=(i,)):
+    its subsample, then for each node that may split, in preorder, the rank of
+    its column and a uniform u. A tree depends only on the order of its own
+    draws, so growing the trees interleaved, one node of each per step, gives
+    the trees that growing them one after another would. Data holding a value,
+    or a column range, that is not a finite number raises NumericParse before
+    any draw.
     """
     X = np.asarray(data, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise InsufficientData("forest construction needs at least 2 points")
+    _check_finite(X)
     n = X.shape[0]
     eff_psi = min(psi, n)
     height_limit = IsolationForest.height_limit_for(eff_psi)
-    trees = []
-    for i in range(T):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        idx = rng.choice(n, size=eff_psi, replace=False)
-        trees.append(build_tree(X[idx], rng, height_limit))
+    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+            for i in range(T)]
+    subsamples = np.array([rng.choice(n, size=eff_psi, replace=False) for rng in rngs],
+                          dtype=np.intp).reshape(len(rngs), eff_psi)
+    trees = _grow(X, subsamples, rngs, height_limit)
     return IsolationForest(trees=trees, psi=eff_psi, n_features=int(X.shape[1]))
 
 

@@ -1,8 +1,9 @@
 """Plain reference implementations that the tests check the package against.
 
 Each is written apart from the package's vectorized code, so agreement is
-evidence: a naive recursive walk of one tree, the per-tree probability built
-on it, a textbook row softmax, and the attention readout built on it.
+evidence: a recursive grower of one tree, a naive recursive walk of one tree,
+the per-tree probability built on it, a textbook row softmax, and the
+attention readout built on it.
 """
 
 from __future__ import annotations
@@ -11,7 +12,40 @@ import math
 
 import numpy as np
 
-from arlif.iforest import c_factor
+from arlif.iforest import NODE_DTYPE, c_factor
+
+
+def recursive_tree(subsample, rng, height_limit: int) -> np.ndarray:
+    """One isolation tree grown by recursion, node by node, as NODE_DTYPE records.
+
+    A node becomes a leaf when it holds <= 1 point, sits at the height limit,
+    or is constant in every column; otherwise it splits on a uniformly random
+    non-constant column at rng.uniform(min, max) of that column, strictly-less
+    going left, and its left subtree is grown before its right one.
+    """
+    X = np.asarray(subsample, dtype=np.float64)
+    nodes: list[tuple] = []
+
+    def grow(idx, d):
+        node = len(nodes)
+        nodes.append((-1, 0.0, int(idx.size)))  # a leaf unless split below
+        if idx.size <= 1 or d >= height_limit:
+            return node
+        pts = X[idx]
+        lo = pts.min(axis=0)
+        hi = pts.max(axis=0)
+        splittable = np.nonzero(hi > lo)[0]
+        if splittable.size == 0:
+            return node
+        col = int(splittable[rng.integers(splittable.size)])
+        t = float(rng.uniform(lo[col], hi[col]))
+        mask = pts[:, col] < t
+        grow(idx[mask], d + 1)  # preorder: the left child is node + 1
+        nodes[node] = (col, t, grow(idx[~mask], d + 1))
+        return node
+
+    grow(np.arange(X.shape[0]), 0)
+    return np.array(nodes, dtype=NODE_DTYPE)
 
 
 def recursive_path(tree, x, node=0, depth=0) -> float:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from arlif.detector import forest_bytes
-from arlif.errors import CorruptModel, InsufficientData
+from arlif.errors import CorruptModel, InsufficientData, NumericParse
 from arlif.iforest import (
     EULER_GAMMA,
     NODE_DTYPE,
@@ -16,7 +16,8 @@ from arlif.iforest import (
     forest_score,
     path_length,
 )
-from reference import recursive_path, tree_proba
+from arlif.ingest import transform
+from reference import recursive_path, recursive_tree, tree_proba
 
 
 def leaf_for(tree, x):
@@ -237,6 +238,107 @@ def test_outlier_isolates_faster_than_cluster_median():
     mean_path = lambda x: np.mean([path_length(t, x) for t in f.trees])
     assert mean_path(outlier) < mean_path(median)
     assert forest_score(f, outlier) > forest_score(f, median)
+
+
+# --- the batched grower against the recursive reference -----------------------
+
+def reference_trees(data, T, psi, seed):
+    """build_forest's trees grown one after another by the recursive reference,
+    each from its own stream, SeedSequence(seed, spawn_key=(i,))."""
+    X = np.asarray(data, dtype=np.float64)
+    n = X.shape[0]
+    eff_psi = min(psi, n)
+    height_limit = IsolationForest.height_limit_for(eff_psi)
+    trees = []
+    for i in range(T):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        idx = rng.choice(n, size=eff_psi, replace=False)
+        trees.append(recursive_tree(X[idx], rng, height_limit))
+    return trees
+
+
+def same_trees(forest, trees):
+    return [t.tobytes() for t in forest.trees] == [t.tobytes() for t in trees]
+
+
+def _ties(rng):
+    return rng.uniform(size=(300, 4)).round(1)
+
+
+def _constant_column_and_duplicates(rng):
+    X = rng.uniform(size=(200, 3))
+    X[:, 1] = 0.25
+    X[100:] = X[:100]
+    return X
+
+
+def _adjacent_floats(rng):
+    # Values a few ulps apart: lo + (hi - lo) * u rounds to one of them, so points
+    # sit exactly on thresholds and must go right.
+    return 1.0 + rng.integers(0, 4, size=(200, 3)) * np.spacing(1.0)
+
+
+@pytest.mark.parametrize("make, T, psi", [
+    (_ties, 12, 64),
+    (lambda rng: rng.integers(0, 3, size=(200, 5)).astype(float), 10, 128),  # few values
+    (_constant_column_and_duplicates, 9, 128),
+    (_adjacent_floats, 10, 64),
+    (lambda rng: rng.uniform(size=(150, 1)), 15, 32),  # m = 1
+    (lambda rng: rng.uniform(size=(50, 3)), 20, 2),  # psi = 2
+    (lambda rng: rng.uniform(size=(40, 3)), 6, 256),  # psi >= n
+    (lambda rng: rng.uniform(size=(300, 5)), 1, 64),  # T = 1
+], ids=["ties", "few-values", "constant-column-duplicates", "adjacent-floats", "m1", "psi2", "psi-ge-n", "T1"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_forest_trees_equal_the_recursive_reference_byte_for_byte(make, T, psi, seed):
+    X = make(np.random.default_rng(100 + seed))
+    assert same_trees(build_forest(X, T, psi, seed), reference_trees(X, T, psi, seed))
+
+
+def test_forest_at_the_default_shape_equals_the_recursive_reference(default_shape):
+    records, pre, forest = default_shape  # T=100, psi=256, m=10 on synth_stream rows, seed 0
+    vectors = [transform(pre, r) for r in records]
+    assert (forest.n_trees, forest.psi, forest.n_features) == (100, 256, 10)
+    assert same_trees(forest, reference_trees(vectors, 100, 256, 0))
+
+
+@pytest.mark.parametrize("n, m, height_limit", [(1, 2, 3), (2, 1, 1), (30, 3, 0), (30, 3, 2),
+                                                (64, 4, 6), (100, 2, 40)])
+def test_build_tree_equals_the_recursive_reference_and_draws_as_often(n, m, height_limit):
+    X = np.random.default_rng(n).uniform(size=(n, m)).round(2)
+    a, b = np.random.default_rng(height_limit), np.random.default_rng(height_limit)
+    assert build_tree(X, a, height_limit).tobytes() == recursive_tree(X, b, height_limit).tobytes()
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_a_threshold_lo_plus_range_times_u_is_rng_uniform_bit_for_bit():
+    # The grower draws u = rng.random() and takes lo + (hi - lo) * u where the
+    # recursive reference takes rng.uniform(lo, hi); a numpy whose uniform differs fails here.
+    src = np.random.default_rng(2008)
+    lo = src.normal(size=20_000) * 10.0 ** src.integers(-6, 7, size=20_000)
+    hi = lo + src.exponential(size=20_000) * 10.0 ** src.integers(-12, 7, size=20_000)
+    hi[::50] = lo[::50]
+    a, b = np.random.default_rng(17), np.random.default_rng(17)
+    drawn = np.array([a.uniform(l, h) for l, h in zip(lo, hi)])
+    u = np.array([b.random() for _ in range(lo.size)])
+    assert drawn.tobytes() == (lo + (hi - lo) * u).tobytes()
+
+
+@pytest.mark.parametrize("column, message", [
+    ([0.1, np.nan], "column 1: a value is not a finite number"),
+    ([0.1, np.inf], "column 1: a value is not a finite number"),
+    ([-np.inf, 0.1], "column 1: a value is not a finite number"),
+    ([-1e308, 1e308], "column 1: max - min is not a finite number"),  # the range overflows
+])
+def test_data_that_is_not_finite_raises_numeric_parse_before_any_draw(column, message):
+    X = np.random.default_rng(3).uniform(size=(40, 3))
+    X[:2, 1] = column
+    with pytest.raises(NumericParse, match=message):
+        build_forest(X, T=4, psi=16, seed=0)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(NumericParse, match=message):
+        build_tree(X, rng, height_limit=6)
+    assert rng.bit_generator.state == state
 
 
 def oracle_inputs():
