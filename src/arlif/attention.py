@@ -25,14 +25,15 @@ arrays per call unless it is handed a workspace (out=). A workspace also
 holds backward's buffers and its gradient vector, so a training step on one
 T x k matrix (forward, backward, sgd_step) allocates none of its T x T,
 T x k or T x 2 arrays; the bits are those of fresh buffers. Q and K come
-from one product of H with the stacked [Wq, Wk], and both their weight
-gradients from one product of H^T with the stacked [dQ, dK].
+from one product of H with the stacked [Wq, Wk], their weight gradients from one
+H^T.[dQ, dK], and the bias gradients (sums over T) from ones.[dQ, dK] and ones.dv.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,6 +46,7 @@ LOGIT_LIMIT = 64.0
 # ...and while T * e^bound * (bound on |v|) is at most this, 2^-24 of the largest
 # double: no sum of E.v overflows, nor backward's terms, which |dL/ds| < 2^20 scales
 _SUM_LIMIT = 2.0 ** 1000
+_block_starts = lru_cache(lambda k: np.cumsum([0, k * k, k * k, k * k, k, k]))  # see _blocks
 
 
 def param_count(k: int) -> int:
@@ -113,10 +115,8 @@ def _skips_row_max(flat: np.ndarray, k: int, T: int) -> bool:
     (|Wq|_1 + |bq|_1)(|Wk|_1 + |bk|_1) / sqrt(k) in entrywise L1 norms, and
     |v_i| at most |Wv|_1 + |bv|_1. Non-finite parameters give False.
     """
-    kk = k * k
     # summed at 2^-24 scale: no norm of finite parameters overflows, and warns, in numpy
-    s = np.add.reduceat(np.abs(flat) * 2.0 ** -24,
-                        [0, kk, 2 * kk, 3 * kk, 3 * kk + k, 3 * kk + 2 * k]).tolist()
+    s = np.add.reduceat(np.abs(flat) * 2.0 ** -24, _block_starts(k)).tolist()
     bound = (s[0] + s[3]) * (s[1] + s[4]) * 2.0 ** 48 / math.sqrt(k)
     return bound <= LOGIT_LIMIT and T * math.exp(bound) * (s[2] + s[5]) * 2.0 ** 24 <= _SUM_LIMIT
 
@@ -138,10 +138,10 @@ class ForwardCache:
     s: float | np.ndarray = 0.0
     back: _Backward | None = None
 
-    Q = property(lambda c: c.QK[0])
-    K = property(lambda c: c.QK[1])
-    v = property(lambda c: c.V1[..., 0])
-    den = property(lambda c: c.Ev[..., 1])
+    def __post_init__(self):  # views, made once: Q, K and K^T; v; E.v (num) and den
+        self.Q, self.K = self.QK
+        self.KT, self.v = self.K.swapaxes(-1, -2), self.V1[..., 0]
+        self.num, self.den = self.Ev[..., 0], self.Ev[..., 1]
 
 
 def _cache(shape: tuple[int, ...]) -> ForwardCache:
@@ -227,10 +227,10 @@ def forward(params: AttentionParams, H, *,
     # Q and K in one product: [Wq, Wk] broadcast against H, then [bq, bk]
     np.matmul(c.H, flat[:2 * kk].reshape((2,) + ones + (k, k)), out=c.QK)
     c.QK += flat[3 * kk:3 * kk + 2 * k].reshape((2,) + ones + (1, k))
-    np.add(c.H @ flat[2 * kk + k - 1:3 * kk:k], flat[-1], out=c.V1[..., 0])  # H.Wv[:, -1] + bv[-1]
+    np.add(c.H @ flat[2 * kk + k - 1:3 * kk:k], flat[-1], out=c.v)  # H.Wv[:, -1] + bv[-1]
     # the logits and then E in one buffer: no other temporary the size of E
     np.divide(c.Q, math.sqrt(k), out=c.Qs)
-    E = np.matmul(c.Qs, c.K.swapaxes(-1, -2), out=c.E)
+    E = np.matmul(c.Qs, c.KT, out=c.E)
     if _skips_row_max(flat, k, T):
         np.exp(E, out=E)
         np.matmul(E, c.V1, out=c.Ev)
@@ -240,8 +240,8 @@ def forward(params: AttentionParams, H, *,
         # normalized before the product: E.v with E in (0, 1] could overflow where e cannot
         E /= E.sum(axis=-1, keepdims=True)
         np.matmul(E, c.V1, out=c.Ev)
-        c.Ev[..., 1] = 1.0
-    np.divide(c.Ev[..., 0], c.Ev[..., 1], out=c.e)
+        c.den[...] = 1.0
+    np.divide(c.num, c.den, out=c.e)
     r = np.add.reduce(c.e, axis=-1) / T
     if r.ndim:
         s = np.clip(r, EPS, 1.0 - EPS)
@@ -294,9 +294,9 @@ def backward(params: AttentionParams, cache: ForwardCache, label: int) -> Attent
     np.matmul(dE.T, cache.Q, out=b.dQK[1])
 
     np.matmul(H.T, b.dQK, out=b.gW)
-    np.add.reduce(b.dQK, axis=1, out=b.gb)
-    b.gv[...] = H.T @ dv
-    b.grad.flat[-1] = np.add.reduce(dv)  # bv[-1]
+    np.matmul(b.R[1], b.dQK, out=b.gb)  # R[1] is all ones: a sum over T as one product
+    np.matmul(H.T, dv, out=b.gv)
+    b.grad.flat[-1] = b.R[1] @ dv  # bv[-1]
     return b.grad
 
 

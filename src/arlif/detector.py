@@ -8,7 +8,8 @@ applies one online SGD update to the attention layer. A single-record
 observe or learn runs the attention layer in the detector's own workspace
 (attention.workspace), made at its first such call and never saved, so a
 training row allocates none of the layer's T x T, T x k or T x 2 arrays; a
-copy by dataclasses.replace or a loaded model makes its own. Nothing ever
+copy by dataclasses.replace or a loaded model makes its own. A record shifts the
+histories, one C-order block, as one move of the flat T*k buffer. Nothing ever
 mutates the forest or the preprocessor after construction.
 
 Model files are versioned little-endian binary ("ARLF" magic), 64-bit
@@ -96,7 +97,7 @@ class Detector:
     forest: IsolationForest
     params: AttentionParams
     pre: Preprocessor
-    histories: np.ndarray  # T x k, column k-1 most recent
+    histories: np.ndarray  # T x k, column k-1 most recent; C-order float64 once constructed
     tau: float  # cuts the attention readout
     eta: float
     forest_tau: float  # cuts the plain forest score, the baseline's threshold
@@ -105,7 +106,11 @@ class Detector:
     _workspace: ForwardCache | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        self.histories = np.ascontiguousarray(self.histories, dtype=np.float64)
         self._check()
+
+    def __getstate__(self):  # a copy or pickle makes its own workspace, as replace does
+        return {**self.__dict__, "_workspace": None}
 
     def _check(self):
         if not (0.0 < self.tau < 1.0 and 0.0 < self.forest_tau < 1.0 and 0.0 < self.eta < np.inf):
@@ -167,7 +172,10 @@ def observe(det: Detector, r: Record | Sequence[Record], *,
             raise CorruptModel("probas must lie in [0,1]")
         if det._workspace is None:
             det._workspace = workspace(*H.shape)
-        H[:, :-1] = H[:, 1:]
+        if not H.flags.c_contiguous:  # assigned since construction, which converts them
+            det.histories = H = np.ascontiguousarray(H)
+        Hf = H.reshape(-1)  # a view: one move shifts every row, then the last column is set
+        Hf[:-1] = Hf[1:]
         H[:, -1] = probas
         s, cache = forward(det.params, H, out=det._workspace)
         predicted, n = (1 if s >= det.tau else 0), 1

@@ -12,8 +12,8 @@ node by node. build_tree is the same grower with one tree.
 A tree is one NODE_DTYPE array, the records a model file holds. IsolationForest
 derives a walk table from its trees once (every node's feature, threshold and
 two successors, a leaf leading to itself, and each leaf's path length and
-probability), so one walk of height_limit steps reaches every tree's leaf for
-one point or for a block of points.
+probability), so one walk of height_limit steps, 1-D takes from the tables and
+a flat C-order copy of the points, reaches every tree's leaf for one point or a block.
 
 path_length is unused here: the benchmark's mean_path_length calls it, and it
 moves to tests/reference.py with the next benchmark change (ROADMAP item 1).
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorruptModel, InsufficientData, NumericParse
+from .errors import CorruptModel, DimensionMismatch, InsufficientData, NumericParse
 
 EULER_GAMMA = 0.5772156649
 
@@ -176,7 +176,7 @@ class IsolationForest:
 
         # All trees back to back; j is a node's index in that table.
         sizes = np.array([len(t) for t in self.trees], dtype=np.int32)
-        self._roots = roots = np.cumsum(sizes, dtype=np.int32) - sizes
+        roots = np.cumsum(sizes, dtype=np.int32) - sizes
         rec = np.frombuffer(b"".join(tree.tobytes() for tree in self.trees), NODE_DTYPE)
         f, t, r = (rec[name].copy() for name in NODE_DTYPE.names)
         j = np.arange(rec.size, dtype=np.int32)
@@ -211,18 +211,17 @@ class IsolationForest:
         balance = 2 * (np.cumsum(inner, dtype=np.int32) - inner) - j
         reject((np.bincount(seen, minlength=rec.size) == 0) | (balance[right] != balance),
                "nodes are not one tree in preorder")
-        self._feature, self._threshold = f, t
-        self._next = np.stack([right, left], axis=1).ravel()  # [2j] if x >= t, else [2j + 1]
+        # the walk's tables, indices in intp, which take reads without a cast
+        self._roots, self._feature, self._threshold = roots.astype(np.intp), f.astype(np.intp), t
+        self._next = np.stack([right, left], axis=1, dtype=np.intp).ravel()
 
         # Each node's slot in _path / _proba, which apply the scalar c_factor and
         # ** per distinct (depth, size): numpy's vectorized ** may differ in the last ulp.
         depth = np.repeat(np.arange(h + 1), [level.size for level in levels])  # of each in seen
         at = np.flatnonzero(~inner[seen])
-        key = depth[at] << 32 | r[seen[at]]
-        keys = np.sort(key)
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        self._slot = np.zeros(rec.size, dtype=np.int32)
-        self._slot[seen[at]] = np.searchsorted(keys, key)
+        keys, slots = np.unique(depth[at] << 32 | r[seen[at]], return_inverse=True)
+        self._slot = np.zeros(rec.size, dtype=np.intp)
+        self._slot[seen[at]] = slots
         paths = [kd + c_factor(ks) for kd, ks in (divmod(k, 1 << 32) for k in keys.tolist())]
         self._path = np.array(paths)
         self._proba = np.array([2.0 ** (-p / self.c_psi) for p in paths])
@@ -260,22 +259,30 @@ def build_forest(data, T: int, psi: int, seed: int) -> IsolationForest:
 
 def _leaf_slots(forest: IsolationForest, X) -> np.ndarray:
     """Slot of the leaf each point reaches in each tree, in tree order: one walk
-    for all T trees, and for a block of points all N of them at once.
+    for all T trees and all N points of a block.
 
-    X is one vector (m,), giving (T,) slots, or a block (N, m), giving (N, T).
-    """
-    X = np.asarray(X, dtype=np.float64)
-    rows = () if X.ndim == 1 else (np.arange(X.shape[0])[:, None],)
-    j = forest._roots
+    X is one vector (m,), giving (T,) slots, or a block (N, m), giving (N, T);
+    another shape raises DimensionMismatch: a narrow row would read the next."""
+    X, m = np.asarray(X, dtype=np.float64), forest.n_features
+    if X.ndim not in (1, 2) or X.shape[-1] != m:
+        raise DimensionMismatch(f"the forest walks vectors of {m} features, got shape {X.shape}")
+    xf, j, rows = X.ravel(), forest._roots, None
+    if X.ndim == 2:  # every point starts at every root; point i's features start at i * m
+        j, rows = np.broadcast_to(j, (len(X), j.size)), np.arange(0, X.size, m)[:, None]
     for _ in range(forest.height_limit):
-        j = forest._next[2 * j + (X[(*rows, forest._feature[j])] < forest._threshold[j])]
-    return forest._slot[j]
+        f = forest._feature.take(j)
+        if rows is not None:
+            f += rows
+        step = j + j  # _next[2j] if x >= t, else _next[2j + 1]
+        step += xf.take(f) < forest._threshold.take(j)
+        j = forest._next.take(step)
+    return forest._slot.take(j)
 
 
 def forest_probas(forest: IsolationForest, X) -> np.ndarray:
     """Every tree's anomaly probability 2^(-h/c_psi), h the path length to the
     leaf the point reaches, for one vector (T,) or a block (N, T)."""
-    return forest._proba[_leaf_slots(forest, X)]
+    return forest._proba.take(_leaf_slots(forest, X))
 
 
 def forest_score(forest: IsolationForest, X):

@@ -398,6 +398,23 @@ def test_backward_matches_finite_differences_on_the_max_shifted_path():
             assert max_abs < 1e-8
 
 
+@pytest.mark.parametrize("k, T", [(3, 6), (4, 1), (10, 100)])
+def test_bias_gradients_are_the_sums_of_the_row_gradients(k, T):
+    # gb and bv[-1]'s entry each come from one product with a ones vector; they
+    # equal the exactly rounded sums over the T rows of dQ, dK and dv
+    rng = np.random.default_rng(k + T)
+    for params in (rand_params(k, seed=T), wide(rand_params(k, seed=T))):
+        ws = workspace(T, k)
+        for label in (0, 1):
+            forward(params, rng.uniform(0.1, 0.9, (T, k)), out=ws)
+            assert ws.s == ws.r
+            g, b = backward(params, ws, label), ws.back
+            for got, rows in ((g.bq, b.dQK[0]), (g.bk, b.dQK[1])):
+                for col in range(k):
+                    assert abs(got[col] - math.fsum(rows[:, col])) <= 1e-15
+            assert abs(g.bv[-1] - math.fsum(b.dv)) <= 1e-15
+
+
 def test_backward_gradient_shapes():
     p = rand_params(5, seed=3)
     _, cache = forward(p, np.random.default_rng(3).uniform(size=(6, 5)))

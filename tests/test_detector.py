@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import io
 import math
+import pickle
 import random
 import time
 import warnings
@@ -272,6 +274,48 @@ def test_a_single_record_result_holds_its_detectors_own_workspace(pipe):
         res = [observe(d, r) for d in [det] + twins]
         assert res[0].cache is first and len({id(x.cache) for x in res}) == 3
         assert res[1].score == res[2].score == res[0].score
+
+
+def test_histories_in_any_layout_score_and_save_as_their_c_order_copy(pipe):
+    # observe shifts the histories as one flat move, so construction keeps them as
+    # one C-order float64 block, and a layout assigned later is converted, not skipped
+    records, pre, _, forest = pipe
+    start = mk_detector(pipe, k=4, scale=0.5)
+    observe(start, records[:6])  # every column differs from the neutral 0.5
+    h = start.histories
+    padded = np.zeros((2 * h.shape[0], 9))
+    padded[::2, 1::2] = h
+    params = lambda: copy.deepcopy(start.params)
+    for layout in (np.asfortranarray(h), padded[::2, 1::2], h.tolist()):
+        given = Detector(forest, params(), pre, layout, tau=0.5, eta=0.05, forest_tau=0.5)
+        later = Detector(forest, params(), pre, h.copy(), tau=0.5, eta=0.05, forest_tau=0.5)
+        later.histories = np.asfortranarray(h)
+        c_order = Detector(forest, params(), pre, h.copy(), tau=0.5, eta=0.05, forest_tau=0.5)
+        dets = (given, later, c_order)
+        assert given.histories.flags.c_contiguous and given.histories.dtype == np.float64
+        for i, r in enumerate(records[6:12]):
+            step = (lambda d: observe(d, r).score) if i % 2 else (lambda d: learn(d, r, r.label))
+            assert len({step(d) for d in dets}) == 1
+            assert all(d.histories.tolist() == c_order.histories.tolist() for d in dets)
+        # six shifts of a window of four: the last four records' probabilities, in order
+        last = forest_probas(forest, transform(pre, records[8:12]))
+        assert c_order.histories.tolist() == last.T.tolist()
+        assert len({to_bytes(d) for d in dets}) == 1
+
+
+def test_a_copied_or_pickled_detector_scores_and_trains_as_its_loaded_twin(pipe):
+    # a copied workspace would hold copies of its views, cut off from the buffers
+    # forward and backward write; a copy makes its own workspace instead
+    records, _, _, _ = pipe
+    det = mk_detector(pipe, scale=0.5)
+    learn(det, records[0], 1)
+    copies = [copy.deepcopy(det), pickle.loads(pickle.dumps(det))]
+    twin = from_bytes(to_bytes(det))
+    for i, r in enumerate(records[1:30]):
+        step = (lambda d: observe(d, r).score) if i % 3 == 2 else (lambda d: learn(d, r, r.label))
+        want = step(twin)
+        assert [step(d) for d in copies] == [want, want]
+    assert {to_bytes(d) for d in copies} == {to_bytes(twin)}
 
 
 # --- learn / train_online --------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from arlif.detector import forest_bytes
-from arlif.errors import CorruptModel, InsufficientData, NumericParse
+from arlif.errors import CorruptModel, DimensionMismatch, InsufficientData, NumericParse
 from arlif.iforest import (
     EULER_GAMMA,
     NODE_DTYPE,
@@ -394,6 +394,42 @@ def test_block_walk_equals_each_row_walked_alone():
         assert forest_probas(f, X).tolist() == [forest_probas(f, x).tolist() for x in inputs]
         assert forest_score(f, X).tolist() == [forest_score(f, x) for x in inputs]
         assert forest_score(f, X[:1]).tolist() == [forest_score(f, X[0])]
+
+
+@pytest.mark.parametrize("shape", [(3,), (5,), (6, 3), (6, 5), (), (2, 6, 4)])
+def test_the_walk_rejects_points_that_are_not_n_features_wide(shape):
+    # the walk reads a block as one flat vector: a narrow row would read the next one's features
+    f, _ = oracle_inputs()  # 4 features
+    for walk in (forest_probas, forest_score):
+        with pytest.raises(DimensionMismatch, match="vectors of 4 features"):
+            walk(f, np.full(shape, 0.5))
+
+
+def test_an_empty_block_walks_to_no_rows():
+    f, _ = oracle_inputs()
+    assert forest_probas(f, np.empty((0, 4))).shape == (0, f.n_trees)
+    assert forest_score(f, np.empty((0, 4))).shape == (0,)
+
+
+def test_any_layout_of_a_block_walks_as_its_c_order_copy():
+    f, inputs = oracle_inputs()
+    X = np.array(inputs)
+    probas, scores = forest_probas(f, X).tolist(), forest_score(f, X).tolist()
+    padded = np.zeros((2 * len(X), 9))
+    padded[::2, 1::2] = X
+    for view in (np.asfortranarray(X), padded[::2, 1::2], X[::-1][::-1]):
+        assert not view.flags.c_contiguous or view.base is not None
+        assert forest_probas(f, view).tolist() == probas
+        assert forest_score(f, view).tolist() == scores
+    for i in (0, 70):  # a point given as a Python list
+        assert forest_probas(f, inputs[i].tolist()).tolist() == probas[i]
+        assert forest_score(f, inputs[i].tolist()) == scores[i]
+
+
+def test_a_block_at_the_default_shape_walks_as_each_row_alone(default_shape):
+    records, pre, forest = default_shape
+    X = transform(pre, records[:256])
+    assert forest_probas(forest, X).tolist() == [forest_probas(forest, x).tolist() for x in X]
 
 
 # --- the node record -----------------------------------------------------------
