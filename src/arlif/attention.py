@@ -138,10 +138,14 @@ class ForwardCache:
     s: float | np.ndarray = 0.0
     back: _Backward | None = None
 
-    def __post_init__(self):  # views, made once: Q, K and K^T; v; E.v (num) and den
+    def __post_init__(self):  # views: Q, K and K^T; v; E.v (num) and den
         self.Q, self.K = self.QK
         self.KT, self.v = self.K.swapaxes(-1, -2), self.V1[..., 0]
         self.num, self.den = self.Ev[..., 0], self.Ev[..., 1]
+
+    def __setstate__(self, state):  # a copy or pickle copies each view apart from its buffer
+        self.__dict__.update(state)
+        self.__post_init__()
 
 
 def _cache(shape: tuple[int, ...]) -> ForwardCache:
@@ -158,9 +162,6 @@ class _Backward:
     gW, gb and gv are views of it, and its inert entries are never written."""
 
     grad: AttentionParams
-    gW: np.ndarray  # gradients of Wq and Wk, (2, k, k)
-    gb: np.ndarray  # of bq and bk, (2, k)
-    gv: np.ndarray  # of Wv[:, -1]
     gd: np.ndarray  # dL/de over den, (T,)
     dv: np.ndarray  # (T,)
     L: np.ndarray  # (T, 2)
@@ -168,11 +169,16 @@ class _Backward:
     dE: np.ndarray  # the logits' gradient, (T, T)
     dQK: np.ndarray  # Q's and K's, (2, T, k)
 
+    def __post_init__(self):  # the gradients of Wq and Wk (2, k, k), bq and bk (2, k), Wv[:, -1]
+        k = self.grad.k
+        W, b = self.grad.flat[:3 * k * k].reshape(3, k, k), self.grad.flat[3 * k * k:].reshape(3, k)
+        self.gW, self.gb, self.gv = W[:2], b[:2], W[2, :, -1]
+
+    __setstate__ = ForwardCache.__setstate__
+
     @classmethod
     def new(cls, T: int, k: int) -> _Backward:
-        grad = AttentionParams(np.zeros(param_count(k)), k)
-        W, b = grad.flat[:3 * k * k].reshape(3, k, k), grad.flat[3 * k * k:].reshape(3, k)
-        return cls(grad=grad, gW=W[:2], gb=b[:2], gv=W[2, :, -1], gd=np.empty(T),
+        return cls(grad=AttentionParams(np.zeros(param_count(k)), k), gd=np.empty(T),
                    dv=np.empty(T), L=np.empty((T, 2)), R=np.ones((2, T)), dE=np.empty((T, T)),
                    dQK=np.empty((2, T, k)))
 

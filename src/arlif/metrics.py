@@ -15,13 +15,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detector import WALK_SLICE, Detector, model_size_bytes, observe
+from .detector import BLOCK, Detector, observe, to_bytes
 from .errors import Empty, LengthMismatch, SingleClass
 from .iforest import IsolationForest, forest_score
 from .ingest import transform
 
 MODES = ("arlif", "baseline-if")
-BLOCK = 64  # rows evaluate scores per call: of 8 to 128, the most rows/s at T=100, k=10
 
 
 @dataclass
@@ -146,7 +145,7 @@ def evaluate(det: Detector, test, mode: str = "arlif", baseline_tau: float | Non
     sizes = [min(BLOCK, len(test) - b) for b in range(0, len(test), BLOCK)]
     lats = np.repeat(np.divide(block_ns, sizes), sizes)
 
-    size = model_size_bytes(det)
+    size = len(to_bytes(det))
     if mode != "arlif":
         size -= det.params.flat.nbytes + det.histories.nbytes
     conf = confusion_matrix(scores >= tau, [r.label for r in test])
@@ -178,9 +177,9 @@ def tune_threshold(scores, labels) -> float:
 
 def tune_baseline_threshold(forest: IsolationForest, vectors, labels) -> float:
     """tune_threshold on forest_score of the vectors, which are scored
-    WALK_SLICE at a time: that bounds the walk's memory."""
+    BLOCK at a time: the walk's temporaries stay small, and so does its time per row."""
     X = np.array(vectors, dtype=np.float64)
     scores = np.empty(len(X))
-    for i in range(0, len(X), WALK_SLICE):
-        scores[i:i + WALK_SLICE] = forest_score(forest, X[i:i + WALK_SLICE])
+    for i in range(0, len(X), BLOCK):
+        scores[i:i + BLOCK] = forest_score(forest, X[i:i + BLOCK])
     return tune_threshold(scores, labels)

@@ -355,6 +355,31 @@ def test_a_reused_workspace_gives_the_bits_of_fresh_buffers(k, T):
     assert clamped == 2
 
 
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda ws: pickle.loads(pickle.dumps(ws))],
+                         ids=["deepcopy", "pickle"])
+def test_a_copied_or_pickled_workspace_writes_into_its_own_buffers(clone):
+    # the cache's views (Q, K, KT, v, num, den) and backward's (gW, gb, gv) must be
+    # views of the clone's buffers, not copies left holding the first forward's values
+    k, T = 4, 6
+    rng = np.random.default_rng(4)
+    p = init_params(k, seed=1, scale=0.5)
+    H0, H = rng.uniform(0.0, 1.0, (2, T, k))
+    ws = workspace(T, k)
+    forward(p, H0, out=ws)
+    backward(p, ws, label=1)
+    twin = clone(ws)
+    s, fresh = forward(p, H)
+    s_twin, cache = forward(p, H, out=twin)
+    assert cache is twin and s_twin == s
+    for name in CACHE_FIELDS + ("KT", "num"):
+        assert np.array_equal(getattr(cache, name), getattr(fresh, name)), name
+    for label in (0, 1):
+        g = backward(p, twin, label)
+        assert g is twin.back.grad
+        assert g.flat.tobytes() == backward(p, fresh, label).flat.tobytes()
+    assert np.shares_memory(twin.back.gW, g.flat)
+
+
 def test_backward_rejects_a_cache_from_a_stacked_forward():
     p = rand_params(3, seed=3)
     for shape in ((2, 4, 3), (2, 3, 3)):  # T == k passes a check on H's column count alone

@@ -5,7 +5,7 @@ import pytest
 
 import arlif.metrics
 from arlif.attention import init_params
-from arlif.detector import WALK_SLICE, new_detector, observe, to_bytes, train_online
+from arlif.detector import new_detector, observe, to_bytes, train_online
 from arlif.errors import Empty, LengthMismatch, SingleClass
 from arlif.iforest import build_forest, forest_score
 from arlif.ingest import transform
@@ -250,7 +250,7 @@ def test_tune_equals_the_per_vector_reference(pipe, seed):
 
 def test_tune_in_slices_equals_the_per_vector_reference(monkeypatch):
     rng = np.random.default_rng(5)
-    vectors = rng.uniform(size=(WALK_SLICE + 5, 3))
+    vectors = rng.uniform(size=(BLOCK + 5, 3))
     labels = (vectors.sum(axis=1) > 2.2).astype(int).tolist()
     forest = build_forest(vectors, T=10, psi=64, seed=5)
     scores = np.array([forest_score(forest, x) for x in vectors])
@@ -262,7 +262,7 @@ def test_tune_in_slices_equals_the_per_vector_reference(monkeypatch):
         return slices[-1]
     monkeypatch.setattr(arlif.metrics, "forest_score", recording)
     tau = tune_baseline_threshold(forest, vectors.tolist(), labels)
-    assert [len(s) for s in slices] == [WALK_SLICE, 5]
+    assert [len(s) for s in slices] == [BLOCK, 5]
     assert np.concatenate(slices).tolist() == scores.tolist()
     assert tau == (1 + int(np.argmax(f1s))) / 100.0
 
