@@ -20,13 +20,15 @@ hand-differentiated from E and den (readout mean -> e -> row softmax ->
 1/sqrt(k) scaled logits -> the affine maps) and is verified against central
 finite differences in the test suite.
 
-Buffers: forward writes every intermediate into a ForwardCache, fresh
-arrays per call unless it is handed a workspace (out=). A workspace also
-holds backward's buffers and its gradient vector, so a training step on one
-T x k matrix (forward, backward, sgd_step) allocates none of its T x T,
-T x k or T x 2 arrays; the bits are those of fresh buffers. Q and K come
-from one product of H with the stacked [Wq, Wk], their weight gradients from one
-H^T.[dQ, dK], and the bias gradients (sums over T) from ones.[dQ, dK] and ones.dv.
+Buffers: a ForwardCache holds every buffer of one step, forward's and
+backward's for one T x k matrix, and workspace(*shape) is their one
+allocator. forward writes into the cache it is handed (out=), else into
+fresh ones, so a training step on one T x k matrix (forward, backward,
+sgd_step) in a reused cache allocates none of its T x T, T x k or T x 2
+arrays; the bits are those of fresh buffers. backward writes the gradient
+into the cache's grad and returns it. Q and K come from one product of H
+with the stacked [Wq, Wk], their weight gradients from one H^T.[dQ, dK],
+and the bias gradients (sums over T) from ones.[dQ, dK] and ones.dv.
 """
 
 from __future__ import annotations
@@ -56,11 +58,11 @@ def param_count(k: int) -> int:
     return 3 * k * (k + 1)
 
 
-def _blocks(flat: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
-    """Wq, Wk, Wv (k x k) and bq, bk, bv (k) as views of a parameter vector,
-    in file order."""
-    W, b = flat[:3 * k * k].reshape(3, k, k), flat[3 * k * k:].reshape(3, k)
-    return W[0], W[1], W[2], b[0], b[1], b[2]
+def _blocks(flat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The layout of a parameter vector, in file order, as views of it:
+    [Wq, Wk, Wv] (3, k, k) and [bq, bk, bv] (3, k). Every reader of the
+    layout slices through this, apart from _block_starts."""
+    return flat[:3 * k * k].reshape(3, k, k), flat[3 * k * k:].reshape(3, k)
 
 
 def _block(i: int) -> property:
@@ -68,7 +70,7 @@ def _block(i: int) -> property:
     assigning copies into the vector, the only storage, so a copy or pickle
     of the params keeps them in step."""
     def view(p: AttentionParams) -> np.ndarray:
-        return _blocks(p.flat, p.k)[i]
+        return _blocks(p.flat, p.k)[i // 3][i % 3]
 
     def assign(p: AttentionParams, value) -> None:
         view(p)[...] = value
@@ -123,9 +125,11 @@ def _skips_row_max(flat: np.ndarray, k: int, T: int) -> bool:
 
 @dataclass
 class ForwardCache:
-    """forward's buffers, which backward reads. The attention weights are
-    E / den[..., None]. A workspace (see workspace()) also holds backward's
-    buffers in back, and forward and backward write into it again on each call."""
+    """Every buffer of one step: forward's, which backward reads, and
+    backward's for one T x k matrix, the input's last two axes. The attention
+    weights are E / den[..., None]. Every single-matrix cache lends backward
+    its gradient buffer, grad: backward returns it, and the next backward on
+    the same cache writes over it."""
 
     H: np.ndarray  # a copy of forward's input, (..., T, k)
     QK: np.ndarray  # Q and K, (2, ..., T, k)
@@ -134,61 +138,42 @@ class ForwardCache:
     V1: np.ndarray  # [v, 1], (..., T, 2): v is the value column the readout reads
     Ev: np.ndarray  # [E.v, den], den the row sums of E, or all ones where forward normalized E
     e: np.ndarray  # the attention-weighted values, (E.v) / den
-    r: float | np.ndarray = 0.0  # one per matrix of a stack
-    s: float | np.ndarray = 0.0
-    back: _Backward | None = None
-
-    def __post_init__(self):  # views: Q, K and K^T; v; E.v (num) and den
-        self.Q, self.K = self.QK
-        self.KT, self.v = self.K.swapaxes(-1, -2), self.V1[..., 0]
-        self.num, self.den = self.Ev[..., 0], self.Ev[..., 1]
-
-    def __setstate__(self, state):  # a copy or pickle copies each view apart from its buffer
-        self.__dict__.update(state)
-        self.__post_init__()
-
-
-def _cache(shape: tuple[int, ...]) -> ForwardCache:
-    """Fresh forward buffers for an input of this shape."""
-    rows = shape[:-1]
-    return ForwardCache(H=np.empty(shape), QK=np.empty((2,) + shape), Qs=np.empty(shape),
-                        E=np.empty(rows + rows[-1:]), V1=np.ones(rows + (2,)),
-                        Ev=np.empty(rows + (2,)), e=np.empty(rows))
-
-
-@dataclass
-class _Backward:
-    """backward's buffers for one T x k matrix. grad is what backward returns;
-    gW, gb and gv are views of it, and its inert entries are never written."""
-
-    grad: AttentionParams
+    grad: AttentionParams  # backward's result; its inert entries are never written
     gd: np.ndarray  # dL/de over den, (T,)
     dv: np.ndarray  # (T,)
     L: np.ndarray  # (T, 2)
     R: np.ndarray  # [v, 1]^T, (2, T): a transposed view of V1 makes the product slower
     dE: np.ndarray  # the logits' gradient, (T, T)
     dQK: np.ndarray  # Q's and K's, (2, T, k)
+    r: float | np.ndarray = 0.0  # one per matrix of a stack
+    s: float | np.ndarray = 0.0
 
-    def __post_init__(self):  # the gradients of Wq and Wk (2, k, k), bq and bk (2, k), Wv[:, -1]
-        k = self.grad.k
-        W, b = self.grad.flat[:3 * k * k].reshape(3, k, k), self.grad.flat[3 * k * k:].reshape(3, k)
-        self.gW, self.gb, self.gv = W[:2], b[:2], W[2, :, -1]
+    def __post_init__(self):
+        # views: Q, K and K^T; v; E.v (num) and den; the gradients of [Wq, Wk] (2, k, k),
+        # [bq, bk] (2, k), Wv[:, -1] and bv[-1]
+        self.Q, self.K = self.QK
+        self.KT, self.v = self.K.swapaxes(-1, -2), self.V1[..., 0]
+        self.num, self.den = self.Ev[..., 0], self.Ev[..., 1]
+        W, b = _blocks(self.grad.flat, self.grad.k)
+        self.gW, self.gb, self.gv, self.gbv = W[:2], b[:2], W[2, :, -1], b[2, -1, ...]
 
-    __setstate__ = ForwardCache.__setstate__
-
-    @classmethod
-    def new(cls, T: int, k: int) -> _Backward:
-        return cls(grad=AttentionParams(np.zeros(param_count(k)), k), gd=np.empty(T),
-                   dv=np.empty(T), L=np.empty((T, 2)), R=np.ones((2, T)), dE=np.empty((T, T)),
-                   dQK=np.empty((2, T, k)))
+    def __setstate__(self, state):  # a copy or pickle copies each view apart from its buffer
+        self.__dict__.update(state)
+        self.__post_init__()
 
 
-def workspace(T: int, k: int) -> ForwardCache:
-    """Buffers for forward(..., out=) on one T x k matrix and the backward
-    that follows it, allocated once for any number of training rows."""
-    ws = _cache((T, k))
-    ws.back = _Backward.new(T, k)
-    return ws
+def workspace(*shape: int) -> ForwardCache:
+    """A step's buffers, fresh: forward's for an input of this shape,
+    (..., T, k), and backward's for one T x k matrix. forward allocates its
+    cache here unless it is handed one as out=; handed back in, a cache
+    serves any number of steps."""
+    rows, (T, k) = shape[:-1], shape[-2:]
+    return ForwardCache(H=np.empty(shape), QK=np.empty((2,) + shape), Qs=np.empty(shape),
+                        E=np.empty(rows + rows[-1:]), V1=np.ones(rows + (2,)),
+                        Ev=np.empty(rows + (2,)), e=np.empty(rows),
+                        grad=AttentionParams(np.zeros(param_count(k)), k), gd=np.empty(T),
+                        dv=np.empty(T), L=np.empty((T, 2)), R=np.ones((2, T)),
+                        dE=np.empty((T, T)), dQK=np.empty((2, T, k)))
 
 
 def forward(params: AttentionParams, H, *,
@@ -212,8 +197,8 @@ def forward(params: AttentionParams, H, *,
     would alone.
 
     The cache returned is out, when given, written over (a workspace of H's
-    shape); otherwise fresh buffers. Either way it holds a copy of H, so the
-    caller's buffer may change afterwards.
+    shape); otherwise workspace(*H.shape). Either way it holds a copy of H,
+    so the caller's buffer may change afterwards.
     """
     H = np.asarray(H)
     if H.ndim < 2 or H.shape[-2] < 1:
@@ -222,18 +207,19 @@ def forward(params: AttentionParams, H, *,
     if H.shape[-1] != k:
         raise DimensionMismatch(f"H has {H.shape[-1]} columns, params expect k={k}")
     if out is None:
-        c = _cache(H.shape)
+        c = workspace(*H.shape)
     elif out.H.shape == H.shape:
         c = out
     else:
         raise DimensionMismatch(f"workspace holds a {out.H.shape} input, H has shape {H.shape}")
     # a C-order snapshot: a stack lays each matrix out as a lone one is
     np.copyto(c.H, H)
-    T, kk, flat, ones = H.shape[-2], k * k, params.flat, (1,) * (H.ndim - 2)
+    T, flat, ones = H.shape[-2], params.flat, (1,) * (H.ndim - 2)
+    W, b = _blocks(flat, k)
     # Q and K in one product: [Wq, Wk] broadcast against H, then [bq, bk]
-    np.matmul(c.H, flat[:2 * kk].reshape((2,) + ones + (k, k)), out=c.QK)
-    c.QK += flat[3 * kk:3 * kk + 2 * k].reshape((2,) + ones + (1, k))
-    np.add(c.H @ flat[2 * kk + k - 1:3 * kk:k], flat[-1], out=c.v)  # H.Wv[:, -1] + bv[-1]
+    np.matmul(c.H, W[:2].reshape((2,) + ones + (k, k)), out=c.QK)
+    c.QK += b[:2].reshape((2,) + ones + (1, k))
+    np.add(c.H @ W[2, :, -1], b[2, -1], out=c.v)  # H.Wv[:, -1] + bv[-1]
     # the logits and then E in one buffer: no other temporary the size of E
     np.divide(c.Q, math.sqrt(k), out=c.Qs)
     E = np.matmul(c.Qs, c.KT, out=c.E)
@@ -266,44 +252,42 @@ def bce_loss(s: float, label: int) -> float:
 def backward(params: AttentionParams, cache: ForwardCache, label: int) -> AttentionParams:
     """Gradients of BCE(score, label) w.r.t. every parameter.
 
-    Returns an AttentionParams holding the gradients. The gradient is zero
-    whenever the readout was clamped (s != r), and always zero on the inert
-    Wv/bv entries. A workspace cache lends its buffers: the result is then
-    the workspace's, and the next backward on it writes over it.
+    Returns cache.grad, written over: the next backward on the same cache
+    writes over the result. The gradient is zero whenever the readout was
+    clamped (s != r), and always zero on the inert Wv/bv entries.
     """
-    H = cache.H
+    c, H = cache, cache.H
     if H.ndim != 2 or H.shape[1] != params.k:
         raise StaleCache(f"cache built for H of shape {H.shape}, params expect "
                          f"one T x {params.k} matrix")
     T, k = H.shape
-    b = cache.back if cache.back is not None else _Backward.new(T, k)
-    if cache.s != cache.r:
-        b.grad.flat.fill(0.0)
-        return b.grad
-    E, den, e = cache.E, cache.den, cache.e
-    s, y = cache.s, label
+    if c.s != c.r:
+        c.grad.flat.fill(0.0)
+        return c.grad
+    E, den, e = c.E, c.den, c.e
+    s, y = c.s, label
     g = (s - y) / (s * (1.0 - s)) / T  # dL/de_i: dL/ds over the mean's T terms
 
     # with weights a_ij = E_ij / den_i: dv_j = g * sum_i a_ij, and the row-wise
     # softmax Jacobian gives dz_ij = E_ij * w_i * (v_j - e_i), w_i = g / sqrt(k) / den_i;
     # w_i * (v_j - e_i) is one (T x 2).(2 x T) product, [w, -w*e].[v, 1]^T, with no
     # broadcast over T x T. Unshifted, den_i >= T e^-bound keeps it under 2^21 * _SUM_LIMIT
-    dv = np.matmul(np.divide(g, den, out=b.gd), E, out=b.dv)
-    w, nwe = b.L.T  # the columns of L = [w, -w*e]
+    dv = np.matmul(np.divide(g, den, out=c.gd), E, out=c.dv)
+    w, nwe = c.L.T  # the columns of L = [w, -w*e]
     np.divide(g / math.sqrt(k), den, out=w)
     np.negative(w, out=nwe)
     nwe *= e
-    np.copyto(b.R[0], cache.v)  # R = [v, 1]^T
-    dE = np.matmul(b.L, b.R, out=b.dE)
+    np.copyto(c.R[0], c.v)  # R = [v, 1]^T
+    dE = np.matmul(c.L, c.R, out=c.dE)
     dE *= E
-    np.matmul(dE, cache.K, out=b.dQK[0])
-    np.matmul(dE.T, cache.Q, out=b.dQK[1])
+    np.matmul(dE, c.K, out=c.dQK[0])
+    np.matmul(dE.T, c.Q, out=c.dQK[1])
 
-    np.matmul(H.T, b.dQK, out=b.gW)
-    np.matmul(b.R[1], b.dQK, out=b.gb)  # R[1] is all ones: a sum over T as one product
-    np.matmul(H.T, dv, out=b.gv)
-    b.grad.flat[-1] = b.R[1] @ dv  # bv[-1]
-    return b.grad
+    np.matmul(H.T, c.dQK, out=c.gW)
+    np.matmul(c.R[1], c.dQK, out=c.gb)  # R[1] is all ones: a sum over T as one product
+    np.matmul(H.T, dv, out=c.gv)
+    np.matmul(c.R[1], dv, out=c.gbv)
+    return c.grad
 
 
 def sgd_step(params: AttentionParams, grads: AttentionParams, eta: float) -> AttentionParams:

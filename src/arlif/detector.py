@@ -125,6 +125,9 @@ class Detector:
             raise CorruptModel("attention parameters must be finite")
         if not ((self.histories >= 0.0) & (self.histories <= 1.0)).all():
             raise CorruptModel("histories must lie in [0,1]")
+        n = self.samples_seen
+        if not (isinstance(n, (int, np.integer)) and 0 <= int(n) < 2 ** 64):  # the header's u64
+            raise CorruptModel(f"samples_seen must be an integer in [0, 2**64), got {n!r}")
 
 
 def new_detector(forest: IsolationForest, params: AttentionParams, pre: Preprocessor,

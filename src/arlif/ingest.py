@@ -84,11 +84,13 @@ def load_records(path, format: str = "nsl-kdd", limit: int | None = None) -> lis
     error names the line too, both as "path:line: ...".
 
     `limit` keeps the first `limit` parsed records (deterministic
-    head-of-file truncation for desk-scale runs).
+    head-of-file truncation for desk-scale runs); at 0 or below, none.
     """
     records: list[Record] = []
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if limit is not None and len(records) >= limit:
+                break
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
@@ -99,8 +101,6 @@ def load_records(path, format: str = "nsl-kdd", limit: int | None = None) -> lis
                 records.append(parse_record(line, format))
             except ArlifError as exc:
                 raise type(exc)(f"{path}:{lineno}: {exc}") from None
-            if limit is not None and len(records) >= limit:
-                break
     return records
 
 

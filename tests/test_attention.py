@@ -350,8 +350,10 @@ def test_a_reused_workspace_gives_the_bits_of_fresh_buffers(k, T):
         assert skips_row_max(params, T) or np.all(cache.den == 1.0)
         clamped += fresh.s != fresh.r
         g = backward(params, cache, label=i % 2)
-        assert g is ws.back.grad
-        assert g.flat.tobytes() == backward(params, fresh, label=i % 2).flat.tobytes()
+        assert g is ws.grad
+        g_fresh = backward(params, fresh, label=i % 2)
+        assert g_fresh is fresh.grad  # every single-matrix cache lends its gradient buffer
+        assert g.flat.tobytes() == g_fresh.flat.tobytes()
     assert clamped == 2
 
 
@@ -375,9 +377,9 @@ def test_a_copied_or_pickled_workspace_writes_into_its_own_buffers(clone):
         assert np.array_equal(getattr(cache, name), getattr(fresh, name)), name
     for label in (0, 1):
         g = backward(p, twin, label)
-        assert g is twin.back.grad
+        assert g is twin.grad
         assert g.flat.tobytes() == backward(p, fresh, label).flat.tobytes()
-    assert np.shares_memory(twin.back.gW, g.flat)
+    assert np.shares_memory(twin.gW, g.flat)
 
 
 def test_backward_rejects_a_cache_from_a_stacked_forward():
@@ -433,11 +435,11 @@ def test_bias_gradients_are_the_sums_of_the_row_gradients(k, T):
         for label in (0, 1):
             forward(params, rng.uniform(0.1, 0.9, (T, k)), out=ws)
             assert ws.s == ws.r
-            g, b = backward(params, ws, label), ws.back
-            for got, rows in ((g.bq, b.dQK[0]), (g.bk, b.dQK[1])):
+            g = backward(params, ws, label)
+            for got, rows in ((g.bq, ws.dQK[0]), (g.bk, ws.dQK[1])):
                 for col in range(k):
                     assert abs(got[col] - math.fsum(rows[:, col])) <= 1e-15
-            assert abs(g.bv[-1] - math.fsum(b.dv)) <= 1e-15
+            assert abs(g.bv[-1] - math.fsum(ws.dv)) <= 1e-15
 
 
 def test_backward_gradient_shapes():

@@ -104,6 +104,7 @@ def test_detector_constructor_checks_every_part(pipe):
 @pytest.mark.parametrize("field, value", [
     ("tau", 1.5), ("forest_tau", 0.0), ("eta", -0.05), ("eta", np.inf),
     ("param", np.nan), ("history", 1.25),
+    ("samples_seen", -5), ("samples_seen", 2 ** 64), ("samples_seen", 1.5),
 ])
 def test_save_rejects_a_value_assigned_after_construction(pipe, tmp_path, field, value):
     """A model is checked as it is written, so every file save_model writes loads."""
@@ -128,6 +129,9 @@ def test_save_rejects_a_value_assigned_after_construction(pipe, tmp_path, field,
     else:
         setattr(det, field, getattr(from_bytes(good), field))
     assert save_model(det, path) == len(good) and to_bytes(load_model(path)) == good
+    if field == "samples_seen":  # a numpy integer the u64 field holds is accepted
+        det.samples_seen = np.uint64(2 ** 64 - 1)
+        assert from_bytes(to_bytes(det)).samples_seen == 2 ** 64 - 1
 
 
 # --- observe --------------------------------------------------------------------

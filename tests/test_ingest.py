@@ -122,6 +122,7 @@ def test_load_records_limit(tmp_path):
     assert len(load_records(p)) == 10
     got = load_records(p, limit=4)
     assert [r.features[0] for r in got] == ["0", "1", "2", "3"]
+    assert load_records(p, limit=0) == [] and load_records(p, limit=-3) == []
 
 
 def test_load_records_names_the_line_that_is_not_utf8(tmp_path):
