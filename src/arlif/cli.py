@@ -16,10 +16,10 @@ import numpy as np
 
 from .attention import init_params
 from .detector import (
-    BLOCK,
     DEFAULT_ETA,
     Detector,
     TrainingReport,
+    blocks,
     load_model,
     new_detector,
     observe,
@@ -130,17 +130,15 @@ def _pending_lines():
 
 
 def _reply(det: Detector, run: list[Record], cumulative_ns: int) -> int:
-    """Score run in blocks of at most BLOCK, one observe call and one flushed
-    write of its replies per block; returns cumulative_ns after it. ns= is
-    cumulative detection time: the clock is read around each observe call
-    alone, and a block's time is spread evenly over its lines.
+    """Score run block by block as detector.blocks() slices it, one observe call
+    and one flushed write of its replies per block; returns cumulative_ns after it.
+    ns= is cumulative detection time: the clock is read around each observe
+    call alone, and a block's time is spread evenly over its lines.
 
-    Of caps 16, 32 and 64, BLOCK's 64 was within noise of the most stream
-    lines/s at T=100, k=10. A block of one line, which is what each read
-    brings at a low rate, takes the single-record path: it gives the same
-    bits ~30 us sooner than a block of one (84 vs 116 us at T=100, k=10)."""
-    for i in range(0, len(run), BLOCK):
-        block = run[i:i + BLOCK]
+    A block of one line, which is what each read brings at a low rate, takes
+    the single-record path: it gives the same bits ~30 us sooner than a block
+    of one (84 vs 116 us at T=100, k=10)."""
+    for block in blocks(run):
         t0 = time.perf_counter_ns()
         res = observe(det, block[0] if len(block) == 1 else block)
         n, ns = len(block), time.perf_counter_ns() - t0
@@ -251,7 +249,7 @@ def main(argv=None) -> int:
     commands = {"train": cmd_train, "eval": cmd_eval, "stream": cmd_stream, "bench": cmd_bench}
     try:
         return commands[args.command](args)
-    except (ArlifError, OSError) as exc:
+    except (ArlifError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

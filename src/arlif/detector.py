@@ -56,9 +56,11 @@ from .errors import (
 from .iforest import NODE_DTYPE, IsolationForest, forest_probas
 from .ingest import CATEGORICAL_COLUMNS, N_FEATURES, Preprocessor, Record, transform
 
-# Rows per call of train_online's and tune_baseline_threshold's walks and of replay's and stream's
-# observe blocks. Of 8 to 128, 64 gave a block observe the most rows/s at T=100, k=10. A 64-row
-# walk took 8.9 us/row (forest_score 6.2), a 4096-row one 14.4 (15.0): 2-vCPU Xeon, 1 BLAS thread.
+# Rows per call of every row loop, read only by blocks(): train_online's and
+# tune_baseline_threshold's walks, replay's and stream's observe blocks. At T=100, k=10 on a
+# 2-vCPU Xeon with 1 BLAS thread: of 8 to 128, 64 gave a block observe the most rows/s; a 64-row
+# walk took 8.9 us/row (forest_score 6.2), a 4096-row one 14.4 (15.0); of stream caps 16, 32
+# and 64, 64 was within noise of the most lines/s.
 BLOCK = 64
 # SGD learning rate of new_detector and arlif's --eta. At 0.05 one step pushes the
 # readout onto its clamp, where backward returns zero for good.
@@ -138,6 +140,12 @@ def new_detector(forest: IsolationForest, params: AttentionParams, pre: Preproce
                     forest_tau=forest_tau)
 
 
+def blocks(rows):
+    """rows in consecutive slices of BLOCK, in order; the last may be shorter."""
+    for i in range(0, len(rows), BLOCK):
+        yield rows[i:i + BLOCK]
+
+
 def _walk(det: Detector, records) -> np.ndarray:
     """Every tree's probability for each record, (N, T), in one forest walk."""
     return forest_probas(det.forest, transform(det.pre, records))
@@ -209,7 +217,7 @@ def train_online(det: Detector, records, epochs: int = 1) -> TrainingReport:
     """One learn() per sample in stream order, per epoch.
 
     The forest is frozen, so a record's tree probabilities do not depend on
-    learning: each slice of BLOCK records is walked in one forest walk, and
+    learning: each slice that blocks() yields is walked in one forest walk, and
     learn() then takes each record's row of it. Every epoch walks its slices
     again. The walk is per row, so the slice size changes no bit.
 
@@ -224,8 +232,7 @@ def train_online(det: Detector, records, epochs: int = 1) -> TrainingReport:
     means = []
     for _ in range(epochs):
         total = 0.0
-        for i in range(0, len(records), BLOCK):
-            chunk = records[i:i + BLOCK]
+        for chunk in blocks(records):
             for r, p in zip(chunk, _walk(det, chunk)):
                 total += learn(det, r, r.label, probas=p)
         means.append(total / len(records))

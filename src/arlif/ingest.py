@@ -31,7 +31,6 @@ class Record:
 
     features: list[str]
     label: int
-    raw_label: str
 
     def features_csv(self) -> str:
         """The 41 feature fields exactly as they appeared in the input."""
@@ -66,16 +65,12 @@ def parse_record(line: str, format: str = "nsl-kdd") -> Record:
     for col in range(N_FEATURES):
         if col not in CATEGORICAL_COLUMNS:
             _check_numeric(features[col], col)
-    raw_label = fields[N_FEATURES]
+    label = fields[N_FEATURES]
     if format == "kdd99":
-        raw_label = raw_label.removesuffix(".")
+        label = label.removesuffix(".")
     else:
         _check_numeric(fields[42], 42)  # difficulty, discarded
-    return Record(
-        features=features,
-        label=0 if raw_label == "normal" else 1,
-        raw_label=raw_label,
-    )
+    return Record(features=features, label=0 if label == "normal" else 1)
 
 
 def load_records(path, format: str = "nsl-kdd", limit: int | None = None) -> list[Record]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detector import BLOCK, Detector, observe, to_bytes
+from .detector import Detector, blocks, observe, to_bytes
 from .errors import Empty, LengthMismatch, SingleClass
 from .iforest import IsolationForest, forest_score
 from .ingest import transform
@@ -69,8 +69,8 @@ def f1_score(c: Confusion) -> float:
 @dataclass
 class EvalReport:
     """What evaluate measured. total_detection_ns is the measured sum over
-    blocks of BLOCK rows; the latency_* fields are per-row times amortized
-    over a block (its time over its rows), not single-record latencies."""
+    replay's blocks; the latency_* fields are per-row times amortized over a
+    block (its time over its rows), not single-record latencies."""
 
     mode: str
     tau: float  # the threshold the scores were cut at
@@ -96,8 +96,8 @@ class EvalReport:
 
 
 def replay(det: Detector, records: list, mode: str = "arlif") -> tuple[np.ndarray, list[int]]:
-    """Score a list of records in order, detection only, BLOCK rows per call;
-    returns the scores and each block's measured ns.
+    """Score a list of records in order, detection only, one call per slice
+    of detector.blocks(); returns the scores and each block's measured ns.
 
     In arlif mode the rows go through a copy of det whose histories start at
     0.5, a block per observe call, whose scores equal a loop of observe; in
@@ -114,12 +114,12 @@ def replay(det: Detector, records: list, mode: str = "arlif") -> tuple[np.ndarra
         def score(block):
             return forest_score(det.forest, transform(det.pre, block))
 
-    scores, block_ns = np.empty(len(records)), []
-    for b in range(0, len(records), BLOCK):
+    scores, block_ns = [np.empty(0)], []
+    for block in blocks(records):
         t0 = time.perf_counter_ns()
-        scores[b:b + BLOCK] = score(records[b:b + BLOCK])
+        scores.append(score(block))
         block_ns.append(time.perf_counter_ns() - t0)
-    return scores, block_ns
+    return np.concatenate(scores), block_ns
 
 
 def evaluate(det: Detector, test, mode: str = "arlif", baseline_tau: float | None = None) -> EvalReport:
@@ -142,7 +142,7 @@ def evaluate(det: Detector, test, mode: str = "arlif", baseline_tau: float | Non
         tau = det.tau
     else:
         tau = det.forest_tau if baseline_tau is None else baseline_tau
-    sizes = [min(BLOCK, len(test) - b) for b in range(0, len(test), BLOCK)]
+    sizes = [len(block) for block in blocks(test)]
     lats = np.repeat(np.divide(block_ns, sizes), sizes)
 
     size = len(to_bytes(det))
@@ -176,10 +176,7 @@ def tune_threshold(scores, labels) -> float:
 
 
 def tune_baseline_threshold(forest: IsolationForest, vectors, labels) -> float:
-    """tune_threshold on forest_score of the vectors, which are scored
-    BLOCK at a time: the walk's temporaries stay small, and so does its time per row."""
-    X = np.array(vectors, dtype=np.float64)
-    scores = np.empty(len(X))
-    for i in range(0, len(X), BLOCK):
-        scores[i:i + BLOCK] = forest_score(forest, X[i:i + BLOCK])
-    return tune_threshold(scores, labels)
+    """tune_threshold on forest_score of the vectors, one call per slice of
+    detector.blocks(): the walk's temporaries stay small, and so does its time per row."""
+    scores = [forest_score(forest, X) for X in blocks(np.array(vectors, dtype=np.float64))]
+    return tune_threshold(np.concatenate([np.empty(0), *scores]), labels)

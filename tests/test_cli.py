@@ -13,12 +13,16 @@ import numpy as np
 import pytest
 
 import arlif
+import arlif.attention
+import arlif.cli
+import arlif.detector
 from arlif.cli import main
-from arlif.detector import _HEADER, attention_params_bytes, forest_bytes, load_model, observe
+from arlif.detector import (BLOCK, _HEADER, attention_params_bytes, forest_bytes, load_model,
+                            observe)
 from arlif.errors import ArlifError
 from arlif.iforest import NODE_DTYPE
 from arlif.ingest import load_records, parse_record
-from arlif.metrics import BLOCK, evaluate, replay, tune_threshold
+from arlif.metrics import evaluate, replay, tune_threshold
 from conftest import sealed
 from synth_stream import synth_lines, write_stream
 
@@ -223,6 +227,19 @@ def test_bench_prints_what_train_then_eval_print(capsys, tmp_path):
         assert [evaluated[mode][1][key] for key in same] == [benched[mode][1][key] for key in same]
     assert benched["baseline-if"][1]["f1"] == "0.823529"
     assert benched["baseline-if"][1]["tau"] == "0.490000"
+
+
+def test_a_refused_allocation_is_one_error_line(cli_env, capsys, monkeypatch):
+    """numpy raises MemoryError for an array it cannot allocate; its text is the error line."""
+    text = ("Unable to allocate 176. MiB for an array with shape (64, 600, 600) "
+            "and data type float64")
+
+    def refused(*shape):
+        raise MemoryError(text)
+    monkeypatch.setattr(arlif.attention, "workspace", refused)
+    rc = main(["eval", "--model", str(cli_env["model"]), "--test", str(cli_env["test"])])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == "" and err == f"error: {text}\n"
 
 
 def test_eval_corrupt_model(cli_env, capsys, tmp_path):
@@ -431,6 +448,22 @@ def test_stream_is_deterministic_modulo_timing(cli_env, monkeypatch, capsys):
         outs.append([l.rsplit(" ns=", 1)[0] for l in out.splitlines()])
     assert outs[0] == outs[1]
 
+    # 20 lines read whole, at detector.BLOCK as read at the call: observe calls of 7, 7
+    # and 6 rows, with the replies of the real BLOCK's one call
+    text = "\n".join(synth_lines(20, seed=13)) + "\n"
+    sizes = []
+    def counting(det, r, **kwargs):
+        sizes.append(len(r))
+        return observe(det, r, **kwargs)
+    monkeypatch.setattr(arlif.cli, "observe", counting)
+    for block in (BLOCK, 7):
+        monkeypatch.setattr(arlif.detector, "BLOCK", block)
+        rc, out, _ = run_stream(monkeypatch, capsys, cli_env["model"], text)
+        assert rc == 0
+        outs.append([l.rsplit(" ns=", 1)[0] for l in out.splitlines()])
+    assert sizes == [20, 7, 7, 6]
+    assert len(outs[2]) == 20 and outs[2] == outs[3]
+
 
 def test_stream_reports_bad_rows_and_continues(cli_env, monkeypatch, capsys):
     good = synth_lines(2, seed=14)
@@ -545,6 +578,20 @@ def test_stream_reports_a_bad_line_after_the_replies_before_it(cli_env, monkeypa
     kinds = [line.split("=", 1)[0] if line.startswith("score=") else line.split(":", 1)[0]
              for line in both.getvalue().splitlines()]
     assert kinds == ["score", "score", "line 3", "score", "score"]
+
+
+def test_the_quick_start_script_passes(tmp_path):
+    """tests/quickstart.sh, CI's entry-point checks, run from the repository root
+    with `arlif` and `python3` on PATH running this interpreter on this source tree."""
+    root = Path(__file__).resolve().parents[1]
+    for name, args in (("arlif", " -m arlif.cli"), ("python3", "")):
+        (tmp_path / name).write_text(f'#!/bin/sh\nexec "{sys.executable}"{args} "$@"\n')
+        (tmp_path / name).chmod(0o755)
+    env = dict(os.environ, PATH=os.pathsep.join([str(tmp_path), os.environ["PATH"]]))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(["bash", "tests/quickstart.sh"], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-3000:]
 
 
 def test_stream_replies_to_a_line_before_the_next_is_written(cli_env):

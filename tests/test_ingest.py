@@ -8,6 +8,7 @@ import pytest
 from arlif.errors import CorruptModel, FieldCountMismatch, NotUtf8, NumericParse, SingleClass
 from arlif.ingest import (
     CATEGORICAL_COLUMNS,
+    FORMATS,
     N_FEATURES,
     Preprocessor,
     Record,
@@ -48,7 +49,6 @@ def mk_record(overrides=None, label="normal"):
     return Record(
         features=mk_fields(overrides),
         label=0 if label == "normal" else 1,
-        raw_label=label,
     )
 
 
@@ -66,15 +66,15 @@ def test_parse_nsl_kdd_row():
     assert len(r.features) == N_FEATURES
     assert r.features[0] == "3"
     assert r.features[4] == "181"
-    assert r.raw_label == "normal"
     assert r.label == 0
+    assert parse_record(mk_line(label="neptune")).label == 1
 
 
 def test_parse_kdd99_trailing_period_stripped():
     r = parse_record(mk_line({22: "511"}, label="smurf", format="kdd99"), "kdd99")
-    assert r.raw_label == "smurf"
     assert r.label == 1
     assert len(r.features) == N_FEATURES
+    assert parse_record(mk_line(label="normal", format="kdd99"), "kdd99").label == 0  # "normal."
 
 
 def test_parse_field_count_mismatch():
@@ -101,9 +101,12 @@ def test_parse_unknown_format_rejected():
         parse_record(mk_line(), "csv")
 
 
-def test_label_iff_raw_label_normal():
-    for r in synth_records(200, seed=3):
-        assert (r.label == 0) == (r.raw_label == "normal")
+def test_label_iff_the_label_field_is_normal():
+    for fmt in FORMATS:
+        labels = {(parse_record(line, fmt).label, line.split(",")[N_FEATURES])
+                  for line in synth_lines(200, seed=3, format=fmt)}
+        assert {y for y, _ in labels} == {0, 1}
+        assert all((y == 0) == (field.removesuffix(".") == "normal") for y, field in labels)
 
 
 def test_features_csv_round_trip():
@@ -412,7 +415,6 @@ def test_transform_overflowing_values_clamp_without_warnings():
 @requires_dataset
 def test_kddtrain_first_row_is_normal():
     first = load_records(DATA_DIR / "KDDTrain+.txt", "nsl-kdd", limit=1)[0]
-    assert first.raw_label == "normal"
     assert first.label == 0
     assert len(first.features) == N_FEATURES
 

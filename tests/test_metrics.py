@@ -3,14 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import arlif.detector
 import arlif.metrics
 from arlif.attention import init_params
-from arlif.detector import new_detector, observe, to_bytes, train_online
+from arlif.detector import BLOCK, new_detector, observe, to_bytes, train_online
 from arlif.errors import Empty, LengthMismatch, SingleClass
 from arlif.iforest import build_forest, forest_score
 from arlif.ingest import transform
 from arlif.metrics import (
-    BLOCK,
     Confusion,
     confusion_matrix,
     evaluate,
@@ -101,7 +101,7 @@ def test_evaluate_arlif_matches_manual_stream(pipe):
     assert rep.mode == "arlif"
 
 
-def test_evaluate_across_blocks_and_a_window_longer_than_one(pipe):
+def test_evaluate_across_blocks_and_a_window_longer_than_one(pipe, monkeypatch):
     records, _, _, _ = pipe
     test = records[:2 * BLOCK + 5]  # the last block is short
     det = mk_detector(pipe, k=BLOCK + 6)
@@ -113,6 +113,14 @@ def test_evaluate_across_blocks_and_a_window_longer_than_one(pipe):
     assert rep.confusion == c and rep.f1 == f1_score(c)
     replayed, block_ns = replay(det, test)
     assert replayed.tolist() == scores and len(block_ns) == 3
+    assert [len(a) for a in replay(det, [])] == [0, 0]
+    assert [len(a) for a in replay(det, [], "baseline-if")] == [0, 0]
+    # replay and evaluate slice by detector.BLOCK as read at the call: 20 rows in 7, 7 and 6
+    monkeypatch.setattr(arlif.detector, "BLOCK", 7)
+    replayed, block_ns = replay(det, test[:20])
+    assert replayed.tolist() == scores[:20] and len(block_ns) == 3
+    c = confusion_matrix([int(s >= det.tau) for s in scores[:20]], [r.label for r in test[:20]])
+    assert evaluate(det, test[:20]).confusion == c
 
 
 def test_evaluate_equals_the_per_row_reference_at_the_default_shape(default_shape):
@@ -266,11 +274,22 @@ def test_tune_in_slices_equals_the_per_vector_reference(monkeypatch):
     assert np.concatenate(slices).tolist() == scores.tolist()
     assert tau == (1 + int(np.argmax(f1s))) / 100.0
 
+    # at detector.BLOCK as read at the call: 20 vectors in slices of 7, 7 and 6
+    monkeypatch.setattr(arlif.detector, "BLOCK", 7)
+    slices.clear()
+    f1s = [f1_score(confusion_matrix(scores[:20] >= i / 100.0, labels[:20])) for i in range(1, 100)]
+    tau = tune_baseline_threshold(forest, vectors[:20].tolist(), labels[:20])
+    assert [len(s) for s in slices] == [7, 7, 6]
+    assert np.concatenate(slices).tolist() == scores[:20].tolist()
+    assert tau == (1 + int(np.argmax(f1s))) / 100.0
+
 
 def test_tune_single_class_rejected(pipe):
     _, _, vectors, forest = pipe
     with pytest.raises(SingleClass):
         tune_baseline_threshold(forest, vectors[:10], [1] * 10)
+    with pytest.raises(SingleClass):
+        tune_baseline_threshold(forest, [], [])
     with pytest.raises(SingleClass):
         tune_threshold([0.2, 0.7], [0, 0])
 
