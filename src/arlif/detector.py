@@ -21,7 +21,8 @@ reals throughout:
     pre         selected m*u32 | min_max 41*2 f64 | vocab: per categorical
                 column count u32 then (len u32 + utf-8 bytes) per token
     forest      per tree: n_nodes u32 + n_nodes 16-byte iforest.NODE_DTYPE records
-                in preorder (feature i32, threshold f64, right child or leaf size i32)
+                in preorder (feature i32, threshold f64, right child or leaf size i32):
+                the forest's one node table, framed by its per-tree sizes
     attention   params: AttentionParams.flat, 3k(k+1) f64 (Wq, Wk, Wv k*k
                 each, then bq, bk, bv k each); histories (T*k f64)
     trailer     CRC-32 (zlib.crc32) of every byte before it, u32
@@ -255,7 +256,8 @@ def _pre_bytes(pre: Preprocessor) -> bytes:
 
 def forest_bytes(forest: IsolationForest) -> bytes:
     """The forest segment exactly as it appears inside a model file."""
-    return b"".join(struct.pack("<I", len(tree)) + tree.tobytes() for tree in forest.trees)
+    words = np.frombuffer(forest.nodes.tobytes(), "<u4")  # a record is 4 words; a count, 1
+    return np.insert(words, 4 * (np.cumsum(forest.sizes) - forest.sizes), forest.sizes).tobytes()
 
 
 def attention_params_bytes(params: AttentionParams) -> bytes:
@@ -358,8 +360,12 @@ def from_bytes(data: bytes) -> Detector:
         vocab[col] = toks
     pre = Preprocessor(vocab=vocab, min_max=min_max, selected=selected)
 
-    trees = [np.frombuffer(rd.take(rd.u32() * NODE_DTYPE.itemsize), NODE_DTYPE) for _ in range(T)]
-    forest = IsolationForest(trees=trees, psi=psi, n_features=m)
+    start, at = rd.pos, []  # at: each tree's count, in 4-byte words from start
+    for _ in range(T):  # a count at a time, so that the header's T sizes no allocation
+        at.append((rd.pos - start) // 4)
+        rd.take(rd.u32() * NODE_DTYPE.itemsize)
+    words = np.frombuffer(data, "<u4", (rd.pos - start) // 4, start)
+    forest = IsolationForest(np.delete(words, at).view(NODE_DTYPE), words[at], psi, m)
 
     params = AttentionParams(rd.f64_array(param_count(k)), k)
     histories = rd.f64_array(T * k, (T, k))

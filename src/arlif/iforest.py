@@ -9,11 +9,11 @@ at once, one gather and two reduceat give each column's min and max, and one
 stable argsort partitions every segment; only each tree's own two draws run
 node by node. build_tree is the same grower with one tree.
 
-A tree is one NODE_DTYPE array, the records a model file holds. IsolationForest
-derives a walk table from its trees once (every node's feature, threshold and
-two successors, a leaf leading to itself, and each leaf's path length and
-probability), so one walk of height_limit steps, 1-D takes from the tables and
-a flat C-order copy of the points, reaches every tree's leaf for one point or a block.
+A forest is one NODE_DTYPE table, its trees back to back in preorder as in a model
+file, and their sizes. IsolationForest derives walk tables from it once (each node's
+feature, threshold and two successors, a leaf leading to itself, and each leaf's path
+length and probability), so one walk of height_limit steps, 1-D takes from the tables
+and a flat C-order copy of the points, reaches every tree's leaf for a point or a block.
 
 path_length is unused here: the benchmark's mean_path_length calls it, and it
 moves to tests/reference.py with the next benchmark change (ROADMAP item 1).
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -64,16 +65,15 @@ def _check_finite(X: np.ndarray) -> None:
         raise NumericParse(f"column {col}: {what} is not a finite number")
 
 
-def _grow(X: np.ndarray, subsamples: np.ndarray, rngs: list, height_limit: int) -> list:
+def _grow(X: np.ndarray, subsamples: np.ndarray, rngs: list, height_limit: int) -> tuple:
     """Grow tree i over the rows subsamples[i] of X, drawing from rngs[i], all
-    trees together; returns each tree's NODE_DTYPE records."""
+    trees together; returns the NODE_DTYPE table of every tree back to back, and their sizes."""
     n_trees, size = subsamples.shape
     if X.shape[1] == 0:
         height_limit = 0  # with no column, every root is a leaf
     order = subsamples.ravel().copy()
-    feats = [[] for _ in range(n_trees)]
-    thresholds = [[] for _ in range(n_trees)]
-    rights = [[] for _ in range(n_trees)]
+    f, t, r, owner = [], [], [], []  # each record as emitted, in preorder within its tree
+    sizes = [0] * n_trees
     # Pending nodes (start, size, depth, parent): the segment order[start:start + size],
     # and the record whose right child the node is (-1 for a left child, its parent + 1).
     stacks = [[(i * size, size, 0, -1)] for i in range(n_trees)]
@@ -81,15 +81,17 @@ def _grow(X: np.ndarray, subsamples: np.ndarray, rngs: list, height_limit: int) 
     while live:
         taken = []  # (tree, record, start, size, depth) of the nodes that may split
         for i in live:
-            stack, f, t, r = stacks[i], feats[i], thresholds[i], rights[i]
+            stack = stacks[i]
             while stack:
                 start, c, d, parent = stack.pop()
                 j = len(r)
                 if parent >= 0:
-                    r[parent] = j
+                    r[parent] = sizes[i]
                 f.append(-1)  # a leaf unless split below
                 t.append(0.0)
                 r.append(c)
+                owner.append(i)
+                sizes[i] += 1
                 if c > 1 and d < height_limit:
                     taken.append((i, j, start, c, d))
                     break
@@ -123,15 +125,12 @@ def _grow(X: np.ndarray, subsamples: np.ndarray, rngs: list, height_limit: int) 
         for i, j, s, c, d, k, fj, tj, nl in zip(tree, node, start, count, depth, ks,
                                                 col.tolist(), thr.tolist(), n_left):
             if k:  # push right, then left, so that the left child is visited next
-                feats[i][j], thresholds[i][j] = fj, tj
+                f[j], t[j] = fj, tj
                 stacks[i] += (s + nl, c - nl, d + 1, j), (s, nl, d + 1, -1)
         live = [i for i in live if stacks[i]]
-    trees = []
-    for f, t, r in zip(feats, thresholds, rights):
-        rec = np.empty(len(f), dtype=NODE_DTYPE)
-        rec["f"], rec["t"], rec["r"] = f, t, r
-        trees.append(rec)
-    return trees
+    nodes = np.empty(len(r), dtype=NODE_DTYPE)
+    nodes["f"], nodes["t"], nodes["r"] = f, t, r
+    return nodes[np.argsort(owner, kind="stable")], np.array(sizes)
 
 
 def build_tree(subsample, rng: np.random.Generator, height_limit: int) -> np.ndarray:
@@ -152,13 +151,15 @@ def build_tree(subsample, rng: np.random.Generator, height_limit: int) -> np.nda
 
 @dataclass(eq=False)
 class IsolationForest:
-    """T frozen trees and their walk table; bad trees, psi or n_features raise CorruptModel."""
+    """T frozen trees and their walk tables; bad nodes, sizes, psi or n_features: CorruptModel."""
 
-    trees: list[np.ndarray]
+    nodes: np.ndarray  # NODE_DTYPE records, every tree back to back in preorder
+    sizes: np.ndarray  # each tree's record count, in tree order
     psi: int  # effective subsample size
     n_features: int
     c_psi: float = field(init=False)
     height_limit: int = field(init=False)
+    n_trees: int = field(init=False)
 
     @staticmethod
     def height_limit_for(psi: int) -> int:
@@ -169,21 +170,22 @@ class IsolationForest:
 
     def __post_init__(self):
         self.height_limit = h = self.height_limit_for(self.psi)
-        if not self.trees or min(map(len, self.trees)) == 0 or self.n_features < 1:
+        self.sizes = sizes = np.asarray(self.sizes, dtype=np.intp)
+        rec = self.nodes
+        if not sizes.size or sizes.min() < 1 or self.n_features < 1:
             raise CorruptModel(f"a forest needs nonempty trees over one or more features, "
-                               f"got {len(self.trees)} trees, {self.n_features} features")
-        self.c_psi = c_factor(self.psi)
+                               f"got {sizes.size} trees, {self.n_features} features")
+        if sizes.sum() != rec.size:
+            raise CorruptModel(f"tree sizes add up to {sizes.sum()}, not the {rec.size} nodes")
+        self.c_psi, self.n_trees = c_factor(self.psi), sizes.size
 
-        # All trees back to back; j is a node's index in that table.
-        sizes = np.array([len(t) for t in self.trees], dtype=np.int32)
-        roots = np.cumsum(sizes, dtype=np.int32) - sizes
-        rec = np.frombuffer(b"".join(tree.tobytes() for tree in self.trees), NODE_DTYPE)
+        # j is a node's index in the table, base its tree's root
+        roots = np.cumsum(sizes) - sizes
         f, t, r = (rec[name].copy() for name in NODE_DTYPE.names)
-        j = np.arange(rec.size, dtype=np.int32)
+        j = np.arange(rec.size, dtype=np.intp)
         base = np.repeat(roots, sizes)
         inner = f >= 0
-        # A leaf links to itself (after reading x[-1]), so every walk takes h steps;
-        # an int32 wrap in base + r lands below j + 1 and is rejected.
+        # A leaf links to itself (after reading x[-1]), so every walk takes h steps.
         left, right = j + inner, np.where(inner, base + r, j)
 
         def reject(bad, what):
@@ -212,7 +214,7 @@ class IsolationForest:
         reject((np.bincount(seen, minlength=rec.size) == 0) | (balance[right] != balance),
                "nodes are not one tree in preorder")
         # the walk's tables, indices in intp, which take reads without a cast
-        self._roots, self._feature, self._threshold = roots.astype(np.intp), f.astype(np.intp), t
+        self._roots, self._feature, self._threshold = roots, f.astype(np.intp), t
         self._next = np.stack([right, left], axis=1, dtype=np.intp).ravel()
 
         # Each node's slot in _path / _proba, which apply the scalar c_factor and
@@ -226,9 +228,10 @@ class IsolationForest:
         self._path = np.array(paths)
         self._proba = np.array([2.0 ** (-p / self.c_psi) for p in paths])
 
-    @property
-    def n_trees(self) -> int:
-        return len(self.trees)
+    @cached_property
+    def trees(self) -> tuple[np.ndarray, ...]:
+        """Each tree's records, a view into nodes; for oracles that walk one tree."""
+        return tuple(np.split(self.nodes, self._roots[1:]))
 
 
 def build_forest(data, T: int, psi: int, seed: int) -> IsolationForest:
@@ -253,8 +256,7 @@ def build_forest(data, T: int, psi: int, seed: int) -> IsolationForest:
             for i in range(T)]
     subsamples = np.array([rng.choice(n, size=eff_psi, replace=False) for rng in rngs],
                           dtype=np.intp).reshape(len(rngs), eff_psi)
-    trees = _grow(X, subsamples, rngs, height_limit)
-    return IsolationForest(trees=trees, psi=eff_psi, n_features=int(X.shape[1]))
+    return IsolationForest(*_grow(X, subsamples, rngs, height_limit), eff_psi, int(X.shape[1]))
 
 
 def _leaf_slots(forest: IsolationForest, X) -> np.ndarray:
@@ -294,7 +296,7 @@ def forest_score(forest: IsolationForest, X):
     floats, since numpy's vectorized ** may differ in the last ulp.
     """
     total = np.cumsum(forest._path[_leaf_slots(forest, X)], axis=-1)[..., -1]
-    e = -(total / len(forest.trees)) / forest.c_psi
+    e = -(total / forest.n_trees) / forest.c_psi
     if e.ndim == 0:
         return 2.0 ** float(e)
     return np.array([2.0 ** x for x in e.tolist()])

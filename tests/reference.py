@@ -3,7 +3,7 @@
 Each is written apart from the package's vectorized code, so agreement is
 evidence: a recursive grower of one tree, a naive recursive walk of one tree,
 the per-tree probability built on it, a textbook row softmax, and the
-attention readout built on it.
+attention readout built on it. forest_of joins hand-made trees into a forest.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from arlif.iforest import NODE_DTYPE, c_factor
+from arlif.iforest import NODE_DTYPE, IsolationForest, c_factor
 
 
 def recursive_tree(subsample, rng, height_limit: int) -> np.ndarray:
@@ -46,6 +46,12 @@ def recursive_tree(subsample, rng, height_limit: int) -> np.ndarray:
 
     grow(np.arange(X.shape[0]), 0)
     return np.array(nodes, dtype=NODE_DTYPE)
+
+
+def forest_of(trees, psi: int, n_features: int) -> IsolationForest:
+    """The forest whose node table is the trees (NODE_DTYPE arrays) back to back."""
+    nodes = np.concatenate([np.empty(0, NODE_DTYPE), *trees])
+    return IsolationForest(nodes, [len(t) for t in trees], psi, n_features)
 
 
 def recursive_path(tree, x, node=0, depth=0) -> float:

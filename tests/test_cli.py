@@ -1,6 +1,7 @@
 import io
 import os
 import re
+import resource
 import select
 import struct
 import subprocess
@@ -18,7 +19,7 @@ import arlif.cli
 import arlif.detector
 from arlif.cli import main
 from arlif.detector import (BLOCK, _HEADER, attention_params_bytes, forest_bytes, load_model,
-                            observe)
+                            observe, to_bytes)
 from arlif.errors import ArlifError
 from arlif.iforest import NODE_DTYPE
 from arlif.ingest import load_records, parse_record
@@ -335,9 +336,11 @@ CRAFTED = {
     "version_two": (lambda b, d: with_header(b, version=2), "format version 2,"),
     "flags_extra_bit": (lambda b, d: with_header(b, flags=3), "header flags 0x0003"),
     "no_trees": (without_trees, "got 0 trees"),
+    # T counts are read one at a time, so T sizes no allocation: the payload runs out
+    "trees_2_32_minus_1": (lambda b, d: with_header(b, T=2 ** 32 - 1), "needed"),
     "window_zero": (without_attention, "window k >= 1 (got 0)"),
-    "tree_without_nodes": (lambda b, d: with_trees(b, d, [d.forest.trees[0][:0]]
-                                                   + d.forest.trees[1:]), "nonempty trees"),
+    "tree_without_nodes": (lambda b, d: with_trees(b, d, [d.forest.trees[0][:0],
+                                                          *d.forest.trees[1:]]), "nonempty trees"),
     "child_not_after_parent": (lambda b, d: with_tree0(b, d, r=0), "j + 1 < right"),
     "right_child_is_left": (lambda b, d: with_tree0(b, d, r=1), "j + 1 < right"),
     "child_past_end": (lambda b, d: with_tree0(b, d, r=len(d.forest.trees[0])), "< n_nodes"),
@@ -389,6 +392,51 @@ def test_eval_rejects_crafted_model(cli_env, capsys, tmp_path, case):
     bad.write_bytes(sealed(craft(data[:-4], load_model(cli_env["model"]))))
     assert bad.read_bytes() != data
     eval_rejects(cli_env, capsys, bad, message)
+
+
+@pytest.fixture(scope="module")
+def wide_model(cli_env):
+    """A crafted file of 20,000 single-leaf trees at psi 2 and k 10. It loads, and one
+    block of detection asks for rows * T * T doubles: 191 GiB for eval's 64 rows."""
+    data, det = cli_env["model"].read_bytes()[:-4], load_model(cli_env["model"])
+    T, k, leaf = 20_000, 10, np.array([(-1, 0.0, 1)], dtype=NODE_DTYPE)
+    data = with_trees(with_header(data, T=T, psi=2, k=k), det, [leaf] * T)
+    params, histories = np.zeros(arlif.attention.param_count(k)), np.full(T * k, 0.5)
+    attention = np.concatenate([params, histories]).astype("<f8")
+    path = cli_env["root"] / "wide.arlf"
+    path.write_bytes(sealed(data[:attention_start(data, det)] + attention.tobytes()))
+    return path
+
+
+def test_the_20000_tree_file_loads_and_resaves_byte_for_byte(wide_model):
+    data = wide_model.read_bytes()
+    det = load_model(wide_model)
+    assert (det.forest.n_trees, det.forest.psi, det.params.k) == (20_000, 2, 10)
+    assert to_bytes(det) == data
+
+
+def run_capped(args, stdin=b""):
+    """python -m arlif.cli in a child whose address space is capped at 2 GiB, so that
+    a buffer sized from a large T is refused rather than made."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(Path(arlif.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "arlif.cli", *args], input=stdin, env=env,
+                          preexec_fn=cap, capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize("command, lines", [("eval", 0), ("stream", 3), ("stream", 1)])
+def test_detection_on_the_20000_tree_file_ends_in_one_error_line(cli_env, wide_model,
+                                                                 command, lines):
+    args = [command, "--model", str(wide_model)]
+    if command == "eval":
+        args += ["--test", str(cli_env["test"])]
+    proc = run_capped(args, "".join(line + "\n" for line in synth_lines(lines, seed=5)).encode())
+    err = proc.stderr.decode()
+    assert proc.returncode == 1 and proc.stdout == b"", err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "allocate" in err, err
 
 
 @pytest.mark.parametrize("where", ["tau", "forest_tau", "param", "history"])

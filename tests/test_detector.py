@@ -4,6 +4,7 @@ import io
 import math
 import pickle
 import random
+import struct
 import time
 import warnings
 
@@ -11,8 +12,10 @@ import numpy as np
 import pytest
 
 import arlif.detector
-from arlif.attention import _skips_row_max, backward, bce_loss, forward, init_params, sgd_step
+from arlif.attention import (_skips_row_max, backward, bce_loss, forward, init_params, param_count,
+                             sgd_step)
 from arlif.detector import (
+    _HEADER,
     DEFAULT_ETA,
     Detector,
     attention_params_bytes,
@@ -36,11 +39,11 @@ from arlif.errors import (
     TruncatedFile,
     VersionUnsupported,
 )
-from arlif.iforest import IsolationForest, build_forest, forest_probas
-from arlif.ingest import fit_preprocessor, transform
+from arlif.iforest import build_forest, forest_probas
+from arlif.ingest import CATEGORICAL_COLUMNS, N_FEATURES, fit_preprocessor, transform
 from arlif.metrics import evaluate
 from conftest import sealed, synth_records
-from reference import attention_readout, tree_proba
+from reference import attention_readout, forest_of, tree_proba
 
 
 def mk_detector(pipe, k=4, tau=0.5, eta=0.05, seed=0, scale=0.01):
@@ -77,7 +80,7 @@ def test_new_detector_guards(pipe):
         with pytest.raises(ValueError):
             new_detector(forest, params, pre, eta=eta)
     with pytest.raises(ValueError):
-        IsolationForest(trees=[], psi=64, n_features=pre.m)
+        forest_of([], psi=64, n_features=pre.m)
     narrow = build_forest(np.asarray(vectors)[:, :3], T=2, psi=32, seed=0)
     with pytest.raises(DimensionMismatch):
         new_detector(narrow, params, pre)
@@ -586,6 +589,31 @@ def test_round_trip_after_training(pipe):
     assert clone.samples_seen == 100
     assert clone.tau == 0.4 and clone.eta == 0.01 and clone.forest_tau == 0.37
     assert np.array_equal(clone.histories, det.histories)
+
+
+def forest_segment(data):
+    """Each tree's node count and record bytes, read from a model file field by field."""
+    _, _, _, k, T, _, m, *_ = _HEADER.unpack_from(data)
+    pos = _HEADER.size + 4 * m + 8 * 2 * N_FEATURES
+    for _ in CATEGORICAL_COLUMNS:
+        (count,), pos = struct.unpack_from("<I", data, pos), pos + 4
+        for _ in range(count):
+            pos += 4 + struct.unpack_from("<I", data, pos)[0]
+    counts, records = [], []
+    for _ in range(T):
+        counts.append(struct.unpack_from("<I", data, pos)[0])
+        records.append(data[pos + 4:pos + 4 + 16 * counts[-1]])
+        pos += 4 + 16 * counts[-1]
+    assert pos == len(data) - 4 - 8 * (param_count(k) + T * k)  # the attention segment follows
+    return counts, b"".join(records)
+
+
+def test_a_loaded_forest_is_the_files_records_with_the_counts_removed(pipe):
+    data = to_bytes(mk_detector(pipe, k=3))
+    counts, records = forest_segment(data)
+    forest = from_bytes(data).forest
+    assert forest.sizes.tolist() == counts and len(counts) == 10
+    assert forest.nodes.tobytes() == records
 
 
 def test_loaded_detector_scores_identically(pipe):

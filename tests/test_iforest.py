@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from arlif.detector import forest_bytes
+from arlif.attention import init_params
+from arlif.detector import forest_bytes, from_bytes, new_detector, to_bytes
 from arlif.errors import CorruptModel, DimensionMismatch, InsufficientData, NumericParse
 from arlif.iforest import (
     EULER_GAMMA,
@@ -17,7 +18,7 @@ from arlif.iforest import (
     path_length,
 )
 from arlif.ingest import transform
-from reference import recursive_path, recursive_tree, tree_proba
+from reference import forest_of, recursive_path, recursive_tree, tree_proba
 
 
 def leaf_for(tree, x):
@@ -214,7 +215,7 @@ def test_a_forest_over_no_columns_is_rejected_at_build_time():
 
 
 def test_forest_score_of_single_leaf_trees_is_one():
-    f = IsolationForest(trees=[LEAF, LEAF], psi=2, n_features=1)
+    f = forest_of([LEAF, LEAF], psi=2, n_features=1)
     assert f.c_psi == 1.0 and f.height_limit == 1
     assert forest_score(f, [0.3]) == 1.0
 
@@ -258,7 +259,9 @@ def reference_trees(data, T, psi, seed):
 
 
 def same_trees(forest, trees):
-    return [t.tobytes() for t in forest.trees] == [t.tobytes() for t in trees]
+    """The forest's one table is the trees back to back, framed by their sizes."""
+    return (forest.nodes.tobytes() == b"".join(t.tobytes() for t in trees)
+            and forest.sizes.tolist() == [len(t) for t in trees])
 
 
 def _ties(rng):
@@ -363,7 +366,7 @@ def test_recursive_reference_matches_flat_traversal():
 
 def test_threshold_ties_go_right():
     t = chain_tree(1, 2)  # left: leaf of 2 at depth 1, right: leaf of 1 at depth 1
-    f = IsolationForest(trees=[t], psi=4, n_features=1)
+    f = forest_of([t], psi=4, n_features=1)
     assert path_length(t, [0.5]) == 1.0
     assert forest_probas(f, [0.5]).tolist() == [tree_proba(t, [0.5], f.c_psi)]
     assert path_length(t, [0.4999]) == 2.0
@@ -372,8 +375,8 @@ def test_threshold_ties_go_right():
 def test_forest_walk_equals_scalar_oracle_exactly():
     built, inputs = oracle_inputs()
     # single-leaf trees and chains of unequal depth share the walk with built trees
-    mixed = IsolationForest(
-        trees=[LEAF, chain_tree(1, 2), *built.trees, chain_tree(6, 3), LEAF],
+    mixed = forest_of(
+        [LEAF, chain_tree(1, 2), *built.trees, chain_tree(6, 3), LEAF],
         psi=64, n_features=4,
     )
     inputs += [np.full(4, 0.5), np.zeros(4), np.ones(4)]
@@ -388,7 +391,7 @@ def test_forest_walk_equals_scalar_oracle_exactly():
 
 def test_block_walk_equals_each_row_walked_alone():
     built, inputs = oracle_inputs()  # with points exactly on split thresholds
-    mixed = IsolationForest(trees=[LEAF, chain_tree(1, 2), *built.trees], psi=64, n_features=4)
+    mixed = forest_of([LEAF, chain_tree(1, 2), *built.trees], psi=64, n_features=4)
     X = np.array(inputs)
     for f in (built, mixed):
         assert forest_probas(f, X).tolist() == [forest_probas(f, x).tolist() for x in inputs]
@@ -442,6 +445,28 @@ def test_a_node_record_is_16_bytes():
     assert len(forest_bytes(f)) == 4 * f.n_trees + 16 * nodes
 
 
+def test_each_tree_is_a_view_into_the_one_table(pipe):
+    _, _, _, built = pipe
+    loaded = from_bytes(to_bytes(new_detector(built, init_params(2, seed=0), pipe[1]))).forest
+    for f in (built, loaded):
+        assert isinstance(f.trees, tuple) and f.trees is f.trees
+        assert [len(t) for t in f.trees] == f.sizes.tolist()
+        assert all(np.shares_memory(t, f.nodes) for t in f.trees)
+        assert np.concatenate(f.trees).tobytes() == f.nodes.tobytes()
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ([1, 2], "tree sizes add up to 3, not the 2 nodes"),
+    ([1], "tree sizes add up to 1, not the 2 nodes"),
+    ([2, 0], "nonempty trees"),
+    ([3, -1], "nonempty trees"),
+    ([], "got 0 trees"),
+])
+def test_sizes_that_do_not_frame_the_table_are_rejected(sizes, message):
+    with pytest.raises(CorruptModel, match=message):
+        IsolationForest(np.concatenate([LEAF, LEAF]), sizes, psi=2, n_features=1)
+
+
 # root: left subtree 1..5 (leaves at depths 2, 3, 3), right child 6 (a leaf at depth 1)
 UNEVEN = records((0, 0.5, 6), (0, 0.25, 3), (-1, 0.0, 1), (0, 0.4, 5), (-1, 0.0, 1),
                  (-1, 0.0, 1), (-1, 0.0, 2))
@@ -450,7 +475,7 @@ UNEVEN = records((0, 0.5, 6), (0, 0.25, 3), (-1, 0.0, 1), (0, 0.4, 5), (-1, 0.0,
 def test_path_length_equals_the_recursive_oracle_on_trees_of_unequal_depth():
     assert depths(UNEVEN) == [0, 1, 2, 2, 3, 3, 1]
     trees = [UNEVEN, LEAF, *(chain_tree(n, 3) for n in range(1, 7))]
-    f = IsolationForest(trees=trees, psi=64, n_features=1)
+    f = forest_of(trees, psi=64, n_features=1)
     for x in np.linspace(-0.1, 1.1, 49).reshape(-1, 1).tolist() + [[0.25], [0.4], [0.5]]:
         assert [path_length(t, x) for t in trees] == [recursive_path(t, x) for t in trees]
         assert forest_probas(f, x).tolist() == [tree_proba(t, x, f.c_psi) for t in trees]
@@ -475,4 +500,4 @@ def test_path_length_equals_the_recursive_oracle_on_trees_of_unequal_depth():
 ])
 def test_a_tree_that_is_not_canonical_is_rejected(tree, message):
     with pytest.raises(CorruptModel, match=message):
-        IsolationForest(trees=[LEAF, tree], psi=64, n_features=1)
+        forest_of([LEAF, tree], psi=64, n_features=1)
