@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -228,9 +227,9 @@ class IsolationForest:
         self._path = np.array(paths)
         self._proba = np.array([2.0 ** (-p / self.c_psi) for p in paths])
 
-    @cached_property
+    @property
     def trees(self) -> tuple[np.ndarray, ...]:
-        """Each tree's records, a view into nodes; for oracles that walk one tree."""
+        """Each tree's records, views into nodes made on each read; for tree oracles."""
         return tuple(np.split(self.nodes, self._roots[1:]))
 
 

@@ -3,9 +3,9 @@
 Parses raw record lines, ranks features against the binary label, and fits
 the encoder/scaler that turns records into fixed-length vectors in [0,1].
 
-Feature values are kept as their raw string tokens on the Record so that
-re-serializing a parsed row reproduces the original fields byte for byte;
-numeric encoding happens only inside the preprocessor.
+Each numeric cell is converted once, by parse_record, into the Record's
+values array; the categorical tokens are kept as read and encoded only
+inside the preprocessor, against its vocabulary.
 """
 
 from __future__ import annotations
@@ -25,22 +25,27 @@ CATEGORICAL_COLUMNS = (1, 2, 3)
 FORMATS = ("nsl-kdd", "kdd99")
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class Record:
-    """One parsed dataset row: 41 raw feature tokens plus the binary label."""
+    """One parsed dataset row: values, the 41 features as floats with NaN in the
+    categorical columns; tokens, those columns' tokens as read; the binary label."""
 
-    features: list[str]
+    values: np.ndarray  # (41,) float64
+    tokens: tuple[str, ...]  # one per CATEGORICAL_COLUMNS entry
     label: int
 
     def features_csv(self) -> str:
-        """The 41 feature fields exactly as they appeared in the input."""
-        return ",".join(self.features)
+        """The 41 features as comma-separated fields: each number as repr(float),
+        which parses back to the same bits, and each categorical token as read."""
+        tokens = dict(zip(CATEGORICAL_COLUMNS, self.tokens))
+        return ",".join(tokens.get(col, repr(v)) for col, v in enumerate(self.values.tolist()))
 
 
-def _check_numeric(token: str, column: int) -> None:
+def _number(token: str, column: int) -> float:
+    """float(token) when it is a finite number, else NumericParse naming the column."""
     try:
-        if math.isfinite(float(token)):
-            return
+        if math.isfinite(x := float(token)):
+            return x
     except ValueError:
         pass
     raise NumericParse(f"column {column}: {token!r} is not a finite number")
@@ -58,19 +63,26 @@ def parse_record(line: str, format: str = "nsl-kdd") -> Record:
     fields = line.strip().split(",")
     expected = 43 if format == "nsl-kdd" else 42
     if len(fields) != expected:
-        raise FieldCountMismatch(
-            f"expected {expected} fields for format {format}, got {len(fields)}"
-        )
-    features = fields[:N_FEATURES]
-    for col in range(N_FEATURES):
-        if col not in CATEGORICAL_COLUMNS:
-            _check_numeric(features[col], col)
+        raise FieldCountMismatch(f"expected {expected} fields for format {format}, "
+                                 f"got {len(fields)}")
+    cells = fields[:N_FEATURES]
+    tokens = tuple(cells[col] for col in CATEGORICAL_COLUMNS)
+    for col in CATEGORICAL_COLUMNS:
+        cells[col] = "nan"  # the preprocessor encodes the token
+    try:
+        values = np.fromiter(map(float, cells), np.float64, N_FEATURES)
+    except ValueError:
+        values = np.empty(0)
+    if np.count_nonzero(np.isfinite(values)) < N_FEATURES - len(CATEGORICAL_COLUMNS):
+        # a cell is not a finite number: convert cell by cell, which names the first
+        values = np.array([math.nan if col in CATEGORICAL_COLUMNS else _number(tok, col)
+                           for col, tok in enumerate(fields[:N_FEATURES])])
     label = fields[N_FEATURES]
     if format == "kdd99":
         label = label.removesuffix(".")
     else:
-        _check_numeric(fields[42], 42)  # difficulty, discarded
-    return Record(features=features, label=0 if label == "normal" else 1)
+        _number(fields[42], 42)  # difficulty, discarded
+    return Record(values, tokens, 0 if label == "normal" else 1)
 
 
 def load_records(path, format: str = "nsl-kdd", limit: int | None = None) -> list[Record]:
@@ -100,10 +112,8 @@ def load_records(path, format: str = "nsl-kdd", limit: int | None = None) -> lis
 
 
 def _build_vocab(records: list[Record]) -> dict[int, list[str]]:
-    vocab: dict[int, list[str]] = {}
-    for col in CATEGORICAL_COLUMNS:
-        vocab[col] = sorted({r.features[col] for r in records})
-    return vocab
+    return {col: sorted({r.tokens[i] for r in records})
+            for i, col in enumerate(CATEGORICAL_COLUMNS)}
 
 
 def _vocab_index(vocab: dict[int, list[str]]) -> dict[int, dict[str, int]]:
@@ -111,15 +121,14 @@ def _vocab_index(vocab: dict[int, list[str]]) -> dict[int, dict[str, int]]:
     return {col: {tok: i for i, tok in enumerate(toks)} for col, toks in vocab.items()}
 
 
-def _encode_matrix(records: Sequence[Record], index: dict[int, dict[str, int]],
-                   cols: Sequence[int]) -> np.ndarray:
-    """Records -> (n, len(cols)) float matrix of the given columns: a categorical
-    token is its position in the vocab index, an unseen one one past its end,
-    and any other token is its float."""
-    codes = [(col, index.get(col)) for col in cols]
-    rows = [[float(r.features[col]) if idx is None else idx.get(r.features[col], len(idx))
-             for col, idx in codes] for r in records]
-    return np.array(rows, dtype=np.float64).reshape(len(records), len(cols))
+def _encode(records: Sequence[Record], index: dict[int, dict[str, int]]) -> np.ndarray:
+    """Records -> (n, 41) float matrix: the records' values, with each categorical
+    token's position in the vocab index, an unseen one one past its end."""
+    X = np.array([r.values for r in records]).reshape(len(records), N_FEATURES)
+    for i, col in enumerate(CATEGORICAL_COLUMNS):
+        idx = index[col]
+        X[:, col] = [idx.get(r.tokens[i], len(idx)) for r in records]
+    return X
 
 
 def _rank_columns(X: np.ndarray, records: list[Record]) -> list[tuple[int, float]]:
@@ -142,18 +151,7 @@ def _rank_columns(X: np.ndarray, records: list[Record]) -> list[tuple[int, float
     # columns score equal and the tie rule below decides their order
     scores[nz] = np.abs((Xc[:, nz] * yc[:, None]).sum(axis=0)) / (sx[nz] * sy)
     order = sorted(range(N_FEATURES), key=lambda c: (-scores[c], c))
-    return [(c, float(scores[c])) for c in order]
-
-
-def _check_min_max(min_max: Sequence[tuple[float, float]]) -> None:
-    """CorruptModel unless min_max is 41 pairs with min <= max and a finite max - min."""
-    rule = f"need {N_FEATURES} finite min/max pairs with min <= max and a finite max - min"
-    if len(min_max) != N_FEATURES:
-        raise CorruptModel(f"{rule}, got {len(min_max)} pairs")
-    for col, (lo, hi) in enumerate(min_max):
-        # lo <= hi is false for NaN, and an infinite bound makes hi - lo inf or NaN
-        if not (lo <= hi and hi - lo < math.inf):
-            raise CorruptModel(f"{rule}; column {col} has ({lo!r}, {hi!r})")
+    return [(c, scores.item(c)) for c in order]
 
 
 @dataclass
@@ -173,7 +171,13 @@ class Preprocessor:
         cols = set(self.selected)
         if not (0 < len(cols) == self.m and cols <= set(range(N_FEATURES))):
             raise CorruptModel(f"need one or more distinct selected columns, 0 <= c < {N_FEATURES}")
-        _check_min_max(self.min_max)
+        rule = f"need {N_FEATURES} finite min/max pairs with min <= max and a finite max - min"
+        if len(self.min_max) != N_FEATURES:
+            raise CorruptModel(f"{rule}, got {len(self.min_max)} pairs")
+        for col, (lo, hi) in enumerate(self.min_max):
+            # lo <= hi is false for NaN, and an infinite bound makes hi - lo inf or NaN
+            if not (lo <= hi and hi - lo < math.inf):
+                raise CorruptModel(f"{rule}; column {col} has ({lo!r}, {hi!r})")
         if set(self.vocab) != set(CATEGORICAL_COLUMNS):
             raise CorruptModel(f"need a vocabulary for exactly the columns {CATEGORICAL_COLUMNS}, "
                                f"got {sorted(self.vocab)}")
@@ -196,20 +200,17 @@ def fit_preprocessor(records: list[Record], m: int) -> Preprocessor:
     if not 1 <= m <= N_FEATURES:
         raise ValueError(f"m must be in 1..{N_FEATURES}, got {m}")
     vocab = _build_vocab(records)
-    X = _encode_matrix(records, _vocab_index(vocab), range(N_FEATURES))
-    min_max = [(float(lo), float(hi)) for lo, hi in zip(X.min(axis=0), X.max(axis=0))]
+    X = _encode(records, _vocab_index(vocab))
+    min_max = list(zip(X.min(axis=0).tolist(), X.max(axis=0).tolist()))
     return Preprocessor(vocab, min_max, [col for col, _ in _rank_columns(X, records)[:m]])
 
 
 def transform(pre: Preprocessor, records: Record | Sequence[Record]) -> np.ndarray:
-    """One record -> (m,) vector in [0,1]; a sequence of N records -> (N, m),
-    or (0, m) when it is empty.
-
-    The selected columns are encoded as fitting encodes them (_encode_matrix),
-    clamped to their training min/max and min-max scaled on it; a degenerate
-    column (min == max) maps to 0.0.
-    """
+    """One record -> (m,) vector in [0,1]; a sequence of N records -> (N, m), or
+    (0, m) when it is empty. The records are encoded as fitting encodes them
+    (_encode); each selected column is clamped to its training min/max and
+    min-max scaled on it, and a degenerate column (min == max) maps to 0.0."""
     one = isinstance(records, Record)
-    X = _encode_matrix([records] if one else records, pre._index, pre.selected)
+    X = _encode([records] if one else records, pre._index).take(pre.selected, axis=1)
     X = (np.minimum(np.maximum(X, pre._lo), pre._hi) - pre._lo) / pre._span
     return X[0] if one else X

@@ -2,8 +2,9 @@
 
 Each is written apart from the package's vectorized code, so agreement is
 evidence: a recursive grower of one tree, a naive recursive walk of one tree,
-the per-tree probability built on it, a textbook row softmax, and the
-attention readout built on it. forest_of joins hand-made trees into a forest.
+the per-tree probability built on it, a textbook row softmax, the attention
+readout built on it, and a string encoder with transform's scaling over rows
+split into their text fields. forest_of joins hand-made trees into a forest.
 """
 
 from __future__ import annotations
@@ -84,3 +85,24 @@ def attention_readout(params, H) -> float:
     K = H @ params.Wk + params.bk
     v = H @ params.Wv[:, -1] + params.bv[-1]
     return float((softmax_rows(Q @ K.T / math.sqrt(params.k)) @ v).mean())
+
+
+def encode_fields(rows, vocab, cols) -> np.ndarray:
+    """The string encoder: rows split into their fields -> a (len(rows), len(cols))
+    float matrix of the given columns. A field of a vocab column is its position
+    in that column's vocabulary, an unseen one one past its end; any other field
+    is float() of its text."""
+    index = {col: {tok: i for i, tok in enumerate(toks)} for col, toks in vocab.items()}
+    out = [[index[col].get(f[col], len(index[col])) if col in index else float(f[col])
+            for col in cols] for f in rows]
+    return np.array(out, dtype=np.float64).reshape(len(rows), len(cols))
+
+
+def scale_fields(rows, vocab, min_max, selected) -> np.ndarray:
+    """transform over split rows: the selected columns as encode_fields encodes
+    them, clamped to their min/max and min-max scaled on it; a column whose min
+    equals its max gives 0.0."""
+    X = encode_fields(rows, vocab, selected)
+    lo, hi = np.array([min_max[c] for c in selected]).T
+    span = np.where(lo < hi, hi - lo, 1.0)
+    return (np.minimum(np.maximum(X, lo), hi) - lo) / span

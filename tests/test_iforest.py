@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -449,11 +451,21 @@ def test_each_tree_is_a_view_into_the_one_table(pipe):
     _, _, _, built = pipe
     loaded = from_bytes(to_bytes(new_detector(built, init_params(2, seed=0), pipe[1]))).forest
     for f in (built, loaded):
-        assert isinstance(f.trees, tuple) and f.trees is f.trees
+        assert isinstance(f.trees, tuple)
         assert [len(t) for t in f.trees] == f.sizes.tolist()
         assert all(np.shares_memory(t, f.nodes) for t in f.trees)
         assert np.concatenate(f.trees).tobytes() == f.nodes.tobytes()
 
+
+
+def test_reading_trees_adds_nothing_to_a_pickle(pipe):
+    built = pipe[3]
+    before = len(pickle.dumps(built))
+    assert len(built.trees) == built.n_trees
+    assert len(pickle.dumps(built)) == before
+    for clone in (pickle.loads(pickle.dumps(built)), copy.deepcopy(built)):
+        assert np.shares_memory(clone.trees[0], clone.nodes)
+        assert clone.nodes.tobytes() == built.nodes.tobytes()
 
 @pytest.mark.parametrize("sizes, message", [
     ([1, 2], "tree sizes add up to 3, not the 2 nodes"),

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 import warnings
@@ -13,7 +14,7 @@ from arlif.ingest import (
     Preprocessor,
     Record,
     _build_vocab,
-    _encode_matrix,
+    _encode,
     _rank_columns,
     _vocab_index,
     fit_preprocessor,
@@ -23,12 +24,13 @@ from arlif.ingest import (
 )
 
 from conftest import DATA_DIR, requires_dataset, synth_records
+from reference import encode_fields, scale_fields
 from synth_stream import synth_lines
 
 
 def rank_features(records):
     """All 41 columns ranked as fit_preprocessor ranks them, (column, score) pairs."""
-    X = _encode_matrix(records, _vocab_index(_build_vocab(records)), range(N_FEATURES))
+    X = _encode(records, _vocab_index(_build_vocab(records)))
     return _rank_columns(X, records)
 
 
@@ -46,8 +48,10 @@ VOCAB = {1: ["tcp"], 2: ["http"], 3: ["SF"]}
 
 
 def mk_record(overrides=None, label="normal"):
+    f = mk_fields(overrides)
     return Record(
-        features=mk_fields(overrides),
+        values=np.array([math.nan if c in CATEGORICAL_COLUMNS else float(t) for c, t in enumerate(f)]),
+        tokens=tuple(f[c] for c in CATEGORICAL_COLUMNS),
         label=0 if label == "normal" else 1,
     )
 
@@ -63,9 +67,11 @@ def mk_line(overrides=None, label="normal", format="nsl-kdd", difficulty="15"):
 
 def test_parse_nsl_kdd_row():
     r = parse_record(mk_line({0: "3", 4: "181"}, label="normal"))
-    assert len(r.features) == N_FEATURES
-    assert r.features[0] == "3"
-    assert r.features[4] == "181"
+    assert r.values.shape == (N_FEATURES,) and r.values.dtype == np.float64
+    assert r.values[0] == 3.0
+    assert r.values[4] == 181.0
+    assert r.tokens == ("tcp", "http", "SF")
+    assert np.isnan(r.values[list(CATEGORICAL_COLUMNS)]).all()  # the tokens are encoded later
     assert r.label == 0
     assert parse_record(mk_line(label="neptune")).label == 1
 
@@ -73,7 +79,8 @@ def test_parse_nsl_kdd_row():
 def test_parse_kdd99_trailing_period_stripped():
     r = parse_record(mk_line({22: "511"}, label="smurf", format="kdd99"), "kdd99")
     assert r.label == 1
-    assert len(r.features) == N_FEATURES
+    assert r.values.shape == (N_FEATURES,)
+    assert r.values[22] == 511.0
     assert parse_record(mk_line(label="normal", format="kdd99"), "kdd99").label == 0  # "normal."
 
 
@@ -110,13 +117,14 @@ def test_label_iff_the_label_field_is_normal():
 
 
 def test_features_csv_round_trip():
+    # each number is written as repr(float), which parses back to the same bits
+    odd = mk_record({0: "-0", 4: "1e-320", 5: "0.30000000000000004", 6: "1e308", 7: "  3 ",
+                     8: "1_000"})
     for fmt in ("nsl-kdd", "kdd99"):
-        for r, line in zip(
-            synth_records(50, seed=11, format=fmt),
-            synth_lines(50, 11, fmt),
-        ):
-            prefix = ",".join(line.split(",")[:N_FEATURES])
-            assert r.features_csv() == prefix
+        for r in synth_records(50, seed=11, format=fmt) + [odd]:
+            back = parse_record(r.features_csv() + ",x,0")
+            assert back.values.tobytes() == r.values.tobytes()
+            assert back.tokens == r.tokens
 
 
 def test_load_records_limit(tmp_path):
@@ -124,7 +132,7 @@ def test_load_records_limit(tmp_path):
     p.write_text("\n".join(mk_line({0: str(i)}) for i in range(10)) + "\n\n")
     assert len(load_records(p)) == 10
     got = load_records(p, limit=4)
-    assert [r.features[0] for r in got] == ["0", "1", "2", "3"]
+    assert [r.values[0] for r in got] == [0.0, 1.0, 2.0, 3.0]
     assert load_records(p, limit=0) == [] and load_records(p, limit=-3) == []
 
 
@@ -175,11 +183,11 @@ def test_fitting_a_column_whose_span_overflows_raises_without_warnings():
 
 def test_rank_a_column_holding_a_value_past_1e154_without_overflow():
     recs = synth_records(300, seed=0, attack_rate=0.5)
-    recs[0].features[4] = "1e200"  # its square overflowed: the column scored 0.0, with a warning
+    recs[0].values[4] = 1e200  # its square overflowed: the column scored 0.0, with a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         scores = dict(rank_features(recs))
-    x = np.array([float(r.features[4]) for r in recs]) / 1e200  # correlation ignores scale
+    x = np.array([r.values[4] for r in recs]) / 1e200  # correlation ignores scale
     expected = abs(np.corrcoef(x, [r.label for r in recs])[0, 1])
     assert expected > 0.05
     assert scores[4] == pytest.approx(expected, abs=1e-12)
@@ -270,7 +278,7 @@ def test_rank_scores_equal_columns_equally():
     shuffled = recs[:]
     random.Random(9).shuffle(shuffled)
     for rows in (recs, shuffled):
-        assert all(r.features[24] == r.features[25] == r.features[38] for r in rows)
+        assert all(r.values[24] == r.values[25] == r.values[38] for r in rows)
         ranked = rank_features(rows)
         scores = dict(ranked)
         assert scores[24] == scores[25] == scores[38] > 0.0
@@ -382,7 +390,7 @@ def test_transform_deterministic():
 def test_transform_block_rows_equal_each_record_alone():
     recs = synth_records(200, seed=6)
     for r in recs:
-        r.features[5] = "7"  # a degenerate column
+        r.values[5] = 7.0  # a degenerate column
     pre = fit_preprocessor(recs, N_FEATURES)
     probe = mk_record({1: "xx", 2: "yy", 3: "zz", 0: "1e9", 4: "-5", 5: "123", 6: "-0"})
     probes = synth_records(80, seed=777) + [probe, mk_record({6: "-0"})]
@@ -410,13 +418,49 @@ def test_transform_overflowing_values_clamp_without_warnings():
     assert out.tolist() == [0.0, 1.0]
 
 
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_fit_and_transform_equal_the_string_encoder_bit_for_bit(fmt):
+    def split(lines, column_5=None):
+        rows = [line.split(",") for line in lines]
+        for f in rows if column_5 else ():
+            f[5] = column_5
+        return rows
+
+    train = split(synth_lines(300, seed=12, format=fmt), column_5="7")  # a degenerate column
+    probes = split(synth_lines(80, seed=13, format=fmt)) + [
+        mk_line({1: "xx", 2: "yy", 3: "zz", 0: "1e9", 4: "-5", 5: "123", 6: "-0"}, format=fmt).split(","),
+    ]
+    records = [parse_record(",".join(f), fmt) for f in train]
+    probe_records = [parse_record(",".join(f), fmt) for f in probes]
+    vocab = {col: sorted({f[col] for f in train}) for col in CATEGORICAL_COLUMNS}
+    X = encode_fields(train, vocab, range(N_FEATURES))
+    index = _vocab_index(vocab)
+    assert _encode(records, index).tobytes() == X.tobytes()
+    # an unseen token is one past the end of its vocabulary until transform clamps it
+    probe_X = encode_fields(probes, vocab, range(N_FEATURES))
+    assert _encode(probe_records, index).tobytes() == probe_X.tobytes()
+    assert len(set(X[:, 5])) == 1
+    for m in (10, N_FEATURES):
+        pre = fit_preprocessor(records, m)
+        assert pre.vocab == vocab
+        assert np.array(pre.min_max).tobytes() == np.array([X.min(axis=0), X.max(axis=0)]).T.tobytes()
+        assert pre.selected == [c for c, _ in _rank_columns(X, records)[:m]]
+        expected = scale_fields(probes, vocab, pre.min_max, pre.selected)
+        assert transform(pre, probe_records).tobytes() == expected.tobytes()
+        for r, row in zip(probe_records, expected):
+            assert transform(pre, r).tobytes() == row.tobytes()
+    x = dict(zip(pre.selected, expected[-1]))
+    assert x[1] == x[2] == x[3] == 1.0 and x[5] == 0.0  # unseen tokens, degenerate column
+
+
 # --- real-data spot checks (skipped when the files are absent) ---------------
 
 @requires_dataset
 def test_kddtrain_first_row_is_normal():
     first = load_records(DATA_DIR / "KDDTrain+.txt", "nsl-kdd", limit=1)[0]
     assert first.label == 0
-    assert len(first.features) == N_FEATURES
+    assert first.values.shape == (N_FEATURES,)
 
 
 @requires_dataset
