@@ -26,20 +26,25 @@ allocator. forward writes into the cache it is handed (out=), else into
 fresh ones, so a training step on one T x k matrix (forward, backward,
 sgd_step) in a reused cache allocates none of its T x T, T x k or T x 2
 arrays; the bits are those of fresh buffers. backward writes the gradient
-into the cache's grad and returns it. Q and K come from one product of H
-with the stacked [Wq, Wk], their weight gradients from one H^T.[dQ, dK],
-and the bias gradients (sums over T) from ones.[dQ, dK] and ones.dv.
+into the cache's grad and returns it. The history carries a ones column,
+H1 = [H, 1], and each step takes the live parameters into one
+(k+1) x (2k+1) matrix W1 = [[Wq, Wk, Wv[:, -1]], [bq, bk, bv[-1]]] (_live
+holds their positions in the vector), so one product H1.W1 gives Q, K and v
+with their biases, written beside a ones column as [Q, K, v, 1]. backward's
+one product H1^T.[dQ, dK, dv] gives every live weight and bias gradient,
+which one scatter writes into the gradient vector. workspace refuses a
+request whose T x T buffers would pass WORKSPACE_LIMIT bytes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, StaleCache
+from .errors import BufferTooLarge, DimensionMismatch, StaleCache
 
 EPS = 1e-6
 # forward skips the row max while the bound on |Z| is at most this: e^-64 to e^64
@@ -48,6 +53,8 @@ LOGIT_LIMIT = 64.0
 # ...and while T * e^bound * (bound on |v|) is at most this, 2^-24 of the largest
 # double: no sum of E.v overflows, nor backward's terms, which |dL/ds| < 2^20 scales
 _SUM_LIMIT = 2.0 ** 1000
+# bytes of T x T buffers one workspace may hold: E and dE of a single matrix up to T = 8192
+WORKSPACE_LIMIT = 1 << 30
 _block_starts = lru_cache(lambda k: np.cumsum([0, k * k, k * k, k * k, k, k]))  # see _blocks
 
 
@@ -63,6 +70,17 @@ def _blocks(flat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     [Wq, Wk, Wv] (3, k, k) and [bq, bk, bv] (3, k). Every reader of the
     layout slices through this, apart from _block_starts."""
     return flat[:3 * k * k].reshape(3, k, k), flat[3 * k * k:].reshape(3, k)
+
+
+@lru_cache
+def _live(k: int) -> np.ndarray:
+    """Where W1's entries sit in the parameter vector: the (k+1) x (2k+1)
+    matrix [[Wq, Wk, Wv[:, -1]], [bq, bk, bv[-1]]] of positions, each live
+    scalar once and no inert one. Read-only, as every caller shares it."""
+    W, b = _blocks(np.arange(param_count(k)), k)
+    live = np.block([[W[0], W[1], W[2, :, -1:]], [b[0], b[1], b[2, -1:]]])
+    live.flags.writeable = False
+    return live
 
 
 def _block(i: int) -> property:
@@ -126,36 +144,43 @@ def _skips_row_max(flat: np.ndarray, k: int, T: int) -> bool:
 @dataclass
 class ForwardCache:
     """Every buffer of one step: forward's, which backward reads, and
-    backward's for one T x k matrix, the input's last two axes. The attention
-    weights are E / den[..., None]. Every single-matrix cache lends backward
-    its gradient buffer, grad: backward returns it, and the next backward on
-    the same cache writes over it."""
+    backward's for one T x k matrix, the input's last two axes. The input
+    sits in H1 beside a ones column, and the product H1.W1 in QKV1 beside
+    another, so Q, K, v and [v, 1] are views of one buffer, as are dQ, dK and
+    dv of D. The attention weights are E / den[..., None]. Every
+    single-matrix cache lends backward its gradient buffer, grad: backward
+    returns it, and the next backward on the same cache writes over it."""
 
-    H: np.ndarray  # a copy of forward's input, (..., T, k)
-    QK: np.ndarray  # Q and K, (2, ..., T, k)
+    H1: np.ndarray  # [H, 1], H a copy of forward's input, (..., T, k + 1)
+    W1: np.ndarray  # the live parameters, (k + 1, 2k + 1): see _live
+    QKV1: np.ndarray  # [Q, K, v, 1] = [H1.W1, 1], (..., T, 2k + 2); v, the readout's value column
     Qs: np.ndarray  # Q / sqrt(k), the left factor of the logits
     E: np.ndarray  # exp of the scaled logits, each row shifted or not; (..., T, T)
-    V1: np.ndarray  # [v, 1], (..., T, 2): v is the value column the readout reads
     Ev: np.ndarray  # [E.v, den], den the row sums of E, or all ones where forward normalized E
     e: np.ndarray  # the attention-weighted values, (E.v) / den
     grad: AttentionParams  # backward's result; its inert entries are never written
     gd: np.ndarray  # dL/de over den, (T,)
-    dv: np.ndarray  # (T,)
     L: np.ndarray  # (T, 2)
     R: np.ndarray  # [v, 1]^T, (2, T): a transposed view of V1 makes the product slower
     dE: np.ndarray  # the logits' gradient, (T, T)
-    dQK: np.ndarray  # Q's and K's, (2, T, k)
+    D: np.ndarray  # [dQ, dK, dv], (T, 2k + 1): the gradient of H1.W1
+    G: np.ndarray  # H1^T.D, (k + 1, 2k + 1): W1's gradient, scattered into grad
     r: float | np.ndarray = 0.0  # one per matrix of a stack
     s: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        # views: Q, K and K^T; v; E.v (num) and den; the gradients of [Wq, Wk] (2, k, k),
-        # [bq, bk] (2, k), Wv[:, -1] and bv[-1]
-        self.Q, self.K = self.QK
+        # views: H; Q, K and K^T, v and [v, 1]; E.v (num) and den; dQ, dK and dv
+        k = self.W1.shape[0] - 1
+        self.H, self.QKv = self.H1[..., :k], self.QKV1[..., :-1]
+        self.Q, self.K, self.V1 = self.QKV1[..., :k], self.QKV1[..., k:-2], self.QKV1[..., -2:]
         self.KT, self.v = self.K.swapaxes(-1, -2), self.V1[..., 0]
         self.num, self.den = self.Ev[..., 0], self.Ev[..., 1]
-        W, b = _blocks(self.grad.flat, self.grad.k)
-        self.gW, self.gb, self.gv, self.gbv = W[:2], b[:2], W[2, :, -1], b[2, -1, ...]
+        self.dQ, self.dK, self.dv = self.D[:, :k], self.D[:, k:-1], self.D[:, -1]
+
+    def head(self, n: int) -> ForwardCache:
+        """A stack's cache for its first n matrices, in views of these buffers."""
+        return replace(self, **{name: getattr(self, name)[:n]
+                                for name in ("H1", "QKV1", "Qs", "E", "Ev", "e")})
 
     def __setstate__(self, state):  # a copy or pickle copies each view apart from its buffer
         self.__dict__.update(state)
@@ -166,14 +191,22 @@ def workspace(*shape: int) -> ForwardCache:
     """A step's buffers, fresh: forward's for an input of this shape,
     (..., T, k), and backward's for one T x k matrix. forward allocates its
     cache here unless it is handed one as out=; handed back in, a cache
-    serves any number of steps."""
+    serves any number of steps. Raises BufferTooLarge, allocating nothing,
+    when the T x T buffers (E, one per matrix, and dE) would pass
+    WORKSPACE_LIMIT bytes."""
     rows, (T, k) = shape[:-1], shape[-2:]
-    return ForwardCache(H=np.empty(shape), QK=np.empty((2,) + shape), Qs=np.empty(shape),
-                        E=np.empty(rows + rows[-1:]), V1=np.ones(rows + (2,)),
-                        Ev=np.empty(rows + (2,)), e=np.empty(rows),
-                        grad=AttentionParams(np.zeros(param_count(k)), k), gd=np.empty(T),
-                        dv=np.empty(T), L=np.empty((T, 2)), R=np.ones((2, T)),
-                        dE=np.empty((T, T)), dQK=np.empty((2, T, k)))
+    size = 8 * T * T * (math.prod(rows[:-1]) + 1)
+    if size > WORKSPACE_LIMIT:
+        raise BufferTooLarge(f"the attention step on {'x'.join(map(str, shape))} histories "
+                             f"needs {size} bytes of T x T buffers, past the limit of "
+                             f"{WORKSPACE_LIMIT} bytes")
+    return ForwardCache(H1=np.ones(rows + (k + 1,)), W1=np.empty((k + 1, 2 * k + 1)),
+                        QKV1=np.ones(rows + (2 * k + 2,)), Qs=np.empty(shape),
+                        E=np.empty(rows + rows[-1:]), Ev=np.empty(rows + (2,)),
+                        e=np.empty(rows), grad=AttentionParams(np.zeros(param_count(k)), k),
+                        gd=np.empty(T), L=np.empty((T, 2)), R=np.ones((2, T)),
+                        dE=np.empty((T, T)), D=np.empty((T, 2 * k + 1)),
+                        G=np.empty((k + 1, 2 * k + 1)))
 
 
 def forward(params: AttentionParams, H, *,
@@ -214,12 +247,10 @@ def forward(params: AttentionParams, H, *,
         raise DimensionMismatch(f"workspace holds a {out.H.shape} input, H has shape {H.shape}")
     # a C-order snapshot: a stack lays each matrix out as a lone one is
     np.copyto(c.H, H)
-    T, flat, ones = H.shape[-2], params.flat, (1,) * (H.ndim - 2)
-    W, b = _blocks(flat, k)
-    # Q and K in one product: [Wq, Wk] broadcast against H, then [bq, bk]
-    np.matmul(c.H, W[:2].reshape((2,) + ones + (k, k)), out=c.QK)
-    c.QK += b[:2].reshape((2,) + ones + (1, k))
-    np.add(c.H @ W[2, :, -1], b[2, -1], out=c.v)  # H.Wv[:, -1] + bv[-1]
+    T, flat = H.shape[-2], params.flat
+    # Q, K and v with their biases in one product, each matrix of a stack in its own;
+    # _live's positions are in range, so "clip" only spares take a copy of its output
+    np.matmul(c.H1, flat.take(_live(k), out=c.W1, mode="clip"), out=c.QKv)
     # the logits and then E in one buffer: no other temporary the size of E
     np.divide(c.Q, math.sqrt(k), out=c.Qs)
     E = np.matmul(c.Qs, c.KT, out=c.E)
@@ -272,7 +303,7 @@ def backward(params: AttentionParams, cache: ForwardCache, label: int) -> Attent
     # softmax Jacobian gives dz_ij = E_ij * w_i * (v_j - e_i), w_i = g / sqrt(k) / den_i;
     # w_i * (v_j - e_i) is one (T x 2).(2 x T) product, [w, -w*e].[v, 1]^T, with no
     # broadcast over T x T. Unshifted, den_i >= T e^-bound keeps it under 2^21 * _SUM_LIMIT
-    dv = np.matmul(np.divide(g, den, out=c.gd), E, out=c.dv)
+    np.matmul(np.divide(g, den, out=c.gd), E, out=c.dv)
     w, nwe = c.L.T  # the columns of L = [w, -w*e]
     np.divide(g / math.sqrt(k), den, out=w)
     np.negative(w, out=nwe)
@@ -280,13 +311,10 @@ def backward(params: AttentionParams, cache: ForwardCache, label: int) -> Attent
     np.copyto(c.R[0], c.v)  # R = [v, 1]^T
     dE = np.matmul(c.L, c.R, out=c.dE)
     dE *= E
-    np.matmul(dE, c.K, out=c.dQK[0])
-    np.matmul(dE.T, c.Q, out=c.dQK[1])
-
-    np.matmul(H.T, c.dQK, out=c.gW)
-    np.matmul(c.R[1], c.dQK, out=c.gb)  # R[1] is all ones: a sum over T as one product
-    np.matmul(H.T, dv, out=c.gv)
-    np.matmul(c.R[1], dv, out=c.gbv)
+    np.matmul(dE, c.K, out=c.dQ)
+    np.matmul(dE.T, c.Q, out=c.dK)
+    # every live gradient in one product, the biases' from H1's ones column
+    c.grad.flat[_live(k)] = np.matmul(c.H1.T, c.D, out=c.G)
     return c.grad
 
 

@@ -4,7 +4,11 @@ A Detector owns a frozen isolation forest and preprocessor, the trainable
 attention parameters, and one k-length probability history per tree
 (kept as a T x k matrix whose last column is the most recent response).
 observe() scores a record or a block of records; learn() additionally
-applies one online SGD update to the attention layer. A single-record
+applies one online SGD update to the attention layer. A block is walked
+once and its stack of history matrices scored in pieces of
+max(1, PIECE_BYTES // (8 T^2)) matrices: a piece's T x T buffers stay within
+one byte budget, or hold one matrix where one alone passes it, and every
+piece runs in one workspace. A single-record
 observe or learn runs the attention layer in the detector's own workspace
 (attention.workspace), made at its first such call and never saved, so a
 training row allocates none of the layer's T x T, T x k or T x 2 arrays; a
@@ -58,11 +62,18 @@ from .iforest import NODE_DTYPE, IsolationForest, forest_probas
 from .ingest import CATEGORICAL_COLUMNS, N_FEATURES, Preprocessor, Record, transform
 
 # Rows per call of every row loop, read only by blocks(): train_online's and
-# tune_baseline_threshold's walks, replay's and stream's observe blocks. At T=100, k=10 on a
-# 2-vCPU Xeon with 1 BLAS thread: of 8 to 128, 64 gave a block observe the most rows/s; a 64-row
-# walk took 8.9 us/row (forest_score 6.2), a 4096-row one 14.4 (15.0); of stream caps 16, 32
-# and 64, 64 was within noise of the most lines/s.
+# tune_baseline_threshold's walks, replay's and stream's observe blocks. So it sizes the walks
+# and the reply batches; PIECE_BYTES sizes the T x T buffers. At T=100, k=10 on a 2-vCPU Xeon
+# with 1 BLAS thread: of 8 to 128, 64 gave a block observe, then one forward, the most rows/s; a
+# 64-row walk took 8.9 us/row (forest_score 6.2), a 4096-row one 14.4 (15.0); of stream caps
+# 16, 32 and 64, 64 was within noise of the most lines/s.
 BLOCK = 64
+# Bytes of E, a history matrix's T x T buffer, that one piece of an observe block may hold:
+# max(1, PIECE_BYTES // (8 T^2)) matrices, 13 at T=100 and one from T=257 on. replay rows/s on
+# the same machine by matrices per piece (medians of 5 to 15 runs), where 64 is a whole block:
+# T=100: 3 28,600, 6 32,400, 9 34,200, 13 32,500, 19 30,400, 64 26,400;
+# T=200: 1 9,900, 3 11,300, 6 9,100, 64 8,100; T=400: 1 3,500, 6 2,600, 16 2,600, 64 1,200.
+PIECE_BYTES = 1 << 20
 # SGD learning rate of new_detector and arlif's --eta. At 0.05 one step pushes the
 # readout onto its clamp, where backward returns zero for good.
 DEFAULT_ETA = 0.001
@@ -165,10 +176,14 @@ def observe(det: Detector, r: Record | Sequence[Record], *,
     CorruptModel, and either leaves the detector as it was.
 
     A block gives the scores, histories and samples_seen that one call per
-    record would, with one forest walk and one forward call over the stack of
-    history matrices the records produce in turn: window i of the per-tree
-    probability sequence (the current history, then each record's
-    probabilities) is the matrix the single path would see at record i.
+    record would, with one forest walk and one forward call per piece of the
+    stack of history matrices the records produce in turn: window i of the
+    per-tree probability sequence (the current history, then each record's
+    probabilities) is the matrix the single path would see at record i. A
+    piece is max(1, PIECE_BYTES // (8 T^2)) consecutive windows, or fewer at
+    the end; every piece is scored in one workspace, a shorter last one in
+    its first matrices' buffers. A request past attention.WORKSPACE_LIMIT raises
+    BufferTooLarge and leaves the detector as it was.
     """
     if isinstance(r, Record):
         H = det.histories
@@ -189,11 +204,18 @@ def observe(det: Detector, r: Record | Sequence[Record], *,
         s, cache = forward(det.params, H, out=det._workspace)
         predicted, n = (1 if s >= det.tau else 0), 1
     elif len(r):
-        k = det.params.k
+        (T, k), n = det.histories.shape, len(r)
         seq = np.concatenate([det.histories[:, 1:].T, _walk(det, r)])  # (k - 1 + N) x T
-        s, _ = forward(det.params, sliding_window_view(seq, k, axis=0))  # N x T x k
+        windows = sliding_window_view(seq, k, axis=0)  # N x T x k
+        step = max(1, PIECE_BYTES // (8 * T * T))
+        s, ws = np.empty(n), workspace(min(n, step), T, k)
+        for i in range(0, n, step):
+            piece = windows[i:i + step]
+            if len(piece) < len(ws.H):  # a shorter last piece: no second allocation
+                ws = ws.head(len(piece))
+            s[i:i + step] = forward(det.params, piece, out=ws)[0]
         det.histories[...] = seq[-k:].T
-        cache, predicted, n = None, (s >= det.tau).astype(int), len(r)
+        cache, predicted = None, (s >= det.tau).astype(int)
     else:
         s, cache, predicted, n = np.empty(0), None, np.empty(0, int), 0
     det.samples_seen += n

@@ -47,6 +47,10 @@ class EmptyStream(ArlifError):
     """Online training requires at least one labeled sample."""
 
 
+class BufferTooLarge(ArlifError):
+    """A buffer sized from the model's shape would pass its stated byte limit."""
+
+
 class Diverged(ArlifError):
     """Online SGD blew the attention layer up: its readout or parameters are not finite."""
 

@@ -11,6 +11,7 @@ inside the preprocessor, against its vocabulary.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -28,7 +29,7 @@ FORMATS = ("nsl-kdd", "kdd99")
 @dataclass(eq=False, slots=True)
 class Record:
     """One parsed dataset row: values, the 41 features as floats with NaN in the
-    categorical columns; tokens, those columns' tokens as read; the binary label."""
+    categorical columns; tokens, those columns' tokens as read, interned; the binary label."""
 
     values: np.ndarray  # (41,) float64
     tokens: tuple[str, ...]  # one per CATEGORICAL_COLUMNS entry
@@ -66,7 +67,8 @@ def parse_record(line: str, format: str = "nsl-kdd") -> Record:
         raise FieldCountMismatch(f"expected {expected} fields for format {format}, "
                                  f"got {len(fields)}")
     cells = fields[:N_FEATURES]
-    tokens = tuple(cells[col] for col in CATEGORICAL_COLUMNS)
+    # interned: a file holds a few dozen distinct tokens, and each record shares them
+    tokens = tuple([sys.intern(cells[col]) for col in CATEGORICAL_COLUMNS])
     for col in CATEGORICAL_COLUMNS:
         cells[col] = "nan"  # the preprocessor encodes the token
     try:

@@ -23,9 +23,12 @@
 # training file with a byte
 # that is not UTF-8, a training file whose column 4 holds -1e308 and
 # 1e308 (its max - min overflows; this one must also print no numpy
-# warning and write no model), and a `bench` at --trees 600 under a 250 MB
-# address-space limit and one BLAS thread, whose 64 x 600 x 600 attention
-# block numpy cannot allocate. `stream` reads its stdin as bytes in blocks:
+# warning and write no model). A `bench` at --trees 600 under a 250 MB
+# address-space limit and one BLAS thread must exit 0 and print both report
+# rows (the table row and the key=value line of each model) with no
+# traceback: detection scores its window stacks in pieces whose T x T
+# buffers fit a byte budget, at T = 600 one 600 x 600 matrix at a time.
+# `stream` reads its stdin as bytes in blocks:
 # a last line with no newline must still get its reply, and so must every
 # line of a pipe that carries the test file three times, and in both runs the
 # ns= field, cumulative detection time that stream's own clock reads around
@@ -114,5 +117,11 @@ test ! -e "$d/wide.arlf"
 (
   ulimit -v 250000
   export OPENBLAS_NUM_THREADS=1
-  one_error arlif bench --train "$d/train.txt" --test "$d/test.txt" --trees 600 --psi 64
+  arlif bench --train "$d/train.txt" --test "$d/test.txt" --trees 600 --psi 64 \
+    > "$d/t600.out" 2> "$d/t600.err"
 )
+test "$(grep -c "^ARLIF-IDS " "$d/t600.out")" -eq 1
+test "$(grep -c "^IsolationForest " "$d/t600.out")" -eq 1
+test "$(grep -c "^mode=arlif " "$d/t600.out")" -eq 1
+test "$(grep -c "^mode=baseline-if " "$d/t600.out")" -eq 1
+test "$(grep -c Traceback "$d/t600.err")" -eq 0

@@ -3,8 +3,9 @@
 Each is written apart from the package's vectorized code, so agreement is
 evidence: a recursive grower of one tree, a naive recursive walk of one tree,
 the per-tree probability built on it, a textbook row softmax, the attention
-readout built on it, and a string encoder with transform's scaling over rows
-split into their text fields. forest_of joins hand-made trees into a forest.
+readout, its gradient and a learn loop built on it, and a string encoder with
+transform's scaling over rows split into their text fields. forest_of joins
+hand-made trees into a forest.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 
 import numpy as np
 
+from arlif.attention import EPS, AttentionParams
 from arlif.iforest import NODE_DTYPE, IsolationForest, c_factor
 
 
@@ -85,6 +87,48 @@ def attention_readout(params, H) -> float:
     K = H @ params.Wk + params.bk
     v = H @ params.Wv[:, -1] + params.bv[-1]
     return float((softmax_rows(Q @ K.T / math.sqrt(params.k)) @ v).mean())
+
+
+def attention_gradient(params, H, label) -> np.ndarray:
+    """The gradient of BCE(clamped readout, label) with respect to every
+    parameter, in file order (Wq, Wk, Wv, bq, bk, bv), by the chain rule on
+    fresh arrays: through the mean over T, A.v with A = softmax_rows of the
+    scaled logits, the row softmax's Jacobian and the three affine maps. Zero
+    when the clamp moved the readout; the k - 1 value columns that never reach
+    the readout get zero by the same products."""
+    k, T = params.k, H.shape[0]
+    Q = H @ params.Wq + params.bq
+    K = H @ params.Wk + params.bk
+    V = H @ params.Wv + params.bv
+    A = softmax_rows(Q @ K.T / math.sqrt(k))
+    r = float((A @ V[:, -1]).mean())
+    s = min(max(r, EPS), 1.0 - EPS)
+    if s != r:
+        return np.zeros(3 * k * (k + 1))
+    de = np.full(T, (s - label) / (s * (1.0 - s)) / T)  # dL/de_i
+    dA = np.outer(de, V[:, -1])
+    dZ = A * (dA - (dA * A).sum(axis=1, keepdims=True))
+    dQ = dZ @ K / math.sqrt(k)
+    dK = dZ.T @ Q / math.sqrt(k)
+    dV = np.zeros((T, k))
+    dV[:, -1] = A.T @ de
+    blocks = (H.T @ dQ, H.T @ dK, H.T @ dV, dQ.sum(axis=0), dK.sum(axis=0), dV.sum(axis=0))
+    return np.concatenate([b.ravel() for b in blocks])
+
+
+def learn_loop(params, histories, probas, labels, eta: float):
+    """learn() over rows of per-tree probabilities, on copies: each row shifts
+    the T x k histories one column left, writes its probabilities into the
+    last column, and steps the parameters by -eta * attention_gradient.
+    Returns the parameter vector, the histories and each row's BCE loss."""
+    flat, H, losses = params.flat.copy(), np.array(histories, dtype=np.float64), []
+    for p, y in zip(probas, labels):
+        H = np.column_stack([H[:, 1:], p])
+        now = AttentionParams(flat, params.k)
+        s = min(max(attention_readout(now, H), EPS), 1.0 - EPS)
+        losses.append(-(y * math.log(s) + (1 - y) * math.log(1.0 - s)))
+        flat = flat - eta * attention_gradient(now, H, y)
+    return flat, H, losses
 
 
 def encode_fields(rows, vocab, cols) -> np.ndarray:

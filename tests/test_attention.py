@@ -5,9 +5,12 @@ import pickle
 import numpy as np
 import pytest
 
+import arlif.attention
 from arlif.attention import (
     EPS,
+    WORKSPACE_LIMIT,
     AttentionParams,
+    _live,
     _skips_row_max,
     backward,
     bce_loss,
@@ -18,9 +21,9 @@ from arlif.attention import (
     workspace,
 )
 from arlif.detector import attention_params_bytes
-from arlif.errors import DimensionMismatch, StaleCache
+from arlif.errors import ArlifError, BufferTooLarge, DimensionMismatch, StaleCache
 from grad_check import fd_grads, grad_errors
-from reference import attention_readout, softmax_rows
+from reference import attention_gradient, attention_readout, softmax_rows
 
 
 def rand_params(k, seed):
@@ -144,6 +147,34 @@ def test_deepcopy_keeps_blocks_and_vector_in_step():
 def test_params_reject_a_vector_of_the_wrong_size():
     with pytest.raises(DimensionMismatch):
         AttentionParams(np.zeros(param_count(3) - 1), 3)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 10])
+def test_the_live_positions_hold_every_live_entry_once_and_no_inert_one(k):
+    live = _live(k)
+    assert live.shape == (k + 1, 2 * k + 1) and not live.flags.writeable
+    assert np.unique(live).size == live.size
+    inert = AttentionParams(np.zeros(param_count(k)), k)
+    inert.Wv[:, :-1] = inert.bv[:-1] = 1.0  # the entries no readout reads
+    assert sorted(live.ravel().tolist() + np.flatnonzero(inert.flat).tolist()) == \
+        list(range(param_count(k)))
+    p = rand_params(k, seed=k)
+    W1 = p.flat[live]  # [[Wq, Wk, Wv[:, -1]], [bq, bk, bv[-1]]]
+    assert np.array_equal(W1[:k], np.column_stack([p.Wq, p.Wk, p.Wv[:, -1]]))
+    assert np.array_equal(W1[k], np.concatenate([p.bq, p.bk, p.bv[-1:]]))
+
+
+def test_workspace_refuses_t_by_t_buffers_past_its_limit(monkeypatch):
+    # E and dE for one matrix; a stack holds E per matrix and one dE
+    assert issubclass(BufferTooLarge, ArlifError)
+    with pytest.raises(BufferTooLarge, match=f"needs {16 * 8193 ** 2} bytes of T x T buffers, "
+                                             f"past the limit of {WORKSPACE_LIMIT} bytes"):
+        workspace(8193, 10)  # refused before anything is allocated
+    monkeypatch.setattr(arlif.attention, "WORKSPACE_LIMIT", 16 * 50 * 50)
+    assert workspace(50, 3).E.shape == (50, 50)  # exactly at the limit
+    for shape, size in (((51, 3), 16 * 51 * 51), ((2, 50, 3), 24 * 50 * 50)):
+        with pytest.raises(BufferTooLarge, match=f"needs {size} bytes .* limit of {16 * 2500} "):
+            workspace(*shape)
 
 
 # --- softmax -------------------------------------------------------------------
@@ -282,6 +313,26 @@ def test_forward_attention_is_the_row_softmax_of_the_scaled_logits():
         np.testing.assert_allclose(A, softmax_rows(logits), rtol=1e-12, atol=1e-300)
 
 
+@pytest.mark.parametrize("k, T", [(3, 6), (1, 5), (10, 100)])
+def test_forward_and_backward_agree_with_the_plain_reference(k, T):
+    # the declared rounding budget: scores and gradients within 1e-12 of a row
+    # softmax on fresh arrays, on both branches and for either label
+    rng = np.random.default_rng(100 * k + T)
+    p = rand_params(k, seed=k + T)
+    p.Wq, p.Wk = p.Wq * (3 / k), p.Wk * (3 / k)  # at k = 10, a bound under LOGIT_LIMIT
+    for params, skips in ((p, True), (wide(p, 5.0 if k > 1 else 10.0), False)):
+        assert skips_row_max(params, T) == skips
+        ws = workspace(T, k)
+        for label in (0, 1):
+            H = rng.uniform(0.0, 1.0, (T, k))
+            s, cache = forward(params, H, out=ws)
+            assert cache.s == cache.r  # live, so the gradient is not all zero
+            assert abs(s - attention_readout(params, H)) <= 1e-12
+            g = backward(params, cache, label).flat
+            ref = attention_gradient(params, H, label)
+            assert np.abs(g - ref).max() <= 1e-12 and np.count_nonzero(ref) > 0
+
+
 # --- loss / backward -----------------------------------------------------------
 
 def test_bce_loss_values():
@@ -360,7 +411,7 @@ def test_a_reused_workspace_gives_the_bits_of_fresh_buffers(k, T):
 @pytest.mark.parametrize("clone", [copy.deepcopy, lambda ws: pickle.loads(pickle.dumps(ws))],
                          ids=["deepcopy", "pickle"])
 def test_a_copied_or_pickled_workspace_writes_into_its_own_buffers(clone):
-    # the cache's views (Q, K, KT, v, num, den) and backward's (gW, gb, gv) must be
+    # the cache's views (H, Q, K, KT, v, num, den) and backward's (dQ, dK, dv) must be
     # views of the clone's buffers, not copies left holding the first forward's values
     k, T = 4, 6
     rng = np.random.default_rng(4)
@@ -379,7 +430,7 @@ def test_a_copied_or_pickled_workspace_writes_into_its_own_buffers(clone):
         g = backward(p, twin, label)
         assert g is twin.grad
         assert g.flat.tobytes() == backward(p, fresh, label).flat.tobytes()
-    assert np.shares_memory(twin.gW, g.flat)
+    assert np.shares_memory(twin.dv, twin.D)
 
 
 def test_backward_rejects_a_cache_from_a_stacked_forward():
@@ -436,7 +487,7 @@ def test_bias_gradients_are_the_sums_of_the_row_gradients(k, T):
             forward(params, rng.uniform(0.1, 0.9, (T, k)), out=ws)
             assert ws.s == ws.r
             g = backward(params, ws, label)
-            for got, rows in ((g.bq, ws.dQK[0]), (g.bk, ws.dQK[1])):
+            for got, rows in ((g.bq, ws.dQ), (g.bk, ws.dK)):
                 for col in range(k):
                     assert abs(got[col] - math.fsum(rows[:, col])) <= 1e-15
             assert abs(g.bv[-1] - math.fsum(ws.dv)) <= 1e-15

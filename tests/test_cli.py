@@ -237,7 +237,7 @@ def test_a_refused_allocation_is_one_error_line(cli_env, capsys, monkeypatch):
 
     def refused(*shape):
         raise MemoryError(text)
-    monkeypatch.setattr(arlif.attention, "workspace", refused)
+    monkeypatch.setattr(arlif.detector, "workspace", refused)
     rc = main(["eval", "--model", str(cli_env["model"]), "--test", str(cli_env["test"])])
     out, err = capsys.readouterr()
     assert rc == 1 and out == "" and err == f"error: {text}\n"
@@ -396,8 +396,8 @@ def test_eval_rejects_crafted_model(cli_env, capsys, tmp_path, case):
 
 @pytest.fixture(scope="module")
 def wide_model(cli_env):
-    """A crafted file of 20,000 single-leaf trees at psi 2 and k 10. It loads, and one
-    block of detection asks for rows * T * T doubles: 191 GiB for eval's 64 rows."""
+    """A crafted file of 20,000 single-leaf trees at psi 2 and k 10. It loads, and the
+    T x T buffers of one history matrix alone would take 6.4 GB."""
     data, det = cli_env["model"].read_bytes()[:-4], load_model(cli_env["model"])
     T, k, leaf = 20_000, 10, np.array([(-1, 0.0, 1)], dtype=NODE_DTYPE)
     data = with_trees(with_header(data, T=T, psi=2, k=k), det, [leaf] * T)
@@ -417,7 +417,7 @@ def test_the_20000_tree_file_loads_and_resaves_byte_for_byte(wide_model):
 
 def run_capped(args, stdin=b""):
     """python -m arlif.cli in a child whose address space is capped at 2 GiB, so that
-    a buffer sized from a large T is refused rather than made."""
+    a buffer sized from a large T that got past the size check is refused rather than made."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
@@ -436,7 +436,11 @@ def test_detection_on_the_20000_tree_file_ends_in_one_error_line(cli_env, wide_m
     proc = run_capped(args, "".join(line + "\n" for line in synth_lines(lines, seed=5)).encode())
     err = proc.stderr.decode()
     assert proc.returncode == 1 and proc.stdout == b"", err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "allocate" in err, err
+    # one T x T matrix, E, and its gradient dE: refused before anything is allocated
+    size = 8 * 20_000 ** 2 * 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert (f"needs {size} bytes" in err
+            and f"limit of {arlif.attention.WORKSPACE_LIMIT} bytes" in err), err
 
 
 @pytest.mark.parametrize("where", ["tau", "forest_tau", "param", "history"])

@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+import arlif.attention
 import arlif.detector
 from arlif.attention import (_skips_row_max, backward, bce_loss, forward, init_params, param_count,
                              sgd_step)
@@ -32,6 +33,7 @@ from arlif.detector import (
 from arlif.errors import (
     ArlifError,
     BadMagic,
+    BufferTooLarge,
     CorruptModel,
     DimensionMismatch,
     Diverged,
@@ -43,7 +45,7 @@ from arlif.iforest import build_forest, forest_probas
 from arlif.ingest import CATEGORICAL_COLUMNS, N_FEATURES, fit_preprocessor, transform
 from arlif.metrics import evaluate
 from conftest import sealed, synth_records
-from reference import attention_readout, forest_of, tree_proba
+from reference import attention_readout, forest_of, learn_loop, tree_proba
 
 
 def mk_detector(pipe, k=4, tau=0.5, eta=0.05, seed=0, scale=0.01):
@@ -225,6 +227,48 @@ def test_observe_block_equals_a_loop_of_observe(pipe, trees, k, block):
     assert blocked.histories.tolist() == looped.histories.tolist()
     assert blocked.samples_seen == looped.samples_seen == len(rows)
     assert observe(blocked, []).score.size == 0 and blocked.samples_seen == len(rows)
+
+
+@pytest.mark.parametrize("scale", [0.5, 3.0], ids=["unshifted", "max-shifted"])
+@pytest.mark.parametrize("rows_per_piece, pieces", [(2, [2, 2, 2, 1]), (1, [1] * 7)])
+def test_a_block_scored_in_pieces_equals_a_loop_of_observe(pipe, monkeypatch, scale,
+                                                           rows_per_piece, pieces):
+    records, pre, _, forest = pipe
+    T, k = forest.n_trees, 4
+    params = init_params(k, seed=3, scale=scale)
+    assert _skips_row_max(params.flat, k, T) == (scale == 0.5)
+    looped, blocked = new_detector(forest, params, pre), new_detector(forest, params, pre)
+    for r in records[:5]:  # histories that are not all 0.5
+        observe(looped, r)
+        observe(blocked, r)
+    cut = []
+
+    def recording(params, H, *, out=None):
+        cut.append((len(H), out))
+        return forward(params, H, out=out)
+    monkeypatch.setattr(arlif.detector, "PIECE_BYTES", 8 * T * T * rows_per_piece)
+    monkeypatch.setattr(arlif.detector, "forward", recording)
+    rows = records[5:12]
+    res = observe(blocked, rows)
+    assert [n for n, _ in cut] == pieces
+    assert all(np.shares_memory(out.E, cut[0][1].E) for _, out in cut)  # one workspace
+    singles = [observe(looped, r) for r in rows]
+    assert res.score.tolist() == [one.score for one in singles]
+    assert res.predicted.tolist() == [one.predicted for one in singles]
+    assert blocked.histories.tolist() == looped.histories.tolist()
+    assert blocked.samples_seen == looped.samples_seen == 12
+
+
+def test_a_refused_workspace_leaves_the_detector_as_it_was(pipe, monkeypatch):
+    records, _, _, forest = pipe
+    T = forest.n_trees
+    monkeypatch.setattr(arlif.attention, "WORKSPACE_LIMIT", 8 * T * T)  # not even E and dE
+    det = mk_detector(pipe)
+    before = to_bytes(det)
+    for r in (records[0], records[:3]):
+        with pytest.raises(BufferTooLarge, match=f"past the limit of {8 * T * T} bytes"):
+            observe(det, r)
+        assert to_bytes(det) == before and det._workspace is None
 
 
 def test_observe_with_precomputed_probas_equals_observe(pipe):
@@ -474,6 +518,22 @@ def test_training_leaves_inert_value_parameters_untouched():
     assert det.params.bv[:-1].tobytes() == init.bv[:-1].tobytes()
     assert not np.array_equal(det.params.Wv[:, -1], init.Wv[:, -1])
     assert det.params.bv[-1] != init.bv[-1]
+
+
+def test_train_online_stays_within_the_rounding_budget_of_a_plain_learn_loop(default_shape):
+    # 2000 rows at the benchmark's shape and eta against learn() written as a
+    # row softmax and the chain rule on fresh arrays (tests/reference.py)
+    records, pre, forest = default_shape
+    det = new_detector(forest, init_params(10, seed=0), pre, eta=DEFAULT_ETA)
+    start = det.histories.copy()
+    report = train_online(det, records)
+    P = forest_probas(forest, transform(pre, records))
+    flat, H, losses = learn_loop(init_params(10, seed=0), start, P, [r.label for r in records],
+                                 DEFAULT_ETA)
+    assert np.abs(det.params.flat - flat).max() <= 1e-12
+    assert np.abs(det.params.flat - init_params(10, seed=0).flat).max() > 1e-6  # it learned
+    assert det.histories.tobytes() == H.tobytes()
+    assert abs(report.mean_losses[0] - math.fsum(losses) / len(losses)) <= 1e-12
 
 
 def test_learn_raises_diverged_instead_of_training_a_dead_layer(pipe):

@@ -76,6 +76,14 @@ def test_parse_nsl_kdd_row():
     assert parse_record(mk_line(label="neptune")).label == 1
 
 
+def test_equal_tokens_from_two_lines_are_one_object():
+    # each line splits into its own strings; parse_record keeps one copy of each token
+    service = "".join(["ser", "vice_", str(7)])  # built at run time, so not a constant
+    a, b = (parse_record(mk_line({1: "udp", 2: service, 0: str(i)})) for i in range(2))
+    assert a.tokens == b.tokens == ("udp", "service_7", "SF")
+    assert all(x is y for x, y in zip(a.tokens, b.tokens))
+
+
 def test_parse_kdd99_trailing_period_stripped():
     r = parse_record(mk_line({22: "511"}, label="smurf", format="kdd99"), "kdd99")
     assert r.label == 1

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -141,6 +142,21 @@ def test_evaluate_equals_the_per_row_reference_at_the_default_shape(default_shap
                          labels)
     rep = evaluate(det, test, "baseline-if", baseline_tau=tau_b)
     assert rep.confusion == c and rep.f1 == f1_score(c)
+
+
+def test_a_replay_at_400_trees_peaks_under_30_mb(default_shape):
+    # a whole 64-row block would hold 64 x 400 x 400 doubles (82 MB) in E alone; pieces
+    # bound the T x T buffers by detector.PIECE_BYTES, here one matrix at a time
+    records, pre, _ = default_shape
+    forest = build_forest(transform(pre, records), T=400, psi=256, seed=0)
+    det = new_detector(forest, init_params(10, seed=0), pre)
+    tracemalloc.start()
+    try:
+        scores, _ = replay(det, records[:640])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scores.shape == (640,) and peak <= 30e6, peak
 
 
 def test_evaluate_baseline_matches_manual_threshold(pipe):
