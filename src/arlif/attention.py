@@ -20,20 +20,24 @@ hand-differentiated from E and den (readout mean -> e -> row softmax ->
 1/sqrt(k) scaled logits -> the affine maps) and is verified against central
 finite differences in the test suite.
 
-Buffers: a ForwardCache holds every buffer of one step, forward's and
-backward's for one T x k matrix, and workspace(*shape) is their one
-allocator. forward writes into the cache it is handed (out=), else into
-fresh ones, so a training step on one T x k matrix (forward, backward,
-sgd_step) in a reused cache allocates none of its T x T, T x k or T x 2
-arrays; the bits are those of fresh buffers. backward writes the gradient
-into the cache's grad and returns it. The history carries a ones column,
-H1 = [H, 1], and each step takes the live parameters into one
+Buffers: a ForwardCache holds every buffer of one step, forward's and, for
+one T x k matrix, backward's, and workspace(*shape) is their one allocator.
+A stack's cache carries none of backward's buffers: backward refuses a
+stack before it reads them. forward writes into the cache it is handed (out=),
+else into fresh ones, so a training step on one T x k matrix (forward,
+backward, sgd_step) in a reused cache allocates none of its T x T, T x k or
+T x 2 arrays; the bits are those of fresh buffers. backward writes the
+gradient into the cache's grad and returns it. The history carries a ones
+column, H1 = [H, 1], and each step takes the live parameters into one
 (k+1) x (2k+1) matrix W1 = [[Wq, Wk, Wv[:, -1]], [bq, bk, bv[-1]]] (_live
 holds their positions in the vector), so one product H1.W1 gives Q, K and v
-with their biases, written beside a ones column as [Q, K, v, 1]. backward's
-one product H1^T.[dQ, dK, dv] gives every live weight and bias gradient,
-which one scatter writes into the gradient vector. workspace refuses a
-request whose T x T buffers would pass WORKSPACE_LIMIT bytes.
+with their biases, written beside a ones column as [Q, K, v, 1]. The logits'
+two factors, Q / sqrt(k) and K^T, are copied out of that buffer into C-order
+ones of the cache (Qs and KT): gemm runs faster on them than on its strided
+views, with the same bits. backward's one product H1^T.[dQ, dK, dv] gives
+every live weight and bias gradient, which one scatter writes into the
+gradient vector. workspace refuses a request whose T x T buffers (E per
+matrix, and a single matrix's dE) would pass WORKSPACE_LIMIT bytes.
 """
 
 from __future__ import annotations
@@ -143,44 +147,47 @@ def _skips_row_max(flat: np.ndarray, k: int, T: int) -> bool:
 
 @dataclass
 class ForwardCache:
-    """Every buffer of one step: forward's, which backward reads, and
-    backward's for one T x k matrix, the input's last two axes. The input
-    sits in H1 beside a ones column, and the product H1.W1 in QKV1 beside
-    another, so Q, K, v and [v, 1] are views of one buffer, as are dQ, dK and
-    dv of D. The attention weights are E / den[..., None]. Every
-    single-matrix cache lends backward its gradient buffer, grad: backward
-    returns it, and the next backward on the same cache writes over it."""
+    """Every buffer of one step: forward's, which backward reads, and, in a
+    single-matrix cache, backward's. The input sits in H1 beside a ones
+    column, and the product H1.W1 in QKV1 beside another, so Q, K, v and
+    [v, 1] are views of one buffer, as are dQ, dK and dv of D. The attention
+    weights are E / den[..., None]. Every single-matrix cache lends backward
+    its gradient buffer, grad: backward returns it, and the next backward on
+    the same cache writes over it. A stack's cache holds None in backward's
+    fields, and backward refuses it before it reads them."""
 
     H1: np.ndarray  # [H, 1], H a copy of forward's input, (..., T, k + 1)
     W1: np.ndarray  # the live parameters, (k + 1, 2k + 1): see _live
     QKV1: np.ndarray  # [Q, K, v, 1] = [H1.W1, 1], (..., T, 2k + 2); v, the readout's value column
-    Qs: np.ndarray  # Q / sqrt(k), the left factor of the logits
+    Qs: np.ndarray  # Q / sqrt(k), C-order: the left factor of the logits
+    KT: np.ndarray  # K^T, C-order (..., k, T): the right one
     E: np.ndarray  # exp of the scaled logits, each row shifted or not; (..., T, T)
     Ev: np.ndarray  # [E.v, den], den the row sums of E, or all ones where forward normalized E
     e: np.ndarray  # the attention-weighted values, (E.v) / den
-    grad: AttentionParams  # backward's result; its inert entries are never written
-    gd: np.ndarray  # dL/de over den, (T,)
-    L: np.ndarray  # (T, 2)
-    R: np.ndarray  # [v, 1]^T, (2, T): a transposed view of V1 makes the product slower
-    dE: np.ndarray  # the logits' gradient, (T, T)
-    D: np.ndarray  # [dQ, dK, dv], (T, 2k + 1): the gradient of H1.W1
-    G: np.ndarray  # H1^T.D, (k + 1, 2k + 1): W1's gradient, scattered into grad
+    grad: AttentionParams | None = None  # backward's result; its inert entries are never written
+    gd: np.ndarray | None = None  # dL/de over den, (T,)
+    L: np.ndarray | None = None  # (T, 2)
+    R: np.ndarray | None = None  # [v, 1]^T, (2, T): a transposed view of V1 is slower
+    dE: np.ndarray | None = None  # the logits' gradient, (T, T)
+    D: np.ndarray | None = None  # [dQ, dK, dv], (T, 2k + 1): the gradient of H1.W1
+    G: np.ndarray | None = None  # H1^T.D, (k + 1, 2k + 1): W1's gradient, scattered into grad
     r: float | np.ndarray = 0.0  # one per matrix of a stack
     s: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        # views: H; Q, K and K^T, v and [v, 1]; E.v (num) and den; dQ, dK and dv
+        # views: H; Q, K, v and [v, 1]; E.v (num) and den; dQ, dK and dv
         k = self.W1.shape[0] - 1
         self.H, self.QKv = self.H1[..., :k], self.QKV1[..., :-1]
         self.Q, self.K, self.V1 = self.QKV1[..., :k], self.QKV1[..., k:-2], self.QKV1[..., -2:]
-        self.KT, self.v = self.K.swapaxes(-1, -2), self.V1[..., 0]
+        self.v = self.V1[..., 0]
         self.num, self.den = self.Ev[..., 0], self.Ev[..., 1]
-        self.dQ, self.dK, self.dv = self.D[:, :k], self.D[:, k:-1], self.D[:, -1]
+        if self.D is not None:
+            self.dQ, self.dK, self.dv = self.D[:, :k], self.D[:, k:-1], self.D[:, -1]
 
     def head(self, n: int) -> ForwardCache:
         """A stack's cache for its first n matrices, in views of these buffers."""
         return replace(self, **{name: getattr(self, name)[:n]
-                                for name in ("H1", "QKV1", "Qs", "E", "Ev", "e")})
+                                for name in ("H1", "QKV1", "Qs", "KT", "E", "Ev", "e")})
 
     def __setstate__(self, state):  # a copy or pickle copies each view apart from its buffer
         self.__dict__.update(state)
@@ -189,24 +196,27 @@ class ForwardCache:
 
 def workspace(*shape: int) -> ForwardCache:
     """A step's buffers, fresh: forward's for an input of this shape,
-    (..., T, k), and backward's for one T x k matrix. forward allocates its
-    cache here unless it is handed one as out=; handed back in, a cache
-    serves any number of steps. Raises BufferTooLarge, allocating nothing,
-    when the T x T buffers (E, one per matrix, and dE) would pass
-    WORKSPACE_LIMIT bytes."""
+    (..., T, k), and for one T x k matrix backward's too; a stack gets none of
+    backward's, as backward refuses it. forward allocates its cache here
+    unless it is handed one as out=; handed back in, a cache serves any number
+    of steps. Raises BufferTooLarge, allocating nothing, when the T x T
+    buffers it would allocate (E, one per matrix, and a single matrix's dE)
+    pass WORKSPACE_LIMIT bytes."""
     rows, (T, k) = shape[:-1], shape[-2:]
-    size = 8 * T * T * (math.prod(rows[:-1]) + 1)
+    single = len(shape) == 2
+    size = 8 * T * T * (math.prod(rows[:-1]) + single)
     if size > WORKSPACE_LIMIT:
         raise BufferTooLarge(f"the attention step on {'x'.join(map(str, shape))} histories "
                              f"needs {size} bytes of T x T buffers, past the limit of "
                              f"{WORKSPACE_LIMIT} bytes")
+    backward_buffers = dict(
+        grad=AttentionParams(np.zeros(param_count(k)), k), gd=np.empty(T), L=np.empty((T, 2)),
+        R=np.ones((2, T)), dE=np.empty((T, T)), D=np.empty((T, 2 * k + 1)),
+        G=np.empty((k + 1, 2 * k + 1))) if single else {}
     return ForwardCache(H1=np.ones(rows + (k + 1,)), W1=np.empty((k + 1, 2 * k + 1)),
                         QKV1=np.ones(rows + (2 * k + 2,)), Qs=np.empty(shape),
-                        E=np.empty(rows + rows[-1:]), Ev=np.empty(rows + (2,)),
-                        e=np.empty(rows), grad=AttentionParams(np.zeros(param_count(k)), k),
-                        gd=np.empty(T), L=np.empty((T, 2)), R=np.ones((2, T)),
-                        dE=np.empty((T, T)), D=np.empty((T, 2 * k + 1)),
-                        G=np.empty((k + 1, 2 * k + 1)))
+                        KT=np.empty(shape[:-2] + (k, T)), E=np.empty(rows + rows[-1:]),
+                        Ev=np.empty(rows + (2,)), e=np.empty(rows), **backward_buffers)
 
 
 def forward(params: AttentionParams, H, *,
@@ -251,8 +261,11 @@ def forward(params: AttentionParams, H, *,
     # Q, K and v with their biases in one product, each matrix of a stack in its own;
     # _live's positions are in range, so "clip" only spares take a copy of its output
     np.matmul(c.H1, flat.take(_live(k), out=c.W1, mode="clip"), out=c.QKv)
-    # the logits and then E in one buffer: no other temporary the size of E
-    np.divide(c.Q, math.sqrt(k), out=c.Qs)
+    # the logits and then E in one buffer: no other temporary the size of E. Both
+    # factors are C-order copies: gemm is faster on them than on views of QKV1
+    np.copyto(c.Qs, c.Q)
+    c.Qs /= math.sqrt(k)
+    np.copyto(c.KT, c.K.swapaxes(-1, -2))
     E = np.matmul(c.Qs, c.KT, out=c.E)
     if _skips_row_max(flat, k, T):
         np.exp(E, out=E)

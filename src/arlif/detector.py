@@ -222,14 +222,14 @@ def observe(det: Detector, r: Record | Sequence[Record], *,
     return DetectionResult(score=s, predicted=predicted, cache=cache)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as a decorator it costs half the with form
 def learn(det: Detector, r: Record, label: int, *,
           probas: np.ndarray | None = None) -> float:
     """observe (passing probas on), then one BCE/SGD update of the attention
     layer only. Raises Diverged once the readout or the parameters are no
     longer finite; the overflow that leads there is reported by that error alone."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = observe(det, r, probas=probas)
-        sgd_step(det.params, backward(det.params, res.cache, label), det.eta)
+    res = observe(det, r, probas=probas)
+    sgd_step(det.params, backward(det.params, res.cache, label), det.eta)
     if not (math.isfinite(res.cache.r) and np.isfinite(det.params.flat).all()):
         raise Diverged(f"attention layer diverged at sample {det.samples_seen} "
                        f"(readout {res.cache.r}, eta={det.eta})")

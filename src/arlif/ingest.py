@@ -5,7 +5,13 @@ the encoder/scaler that turns records into fixed-length vectors in [0,1].
 
 Each numeric cell is converted once, by parse_record, into the Record's
 values array; the categorical tokens are kept as read and encoded only
-inside the preprocessor, against its vocabulary.
+inside the preprocessor, against its vocabulary. parse_record converts the
+numeric cells with one float() each into a list, and when their sum is finite
+builds the values from it directly; otherwise it converts cell by cell, which
+names the first cell that is not a finite number, or parses a row of finite
+cells whose sum overflowed. transform encodes a sequence of records with the
+block encoder fitting uses, and one record without it: a take of its values
+and a vocabulary lookup per selected categorical column, with the same bits.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .errors import ArlifError, CorruptModel, FieldCountMismatch, NotUtf8, Numer
 N_FEATURES = 41
 # protocol_type, service, flag
 CATEGORICAL_COLUMNS = (1, 2, 3)
+_NANS = (math.nan,) * len(CATEGORICAL_COLUMNS)
 
 FORMATS = ("nsl-kdd", "kdd99")
 
@@ -58,6 +65,12 @@ def parse_record(line: str, format: str = "nsl-kdd") -> Record:
     nsl-kdd rows carry 43 fields (41 features, label, difficulty — the
     difficulty field is validated and discarded); kdd99 rows carry 42
     fields and the label may bear a trailing period, which is stripped.
+
+    Each numeric cell is converted by float() once. A NaN or infinite cell
+    makes the sum of the 38 results non-finite, and so does a sum of finite
+    cells that overflows; only then are the cells converted again one by one,
+    which raises NumericParse naming the first bad column, or gives the values
+    of a row whose cells were all finite.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
@@ -66,17 +79,17 @@ def parse_record(line: str, format: str = "nsl-kdd") -> Record:
     if len(fields) != expected:
         raise FieldCountMismatch(f"expected {expected} fields for format {format}, "
                                  f"got {len(fields)}")
-    cells = fields[:N_FEATURES]
     # interned: a file holds a few dozen distinct tokens, and each record shares them
-    tokens = tuple([sys.intern(cells[col]) for col in CATEGORICAL_COLUMNS])
-    for col in CATEGORICAL_COLUMNS:
-        cells[col] = "nan"  # the preprocessor encodes the token
-    try:
-        values = np.fromiter(map(float, cells), np.float64, N_FEATURES)
+    tokens = (sys.intern(fields[1]), sys.intern(fields[2]), sys.intern(fields[3]))
+    try:  # the categorical columns are 1 to 3
+        values = [float(fields[0]), *map(float, fields[4:N_FEATURES])]
+        fast = math.isfinite(sum(values))
     except ValueError:
-        values = np.empty(0)
-    if np.count_nonzero(np.isfinite(values)) < N_FEATURES - len(CATEGORICAL_COLUMNS):
-        # a cell is not a finite number: convert cell by cell, which names the first
+        fast = False
+    if fast:
+        values[1:1] = _NANS  # in the categorical columns: the preprocessor encodes the tokens
+        values = np.fromiter(values, np.float64, N_FEATURES)
+    else:  # names the first bad cell, or parses a row whose finite cells overflow the sum
         values = np.array([math.nan if col in CATEGORICAL_COLUMNS else _number(tok, col)
                            for col, tok in enumerate(fields[:N_FEATURES])])
     label = fields[N_FEATURES]
@@ -118,18 +131,30 @@ def _build_vocab(records: list[Record]) -> dict[int, list[str]]:
             for i, col in enumerate(CATEGORICAL_COLUMNS)}
 
 
-def _vocab_index(vocab: dict[int, list[str]]) -> dict[int, dict[str, int]]:
-    """Per categorical column, each token's position in the vocabulary."""
-    return {col: {tok: i for i, tok in enumerate(toks)} for col, toks in vocab.items()}
+class _VocabIndex(dict):
+    """One categorical column's vocabulary index: each token's position in the
+    vocabulary, and for a token it does not hold, one past its end. Every
+    encoder reads tokens through it, so an unseen token has one rule."""
+
+    __slots__ = ()
+
+    def __missing__(self, token: str) -> int:
+        return len(self)
 
 
-def _encode(records: Sequence[Record], index: dict[int, dict[str, int]]) -> np.ndarray:
+def _vocab_index(vocab: dict[int, list[str]]) -> dict[int, _VocabIndex]:
+    """Per categorical column, its _VocabIndex."""
+    return {col: _VocabIndex((tok, i) for i, tok in enumerate(toks))
+            for col, toks in vocab.items()}
+
+
+def _encode(records: Sequence[Record], index: dict[int, _VocabIndex]) -> np.ndarray:
     """Records -> (n, 41) float matrix: the records' values, with each categorical
     token's position in the vocab index, an unseen one one past its end."""
     X = np.array([r.values for r in records]).reshape(len(records), N_FEATURES)
     for i, col in enumerate(CATEGORICAL_COLUMNS):
         idx = index[col]
-        X[:, col] = [idx.get(r.tokens[i], len(idx)) for r in records]
+        X[:, col] = [idx[r.tokens[i]] for r in records]
     return X
 
 
@@ -162,8 +187,9 @@ class Preprocessor:
     Construction checks them (else CorruptModel): one or more distinct selected
     columns, each < 41; 41 finite min/max pairs with min <= max and a finite
     max - min; a vocabulary for exactly the categorical columns, no token twice
-    in one. It derives what transform reads: the vocab index and the selected
-    columns' bounds."""
+    in one. It derives what transform reads: the vocab index, the selected
+    columns as an index array, each selected categorical column's place, token
+    slot and vocab index, and the selected columns' bounds."""
 
     vocab: dict[int, list[str]]
     min_max: list[tuple[float, float]]
@@ -187,6 +213,10 @@ class Preprocessor:
             if len(set(toks)) != len(toks):
                 raise CorruptModel(f"column {col} vocabulary holds a token twice")
         self._index = _vocab_index(self.vocab)
+        self._cols = np.array(self.selected, dtype=np.intp)
+        # each selected categorical column: its place in the output, its token slot, its index
+        self._codes = tuple((j, CATEGORICAL_COLUMNS.index(col), self._index[col])
+                            for j, col in enumerate(self.selected) if col in CATEGORICAL_COLUMNS)
         self._lo, self._hi = np.array([self.min_max[c] for c in self.selected]).T
         # a degenerate column (min == max) clamps to its min, and a span of 1
         # then scales that to exactly 0.0
@@ -209,10 +239,23 @@ def fit_preprocessor(records: list[Record], m: int) -> Preprocessor:
 
 def transform(pre: Preprocessor, records: Record | Sequence[Record]) -> np.ndarray:
     """One record -> (m,) vector in [0,1]; a sequence of N records -> (N, m), or
-    (0, m) when it is empty. The records are encoded as fitting encodes them
-    (_encode); each selected column is clamped to its training min/max and
-    min-max scaled on it, and a degenerate column (min == max) maps to 0.0."""
-    one = isinstance(records, Record)
-    X = _encode([records] if one else records, pre._index).take(pre.selected, axis=1)
-    X = (np.minimum(np.maximum(X, pre._lo), pre._hi) - pre._lo) / pre._span
-    return X[0] if one else X
+    (0, m) when it is empty. Each selected column is clamped to its training
+    min/max and min-max scaled on it, and a degenerate column (min == max) maps
+    to 0.0.
+
+    A sequence is encoded as fitting encodes it (_encode), and its selected
+    columns taken. One record skips that block encoder: its values' selected
+    columns are taken, each selected categorical column set to its token's
+    position in the same vocab index, and the clamp and scale done in place,
+    so it builds no (1, 41) matrix and gives the bits of its row of a block."""
+    if isinstance(records, Record):
+        x = records.values.take(pre._cols)
+        for j, slot, index in pre._codes:
+            x[j] = index[records.tokens[slot]]
+    else:
+        x = _encode(records, pre._index).take(pre._cols, axis=1)
+    np.maximum(x, pre._lo, out=x)
+    np.minimum(x, pre._hi, out=x)
+    x -= pre._lo
+    x /= pre._span
+    return x

@@ -3,9 +3,9 @@
 Each is written apart from the package's vectorized code, so agreement is
 evidence: a recursive grower of one tree, a naive recursive walk of one tree,
 the per-tree probability built on it, a textbook row softmax, the attention
-readout, its gradient and a learn loop built on it, and a string encoder with
-transform's scaling over rows split into their text fields. forest_of joins
-hand-made trees into a forest.
+readout, its gradient and a learn loop built on it, a record parser that
+converts one cell at a time, and a string encoder with transform's scaling over
+rows split into their text fields. forest_of joins hand-made trees into a forest.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from arlif.attention import EPS, AttentionParams
+from arlif.errors import NumericParse
 from arlif.iforest import NODE_DTYPE, IsolationForest, c_factor
 
 
@@ -129,6 +130,31 @@ def learn_loop(params, histories, probas, labels, eta: float):
         losses.append(-(y * math.log(s) + (1 - y) * math.log(1.0 - s)))
         flat = flat - eta * attention_gradient(now, H, y)
     return flat, H, losses
+
+
+def parse_cells(line: str, format: str = "nsl-kdd"):
+    """parse_record one cell at a time, for a line of the right field count:
+    (values, tokens, label). Each of the 41 feature cells in turn is float() of
+    its text, or NaN in the categorical columns 1 to 3, whose text is the token;
+    the first that is not a finite number raises NumericParse naming its
+    column. A kdd99 label drops one trailing period; an nsl-kdd difficulty
+    cell must be a finite number and is dropped. The label is 0 for "normal"
+    and 1 otherwise."""
+    fields = line.strip().split(",")
+    values = []
+    for col, cell in enumerate(fields[:41] + ([] if format == "kdd99" else [fields[42]])):
+        if col in (1, 2, 3):
+            values.append(math.nan)
+            continue
+        try:
+            x = float(cell)
+        except ValueError:
+            x = math.nan
+        if not math.isfinite(x):
+            raise NumericParse(f"column {col}: {cell!r} is not a finite number")
+        values.append(x)
+    label = fields[41].removesuffix(".") if format == "kdd99" else fields[41]
+    return np.array(values[:41]), tuple(fields[1:4]), 0 if label == "normal" else 1
 
 
 def encode_fields(rows, vocab, cols) -> np.ndarray:

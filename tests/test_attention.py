@@ -165,14 +165,16 @@ def test_the_live_positions_hold_every_live_entry_once_and_no_inert_one(k):
 
 
 def test_workspace_refuses_t_by_t_buffers_past_its_limit(monkeypatch):
-    # E and dE for one matrix; a stack holds E per matrix and one dE
+    # E and dE for one matrix; a stack holds E per matrix and none of backward's buffers
     assert issubclass(BufferTooLarge, ArlifError)
     with pytest.raises(BufferTooLarge, match=f"needs {16 * 8193 ** 2} bytes of T x T buffers, "
                                              f"past the limit of {WORKSPACE_LIMIT} bytes"):
         workspace(8193, 10)  # refused before anything is allocated
     monkeypatch.setattr(arlif.attention, "WORKSPACE_LIMIT", 16 * 50 * 50)
     assert workspace(50, 3).E.shape == (50, 50)  # exactly at the limit
-    for shape, size in (((51, 3), 16 * 51 * 51), ((2, 50, 3), 24 * 50 * 50)):
+    stack = workspace(2, 50, 3)  # also at the limit: two E's and no dE
+    assert stack.E.shape == (2, 50, 50) and stack.dE is None and stack.grad is None
+    for shape, size in (((51, 3), 16 * 51 * 51), ((3, 50, 3), 24 * 50 * 50)):
         with pytest.raises(BufferTooLarge, match=f"needs {size} bytes .* limit of {16 * 2500} "):
             workspace(*shape)
 

@@ -397,7 +397,7 @@ def test_eval_rejects_crafted_model(cli_env, capsys, tmp_path, case):
 @pytest.fixture(scope="module")
 def wide_model(cli_env):
     """A crafted file of 20,000 single-leaf trees at psi 2 and k 10. It loads, and the
-    T x T buffers of one history matrix alone would take 6.4 GB."""
+    T x T logits of one history matrix alone would take 3.2 GB."""
     data, det = cli_env["model"].read_bytes()[:-4], load_model(cli_env["model"])
     T, k, leaf = 20_000, 10, np.array([(-1, 0.0, 1)], dtype=NODE_DTYPE)
     data = with_trees(with_header(data, T=T, psi=2, k=k), det, [leaf] * T)
@@ -436,8 +436,9 @@ def test_detection_on_the_20000_tree_file_ends_in_one_error_line(cli_env, wide_m
     proc = run_capped(args, "".join(line + "\n" for line in synth_lines(lines, seed=5)).encode())
     err = proc.stderr.decode()
     assert proc.returncode == 1 and proc.stdout == b"", err
-    # one T x T matrix, E, and its gradient dE: refused before anything is allocated
-    size = 8 * 20_000 ** 2 * 2
+    # refused before anything is allocated: a block's stack of one matrix needs its E,
+    # and a single record's matrix E and its gradient dE
+    size = 8 * 20_000 ** 2 * (2 if lines == 1 else 1)
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert (f"needs {size} bytes" in err
             and f"limit of {arlif.attention.WORKSPACE_LIMIT} bytes" in err), err

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import arlif.ingest
 from arlif.errors import CorruptModel, FieldCountMismatch, NotUtf8, NumericParse, SingleClass
 from arlif.ingest import (
     CATEGORICAL_COLUMNS,
@@ -24,7 +25,7 @@ from arlif.ingest import (
 )
 
 from conftest import DATA_DIR, requires_dataset, synth_records
-from reference import encode_fields, scale_fields
+from reference import encode_fields, parse_cells, scale_fields
 from synth_stream import synth_lines
 
 
@@ -109,6 +110,57 @@ def test_parse_numeric_validation():
     parse_record(mk_line({2: "weird_service"}))
     with pytest.raises(NumericParse):
         parse_record(mk_line(difficulty="hard"))
+
+
+def assert_parses_as_the_cell_parser(line, fmt="nsl-kdd"):
+    r, (values, tokens, label) = parse_record(line, fmt), parse_cells(line, fmt)
+    assert r.values.dtype == np.float64 and r.values.tobytes() == values.tobytes()
+    assert r.tokens == tokens and r.label == label
+
+
+def test_a_row_of_finite_cells_whose_sum_overflows_parses_cell_by_cell():
+    # the fast path's finite check on the sum fails; the cell-by-cell path parses the row
+    line = mk_line({col: "1e308" for col in range(N_FEATURES) if col not in CATEGORICAL_COLUMNS})
+    assert_parses_as_the_cell_parser(line)
+    assert (parse_record(line).values[4:] == 1e308).all()
+    assert_parses_as_the_cell_parser(mk_line({0: "1e308", 4: "-1e308", 5: "1e308"}))
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "1e400", "-1e400"])
+def test_a_non_finite_cell_is_named_by_its_column(bad):
+    for cols in ((0,), (7, 30), (40,), (4, 0)):
+        line = mk_line({col: bad for col in cols})
+        first = min(cols)
+        with pytest.raises(NumericParse, match=f"^column {first}: {re.escape(repr(bad))} is not "):
+            parse_record(line)
+        with pytest.raises(NumericParse, match=f"^column {first}: "):
+            parse_cells(line)
+    # a bad cell before a sum that would overflow is still the one named
+    line = mk_line({5: "1e308", 6: "1e308", 9: bad})
+    with pytest.raises(NumericParse, match="^column 9: "):
+        parse_record(line)
+
+
+@pytest.mark.parametrize("cell, value", [("1_0", 10.0), (" 1 ", 1.0), ("+1", 1.0),
+                                         ("\u0661\u0662", 12.0), ("-0", -0.0)])
+def test_a_cell_parses_as_float_parses_it(cell, value):
+    for col in (0, 4, 40):
+        for fmt in FORMATS:
+            line = mk_line({col: cell}, format=fmt)
+            assert_parses_as_the_cell_parser(line, fmt)
+            assert parse_record(line, fmt).values[col] == float(cell) == value
+
+
+def test_parse_record_equals_the_cell_parser_on_generated_rows():
+    for fmt in FORMATS:
+        for line in synth_lines(300, seed=21, format=fmt):
+            assert_parses_as_the_cell_parser(line, fmt)
+    for difficulty in ("nan", "inf", "x"):
+        with pytest.raises(NumericParse, match="^column 42: "):
+            parse_record(mk_line(difficulty=difficulty))
+    # kdd99 drops one trailing period, nsl-kdd none
+    assert parse_record(mk_line(label="normal.", format="kdd99"), "kdd99").label == 1
+    assert parse_record(mk_line(label="normal.", difficulty="3")).label == 1
 
 
 def test_parse_unknown_format_rejected():
@@ -400,19 +452,37 @@ def test_transform_block_rows_equal_each_record_alone():
     for r in recs:
         r.values[5] = 7.0  # a degenerate column
     pre = fit_preprocessor(recs, N_FEATURES)
+    # m = 41 selects all three categorical columns; the probes hold unseen tokens, a
+    # degenerate column (5) and values past the training range on both sides
     probe = mk_record({1: "xx", 2: "yy", 3: "zz", 0: "1e9", 4: "-5", 5: "123", 6: "-0"})
-    probes = synth_records(80, seed=777) + [probe, mk_record({6: "-0"})]
+    probes = synth_records(80, seed=777) + [
+        mk_record({2: "unseen", 0: "-1e300", 4: "1e300", 5: "-0", 7: "0.5"}),
+        probe, mk_record({6: "-0"})]
     block = transform(pre, probes)
     assert block.shape == (len(probes), N_FEATURES) and block.dtype == np.float64
     for row, r in zip(block, probes):
         alone = transform(pre, r)
-        assert alone.shape == (N_FEATURES,)
-        assert np.array_equal(row, alone)
+        assert alone.shape == (N_FEATURES,) and alone.dtype == np.float64
+        assert alone.tobytes() == row.tobytes()
     assert ((block >= 0.0) & (block <= 1.0)).all()
     x = dict(zip(pre.selected, block[-2]))
     assert x[1] == x[2] == x[3] == 1.0  # unseen tokens: one past the vocabulary
     assert (x[0], x[4], x[5]) == (1.0, 0.0, 0.0)
     assert transform(pre, []).shape == (0, N_FEATURES)
+
+
+def test_one_record_does_not_go_through_the_block_encoder(monkeypatch):
+    recs = synth_records(100, seed=9)
+    pre = fit_preprocessor(recs, N_FEATURES)
+    expected = transform(pre, recs[:5])
+
+    def refuse(*args):
+        raise AssertionError("a one-record transform called _encode")
+    monkeypatch.setattr(arlif.ingest, "_encode", refuse)
+    for r, row in zip(recs[:5], expected):
+        assert transform(pre, r).tobytes() == row.tobytes()
+    with pytest.raises(AssertionError, match="called _encode"):
+        transform(pre, recs[:5])
 
 
 def test_transform_overflowing_values_clamp_without_warnings():
