@@ -3,11 +3,13 @@
 build_forest grows all T trees together. A node is a segment of one array
 holding every tree's subsample as row numbers into the data, and a split
 partitions its segment in place, so no tree holds a copy of its subsample.
-Each step takes from every tree that has one its next node in preorder that
-may split (the leaves before it are emitted on the way). For all taken nodes
-at once, one gather and two reduceat give each column's min and max, and one
-stable argsort partitions every segment; only each tree's own two draws run
-node by node. build_tree is the same grower with one tree.
+Each tree keeps the nodes that may split on an array stack, and each step pops
+the next one in preorder from every tree that has one, as many trees as fit
+GATHER_BYTES. For all taken nodes at once, one gather from a transposed copy
+of the data and two reduceat give each column's min and max, and one stable
+argsort partitions every segment; only each tree's own two draws run node by
+node. A split's children get the next two node ids, and after the last step
+one pass per depth lays every tree out in preorder.
 
 A forest is one NODE_DTYPE table, its trees back to back in preorder as in a model
 file, and their sizes. IsolationForest derives walk tables from it once (each node's
@@ -35,6 +37,11 @@ EULER_GAMMA = 0.5772156649
 # child r. A leaf holds f = -1, t = +0.0 and its size in r. Depth is derived at
 # load as the walk's length, so a forest has exactly one serialized form.
 NODE_DTYPE = np.dtype([("f", "<i4"), ("t", "<f8"), ("r", "<i4")], align=False)
+
+# A step of the grower gathers the points of the nodes it splits, as many trees' nodes as
+# fit in this many bytes (one node alone may take more), so that its working memory
+# stays bounded however many trees grow together.
+GATHER_BYTES = 1 << 20
 
 
 def c_factor(n: int) -> float:
@@ -68,84 +75,117 @@ def _grow(X: np.ndarray, subsamples: np.ndarray, rngs: list, height_limit: int) 
     """Grow tree i over the rows subsamples[i] of X, drawing from rngs[i], all
     trees together; returns the NODE_DTYPE table of every tree back to back, and their sizes."""
     n_trees, size = subsamples.shape
-    if X.shape[1] == 0:
-        height_limit = 0  # with no column, every root is a leaf
+    h = height_limit if X.shape[1] else 0  # with no column, every root is a leaf
+    XT = np.ascontiguousarray(X.T)  # a step gathers its points as columns of XT
+    cap = GATHER_BYTES // (8 * max(X.shape[1], 1))  # points per step
+    ramp = np.arange(max(cap, size))  # a step's total and tree count are at most this
     order = subsamples.ravel().copy()
-    f, t, r, owner = [], [], [], []  # each record as emitted, in preorder within its tree
-    sizes = [0] * n_trees
-    # Pending nodes (start, size, depth, parent): the segment order[start:start + size],
-    # and the record whose right child the node is (-1 for a left child, its parent + 1).
-    stacks = [[(i * size, size, 0, -1)] for i in range(n_trees)]
-    live = list(range(n_trees))
-    while live:
-        taken = []  # (tree, record, start, size, depth) of the nodes that may split
-        for i in live:
-            stack = stacks[i]
-            while stack:
-                start, c, d, parent = stack.pop()
-                j = len(r)
-                if parent >= 0:
-                    r[parent] = sizes[i]
-                f.append(-1)  # a leaf unless split below
-                t.append(0.0)
-                r.append(c)
-                owner.append(i)
-                sizes[i] += 1
-                if c > 1 and d < height_limit:
-                    taken.append((i, j, start, c, d))
-                    break
-        if not taken:
-            break
-        tree, node, start, count, depth = zip(*taken)
-        counts = np.array(count)
-        offsets = np.cumsum(counts) - counts
-        pos = np.arange(offsets[-1] + counts[-1]) + np.repeat(np.array(start) - offsets, counts)
+    integers, random = [g.integers for g in rngs], [g.random for g in rngs]
+    # Each tree's pending nodes that may split, the last on top, as (id, start, count,
+    # depth): node id holds the points order[start:start + count]. Tree i's root is node i.
+    # A tree has at most h pending: a right child at each depth 1 .. h - 1 and a left one
+    # on top. The one more slot takes a child that is written but not pushed.
+    stack = np.zeros((n_trees, h + 1, 4), dtype=np.intp)
+    stack[:, 0, 0] = np.arange(n_trees)
+    stack[:, 0, 1] = np.arange(0, order.size, size)
+    stack[:, 0, 2] = size
+    top = np.full(n_trees, int(size > 1 and h > 0))  # each stack's height
+    # Each taken node's (id, column, left count, count, number of splittable columns),
+    # and its threshold. The s-th taken node's children are nodes n_trees + 2s and
+    # n_trees + 2s + 1, left then right; a node with no splittable column has none.
+    taken, thrs = [np.empty((5, 0), np.intp)], [np.empty(0)]
+    n_nodes = n_trees
+    while (live := top.nonzero()[0]).size:
+        height = top[live] - 1
+        node, start, count, depth = stack[live, height].T
+        ends = count.cumsum()
+        if ends[-1] > cap:  # the first trees whose points fit, and at least one
+            n = max(1, int(ends.searchsorted(cap, "right")))
+            live, height, node, start, count, depth, ends = (
+                a[:n] for a in (live, height, node, start, count, depth, ends))
+        offsets, total = ends - count, int(ends[-1])
+        pos = ramp[:total] + (start - offsets).repeat(count)
         rows = order[pos]
-        pts = X[rows]
-        lo = np.minimum.reduceat(pts, offsets)
-        hi = np.maximum.reduceat(pts, offsets)
-        del pts
-        splittable = hi > lo
-        ks = np.count_nonzero(splittable, axis=1).tolist()
+        block = XT.take(rows, axis=1)
+        lo = np.minimum.reduceat(block, offsets, axis=1)
+        hi = np.maximum.reduceat(block, offsets, axis=1)
+        ranks = (hi > lo).cumsum(axis=0)
+        k = ranks[-1]
         # Each tree's own draws in its own order: the rank of the column, then u.
-        rank, u = np.zeros(len(ks), dtype=np.intp), np.zeros(len(ks))
-        for a, (i, k) in enumerate(zip(tree, ks)):
-            if k:
-                rank[a] = rngs[i].integers(k)
-                u[a] = rngs[i].random()
-        at = np.arange(len(ks))
-        col = np.argmax(np.cumsum(splittable, axis=1) > rank[:, None], axis=1)
-        lo, hi = lo[at, col], hi[at, col]
+        rank, u = np.array([(integers[i](c), random[i]()) if c else (0, 0.0)
+                            for i, c in zip(live.tolist(), k.tolist())]).T
+        col = (ranks > rank).argmax(axis=0)
+        at = ramp[:live.size]
+        lo, hi = lo[col, at], hi[col, at]
         thr = lo + (hi - lo) * u  # rng.uniform(lo, hi), bit for bit
         # Strictly-less first within each segment; a node that does not split moves nothing.
-        left = X[rows, np.repeat(col, counts)] < np.repeat(thr, counts)
-        n_left = np.add.reduceat(left, offsets, dtype=np.intp).tolist()
-        order[pos] = rows[np.argsort(2 * np.repeat(at, counts) + ~left, kind="stable")]
-        for i, j, s, c, d, k, fj, tj, nl in zip(tree, node, start, count, depth, ks,
-                                                col.tolist(), thr.tolist(), n_left):
-            if k:  # push right, then left, so that the left child is visited next
-                f[j], t[j] = fj, tj
-                stacks[i] += (s + nl, c - nl, d + 1, j), (s, nl, d + 1, -1)
-        live = [i for i in live if stacks[i]]
-    nodes = np.empty(len(r), dtype=NODE_DTYPE)
-    nodes["f"], nodes["t"], nodes["r"] = f, t, r
-    return nodes[np.argsort(owner, kind="stable")], np.array(sizes)
+        left = block.ravel().take((col * total).repeat(count) + ramp[:total]) < thr.repeat(count)
+        n_left = np.add.reduceat(left, offsets, dtype=np.intp)
+        order[pos] = rows[((2 * at + 1).repeat(count) - left).argsort(kind="stable")]
+
+        taken.append(np.array([node, col, n_left, count, k]))
+        thrs.append(thr)
+        kid = n_nodes + 2 * at
+        n_nodes += 2 * at.size
+        # Push right, then left, so that the left child is split next. Both are written,
+        # the left over the right if the right does not go; top counts those that go.
+        n_right, deeper = count - n_left, (depth < h - 1) & (k > 0)
+        go_right = (n_right > 1) & deeper
+        depth += 1
+        stack[live, height] = np.array([kid + 1, start + n_left, n_right, depth]).T
+        height += go_right
+        stack[live, height] = np.array([kid, start, n_left, depth]).T
+        top[live] = height + ((n_left > 1) & deeper)
+    del XT, order, stack
+    taken, thrs = np.concatenate(taken, axis=1), np.concatenate(thrs)  # frees the pieces
+    return _layout(n_trees, size, taken, thrs)
 
 
-def build_tree(subsample, rng: np.random.Generator, height_limit: int) -> np.ndarray:
-    """Grow one isolation tree over the subsample; returns its NODE_DTYPE records.
+def _layout(n_trees: int, size: int, taken: np.ndarray, thrs: np.ndarray) -> tuple:
+    """The NODE_DTYPE table of the trees _grow made, in preorder, and their sizes.
 
-    A node becomes a leaf when it holds <= 1 point, sits at the height
-    limit, or is constant in every column; otherwise split on a uniformly
-    random non-constant column at a uniform threshold between that
-    column's min and max, strictly-less going left. A value or a column
-    range that is not finite raises NumericParse.
-    """
-    X = np.asarray(subsample, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("subsample must be a non-empty 2-d array of vectors")
-    _check_finite(X)
-    return _grow(X, np.arange(X.shape[0])[None], [rng], height_limit)[0]
+    Node i < n_trees is tree i's root and holds size points. taken[:, s] is the
+    s-th taken node's (id, column, left count, count, number of splittable
+    columns), thrs[s] its threshold, and its children are nodes n_trees + 2s and
+    n_trees + 2s + 1 if it has a splittable column. One pass per depth top-down
+    finds the splits at each depth, one bottom-up gives each split's subtree
+    size, and one top-down places each node at its root's offset plus its
+    preorder position in its tree."""
+    node, cols, n_left, count, k = taken
+    s_of = np.full(n_trees + 2 * node.size, -1, dtype=np.intp)  # a split node's s, else -1
+    split = np.flatnonzero(k)
+    s_of[node[split]] = split
+    del split
+    kids = s_of[n_trees:].reshape(-1, 2)  # the s of each taken node's children, or -1
+    levels, level = [], s_of[:n_trees]
+    while (level := level[level >= 0]).size:
+        levels.append(level)
+        level = kids[level].ravel()
+    sizes = np.ones(node.size + 1, dtype=np.intp)  # a leaf's s of -1 reads the last 1
+    for level in reversed(levels):
+        sizes[level] = 1 + sizes[kids[level, 0]] + sizes[kids[level, 1]]
+    del levels
+    tree_sizes = sizes[s_of[:n_trees]]
+
+    nodes = np.empty(tree_sizes.sum(), dtype=NODE_DTYPE)
+    f, t, r = (nodes[name] for name in NODE_DTYPE.names)
+    f.fill(-1)
+    t.fill(0.0)
+    # Of each node at this depth: its s or -1, its index in the table and in its tree,
+    # and its count.
+    level, g = s_of[:n_trees], np.cumsum(tree_sizes) - tree_sizes
+    q, c = np.zeros(n_trees, dtype=np.intp), np.full(n_trees, size)
+    while level.size:
+        leaf = level < 0
+        r[g[leaf]] = c[leaf]
+        s, g, q = level[~leaf], g[~leaf], q[~leaf]
+        right = q + 1 + sizes[kids[s, 0]]  # after the left subtree
+        f[g], t[g], r[g] = cols[s], thrs[s], right
+        level = kids[s].ravel()
+        g = np.stack([g + 1, g + right - q], axis=1).ravel()
+        q = np.stack([q + 1, right], axis=1).ravel()
+        c = np.stack([n_left[s], count[s] - n_left[s]], axis=1).ravel()
+    return nodes, tree_sizes
 
 
 @dataclass(eq=False)
@@ -162,7 +202,7 @@ class IsolationForest:
 
     @staticmethod
     def height_limit_for(psi: int) -> int:
-        """ceil(log2 psi), the depth at which build_tree stops; psi < 2 raises CorruptModel."""
+        """ceil(log2 psi), the depth at which a tree stops splitting; psi < 2 raises CorruptModel."""
         if psi < 2:
             raise CorruptModel(f"a forest needs psi >= 2, got {psi}")
         return math.ceil(math.log2(psi))
@@ -180,7 +220,7 @@ class IsolationForest:
 
         # j is a node's index in the table, base its tree's root
         roots = np.cumsum(sizes) - sizes
-        f, t, r = (rec[name].copy() for name in NODE_DTYPE.names)
+        f, t, r = rec["f"].astype(np.intp), rec["t"].copy(), rec["r"].copy()
         j = np.arange(rec.size, dtype=np.intp)
         base = np.repeat(roots, sizes)
         inner = f >= 0
@@ -213,17 +253,27 @@ class IsolationForest:
         reject((np.bincount(seen, minlength=rec.size) == 0) | (balance[right] != balance),
                "nodes are not one tree in preorder")
         # the walk's tables, indices in intp, which take reads without a cast
-        self._roots, self._feature, self._threshold = roots, f.astype(np.intp), t
+        self._roots, self._feature, self._threshold = roots, f, t
         self._next = np.stack([right, left], axis=1, dtype=np.intp).ravel()
 
-        # Each node's slot in _path / _proba, which apply the scalar c_factor and
-        # ** per distinct (depth, size): numpy's vectorized ** may differ in the last ulp.
-        depth = np.repeat(np.arange(h + 1), [level.size for level in levels])  # of each in seen
-        at = np.flatnonzero(~inner[seen])
-        keys, slots = np.unique(depth[at] << 32 | r[seen[at]], return_inverse=True)
+        # Each leaf's slot in _path / _proba, which apply the scalar c_factor and ** per
+        # distinct (depth, size), in that order: numpy's vectorized ** may differ in the last
+        # ulp. A leaf's key is depth * width + size. A presence table ranks the keys with no
+        # sort while it has no more entries than the forest has nodes; np.unique ranks them
+        # otherwise, as when a crafted file holds a leaf far larger than any other.
+        leaves = [level[~inner[level]] for level in levels]
+        leaf = np.concatenate(leaves)
+        width = int(r[leaf].max()) + 1
+        key = np.repeat(np.arange(h + 1), [lv.size for lv in leaves]) * width + r[leaf]
+        if (h + 1) * width <= rec.size:
+            present = np.zeros((h + 1) * width, dtype=bool)
+            present[key] = True
+            keys, slots = np.flatnonzero(present), (present.cumsum() - 1)[key]
+        else:
+            keys, slots = np.unique(key, return_inverse=True)
         self._slot = np.zeros(rec.size, dtype=np.intp)
-        self._slot[seen[at]] = slots
-        paths = [kd + c_factor(ks) for kd, ks in (divmod(k, 1 << 32) for k in keys.tolist())]
+        self._slot[leaf] = slots
+        paths = [kd + c_factor(ks) for kd, ks in (divmod(k, width) for k in keys.tolist())]
         self._path = np.array(paths)
         self._proba = np.array([2.0 ** (-p / self.c_psi) for p in paths])
 

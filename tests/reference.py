@@ -2,10 +2,12 @@
 
 Each is written apart from the package's vectorized code, so agreement is
 evidence: a recursive grower of one tree, a naive recursive walk of one tree,
-the per-tree probability built on it, a textbook row softmax, the attention
-readout, its gradient and a learn loop built on it, a record parser that
-converts one cell at a time, and a string encoder with transform's scaling over
-rows split into their text fields. forest_of joins hand-made trees into a forest.
+each leaf's depth by the same walk, the per-tree probability built on it, a
+textbook row softmax, the attention readout, its gradient and a learn loop
+built on it, a record parser that converts one cell at a time, and a string
+encoder with transform's scaling over rows split into their text fields.
+forest_of joins hand-made trees into a forest, and build_tree runs the
+package's grower on one tree, for the tests that grow one.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from arlif.attention import EPS, AttentionParams
 from arlif.errors import NumericParse
-from arlif.iforest import NODE_DTYPE, IsolationForest, c_factor
+from arlif.iforest import NODE_DTYPE, IsolationForest, _check_finite, _grow, c_factor
 
 
 def recursive_tree(subsample, rng, height_limit: int) -> np.ndarray:
@@ -52,6 +54,22 @@ def recursive_tree(subsample, rng, height_limit: int) -> np.ndarray:
     return np.array(nodes, dtype=NODE_DTYPE)
 
 
+def build_tree(subsample, rng: np.random.Generator, height_limit: int) -> np.ndarray:
+    """The package's grower on one tree over the subsample: its NODE_DTYPE records.
+
+    A node becomes a leaf when it holds <= 1 point, sits at the height
+    limit, or is constant in every column; otherwise split on a uniformly
+    random non-constant column at a uniform threshold between that
+    column's min and max, strictly-less going left. A value or a column
+    range that is not finite raises NumericParse before any draw.
+    """
+    X = np.asarray(subsample, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise ValueError("subsample must be a non-empty 2-d array of vectors")
+    _check_finite(X)
+    return _grow(X, np.arange(X.shape[0])[None], [rng], height_limit)[0]
+
+
 def forest_of(trees, psi: int, n_features: int) -> IsolationForest:
     """The forest whose node table is the trees (NODE_DTYPE arrays) back to back."""
     nodes = np.concatenate([np.empty(0, NODE_DTYPE), *trees])
@@ -66,6 +84,15 @@ def recursive_path(tree, x, node=0, depth=0) -> float:
     if x[tree["f"][node]] < tree["t"][node]:
         return recursive_path(tree, x, node + 1, depth + 1)
     return recursive_path(tree, x, tree["r"][node], depth + 1)
+
+
+def leaf_depths(tree, node=0, depth=0) -> dict:
+    """Each leaf of one tree (a NODE_DTYPE array in preorder) and its depth,
+    {leaf index: edges from the root}, by the same naive recursion."""
+    if tree["f"][node] < 0:
+        return {node: depth}
+    return {**leaf_depths(tree, node + 1, depth + 1),
+            **leaf_depths(tree, tree["r"][node], depth + 1)}
 
 
 def tree_proba(tree, x, c_psi: float) -> float:

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,15 +13,22 @@ from arlif.iforest import (
     EULER_GAMMA,
     NODE_DTYPE,
     IsolationForest,
+    _grow,
     build_forest,
-    build_tree,
     c_factor,
     forest_probas,
     forest_score,
     path_length,
 )
 from arlif.ingest import transform
-from reference import forest_of, recursive_path, recursive_tree, tree_proba
+from reference import (
+    build_tree,
+    forest_of,
+    leaf_depths,
+    recursive_path,
+    recursive_tree,
+    tree_proba,
+)
 
 
 def leaf_for(tree, x):
@@ -245,19 +253,43 @@ def test_outlier_isolates_faster_than_cluster_median():
 
 # --- the batched grower against the recursive reference -----------------------
 
-def reference_trees(data, T, psi, seed):
+def stream(seed, i):
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+
+
+def reference_streams(data, T, psi, seed):
     """build_forest's trees grown one after another by the recursive reference,
-    each from its own stream, SeedSequence(seed, spawn_key=(i,))."""
+    each from its own stream, SeedSequence(seed, spawn_key=(i,)), and the streams after."""
     X = np.asarray(data, dtype=np.float64)
     n = X.shape[0]
     eff_psi = min(psi, n)
     height_limit = IsolationForest.height_limit_for(eff_psi)
-    trees = []
+    trees, rngs = [], []
     for i in range(T):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        rng = stream(seed, i)
         idx = rng.choice(n, size=eff_psi, replace=False)
         trees.append(recursive_tree(X[idx], rng, height_limit))
-    return trees
+        rngs.append(rng)
+    return trees, rngs
+
+
+def reference_trees(data, T, psi, seed):
+    return reference_streams(data, T, psi, seed)[0]
+
+
+def grown_streams(data, T, psi, seed):
+    """The streams after _grow, called on the subsamples build_forest draws."""
+    X = np.asarray(data, dtype=np.float64)
+    n = X.shape[0]
+    eff_psi = min(psi, n)
+    rngs = [stream(seed, i) for i in range(T)]
+    subsamples = np.array([rng.choice(n, size=eff_psi, replace=False) for rng in rngs])
+    _grow(X, subsamples, rngs, IsolationForest.height_limit_for(eff_psi))
+    return rngs
+
+
+def same_states(a, b):
+    return [g.bit_generator.state for g in a] == [g.bit_generator.state for g in b]
 
 
 def same_trees(forest, trees):
@@ -283,7 +315,7 @@ def _adjacent_floats(rng):
     return 1.0 + rng.integers(0, 4, size=(200, 3)) * np.spacing(1.0)
 
 
-@pytest.mark.parametrize("make, T, psi", [
+CRAFTED = pytest.mark.parametrize("make, T, psi", [
     (_ties, 12, 64),
     (lambda rng: rng.integers(0, 3, size=(200, 5)).astype(float), 10, 128),  # few values
     (_constant_column_and_duplicates, 9, 128),
@@ -293,10 +325,21 @@ def _adjacent_floats(rng):
     (lambda rng: rng.uniform(size=(40, 3)), 6, 256),  # psi >= n
     (lambda rng: rng.uniform(size=(300, 5)), 1, 64),  # T = 1
 ], ids=["ties", "few-values", "constant-column-duplicates", "adjacent-floats", "m1", "psi2", "psi-ge-n", "T1"])
+
+
+@CRAFTED
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_forest_trees_equal_the_recursive_reference_byte_for_byte(make, T, psi, seed):
     X = make(np.random.default_rng(100 + seed))
     assert same_trees(build_forest(X, T, psi, seed), reference_trees(X, T, psi, seed))
+
+
+@CRAFTED
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_grower_draws_from_each_stream_as_often_as_the_recursive_reference(make, T, psi, seed):
+    # A draw too many or too few, even one that leaves the tree the same, moves the state.
+    X = make(np.random.default_rng(100 + seed))
+    assert same_states(grown_streams(X, T, psi, seed), reference_streams(X, T, psi, seed)[1])
 
 
 def test_forest_at_the_default_shape_equals_the_recursive_reference(default_shape):
@@ -306,6 +349,12 @@ def test_forest_at_the_default_shape_equals_the_recursive_reference(default_shap
     assert same_trees(forest, reference_trees(vectors, 100, 256, 0))
 
 
+def test_the_grower_at_the_default_shape_draws_as_the_recursive_reference(default_shape):
+    records, pre, _ = default_shape
+    vectors = [transform(pre, r) for r in records]
+    assert same_states(grown_streams(vectors, 100, 256, 0), reference_streams(vectors, 100, 256, 0)[1])
+
+
 @pytest.mark.parametrize("n, m, height_limit", [(1, 2, 3), (2, 1, 1), (30, 3, 0), (30, 3, 2),
                                                 (64, 4, 6), (100, 2, 40)])
 def test_build_tree_equals_the_recursive_reference_and_draws_as_often(n, m, height_limit):
@@ -313,6 +362,22 @@ def test_build_tree_equals_the_recursive_reference_and_draws_as_often(n, m, heig
     a, b = np.random.default_rng(height_limit), np.random.default_rng(height_limit)
     assert build_tree(X, a, height_limit).tobytes() == recursive_tree(X, b, height_limit).tobytes()
     assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_the_grower_at_a_thousand_trees_peaks_within_16_mb(default_shape):
+    # At T=1000, psi=256, m=10 a grower that gathers every tree's root in one step holds
+    # 20.5 MB of points in that step alone and peaks at 27 MB; GATHER_BYTES bounds a step.
+    records, pre, _ = default_shape
+    X = np.array([transform(pre, r) for r in records])
+    rngs = [stream(0, i) for i in range(1000)]
+    subsamples = np.array([rng.choice(len(X), size=256, replace=False) for rng in rngs])
+    tracemalloc.start()
+    try:
+        nodes, sizes = _grow(X, subsamples, rngs, IsolationForest.height_limit_for(256))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes.size == 1000 and peak <= 16e6
 
 
 def test_a_threshold_lo_plus_range_times_u_is_rng_uniform_bit_for_bit():
@@ -372,6 +437,21 @@ def test_threshold_ties_go_right():
     assert path_length(t, [0.5]) == 1.0
     assert forest_probas(f, [0.5]).tolist() == [tree_proba(t, [0.5], f.c_psi)]
     assert path_length(t, [0.4999]) == 2.0
+
+
+def test_each_leaf_reads_its_scalar_path_length_and_probability_bit_for_bit(default_shape):
+    # The default forest ranks its (depth, size) keys in a presence table; the second,
+    # with leaves far larger than its node count, ranks them with np.unique.
+    large_leaves = build_forest(np.repeat(np.eye(3), 100, axis=0), T=2, psi=256, seed=0)
+    for forest in (default_shape[2], large_leaves):
+        slots, paths = [], []
+        for root, tree in zip(forest._roots.tolist(), forest.trees):
+            for j, depth in leaf_depths(tree).items():
+                slots.append(root + j)
+                paths.append(depth + c_factor(int(tree["r"][j])))
+        at = forest._slot[slots]
+        assert forest._path[at].tolist() == paths
+        assert forest._proba[at].tolist() == [2.0 ** (-p / forest.c_psi) for p in paths]
 
 
 def test_forest_walk_equals_scalar_oracle_exactly():
