@@ -40,8 +40,11 @@ NODE_DTYPE = np.dtype([("f", "<i4"), ("t", "<f8"), ("r", "<i4")], align=False)
 
 # A step of the grower gathers the points of the nodes it splits, as many trees' nodes as
 # fit in this many bytes (one node alone may take more), so that its working memory
-# stays bounded however many trees grow together.
-GATHER_BYTES = 1 << 20
+# stays bounded however many trees grow together. At the default shape (T=100, psi=256,
+# m=10) the first step's 2.05 MB is one piece: glibc sets its heap trim threshold to twice
+# the largest block freed, and after 1 MiB pieces each ~2.5 MB model load in the same
+# process gave its heap back to the OS and faulted it in again (+0.6 ms a load, 2-vCPU VM).
+GATHER_BYTES = 2 << 20
 
 
 def c_factor(n: int) -> float:
@@ -256,24 +259,14 @@ class IsolationForest:
         self._roots, self._feature, self._threshold = roots, f, t
         self._next = np.stack([right, left], axis=1, dtype=np.intp).ravel()
 
-        # Each leaf's slot in _path / _proba, which apply the scalar c_factor and ** per
-        # distinct (depth, size), in that order: numpy's vectorized ** may differ in the last
-        # ulp. A leaf's key is depth * width + size. A presence table ranks the keys with no
-        # sort while it has no more entries than the forest has nodes; np.unique ranks them
-        # otherwise, as when a crafted file holds a leaf far larger than any other.
-        leaves = [level[~inner[level]] for level in levels]
-        leaf = np.concatenate(leaves)
-        width = int(r[leaf].max()) + 1
-        key = np.repeat(np.arange(h + 1), [lv.size for lv in leaves]) * width + r[leaf]
-        if (h + 1) * width <= rec.size:
-            present = np.zeros((h + 1) * width, dtype=bool)
-            present[key] = True
-            keys, slots = np.flatnonzero(present), (present.cumsum() - 1)[key]
-        else:
-            keys, slots = np.unique(key, return_inverse=True)
+        # Each node's slot in _path / _proba, which apply the scalar c_factor and
+        # ** per distinct (depth, size): numpy's vectorized ** may differ in the last ulp.
+        depth = np.repeat(np.arange(h + 1), [level.size for level in levels])  # of each in seen
+        at = np.flatnonzero(~inner[seen])
+        keys, slots = np.unique(depth[at] << 32 | r[seen[at]], return_inverse=True)
         self._slot = np.zeros(rec.size, dtype=np.intp)
-        self._slot[leaf] = slots
-        paths = [kd + c_factor(ks) for kd, ks in (divmod(k, width) for k in keys.tolist())]
+        self._slot[seen[at]] = slots
+        paths = [kd + c_factor(ks) for kd, ks in (divmod(k, 1 << 32) for k in keys.tolist())]
         self._path = np.array(paths)
         self._proba = np.array([2.0 ** (-p / self.c_psi) for p in paths])
 

@@ -440,8 +440,8 @@ def test_threshold_ties_go_right():
 
 
 def test_each_leaf_reads_its_scalar_path_length_and_probability_bit_for_bit(default_shape):
-    # The default forest ranks its (depth, size) keys in a presence table; the second,
-    # with leaves far larger than its node count, ranks them with np.unique.
+    # The second forest's leaves hold many equal points each, far more than the
+    # default forest's leaves.
     large_leaves = build_forest(np.repeat(np.eye(3), 100, axis=0), T=2, psi=256, seed=0)
     for forest in (default_shape[2], large_leaves):
         slots, paths = [], []
