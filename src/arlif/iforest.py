@@ -8,14 +8,18 @@ the next one in preorder from every tree that has one, as many trees as fit
 GATHER_BYTES. For all taken nodes at once, one gather from a transposed copy
 of the data and two reduceat give each column's min and max, and one stable
 argsort partitions every segment; only each tree's own two draws run node by
-node. A split's children get the next two node ids, and after the last step
-one pass per depth lays every tree out in preorder.
+node. Every node carries its preorder key (_child_keys), and after the last
+step one sort of the roots and the splits' children on (tree, key) lays every
+tree out in preorder.
 
 A forest is one NODE_DTYPE table, its trees back to back in preorder as in a model
-file, and their sizes. IsolationForest derives walk tables from it once (each node's
-feature, threshold and two successors, a leaf leading to itself, and each leaf's path
-length and probability), so one walk of height_limit steps, 1-D takes from the tables
-and a flat C-order copy of the points, reaches every tree's leaf for a point or a block.
+file, and their sizes. IsolationForest checks it by giving each node the key of the
+walk that reaches it: a table is accepted only if every node is reached once and the
+keys rise along each tree. It derives walk tables from it once (each node's feature,
+threshold and two successors, a leaf leading to itself, and each leaf's path length
+and probability, its depth read from its key), so one walk of height_limit steps,
+1-D takes from the tables and a flat C-order copy of the points, reaches every
+tree's leaf for a point or a block.
 
 path_length is unused here: the benchmark's mean_path_length calls it, and it
 moves to tests/reference.py with the next benchmark change (ROADMAP item 1).
@@ -35,7 +39,7 @@ EULER_GAMMA = 0.5772156649
 # Node j is a leaf iff f < 0. Trees are in preorder, so an internal node's left
 # child is j + 1: it holds its feature f, threshold t and tree-relative right
 # child r. A leaf holds f = -1, t = +0.0 and its size in r. Depth is derived at
-# load as the walk's length, so a forest has exactly one serialized form.
+# load from the walk, so a forest has exactly one serialized form.
 NODE_DTYPE = np.dtype([("f", "<i4"), ("t", "<f8"), ("r", "<i4")], align=False)
 
 # A step of the grower gathers the points of the nodes it splits, as many trees' nodes as
@@ -74,6 +78,18 @@ def _check_finite(X: np.ndarray) -> None:
         raise NumericParse(f"column {col}: {what} is not a finite number")
 
 
+def _child_keys(key, depth, h: int) -> tuple:
+    """The preorder keys of the left and right children, at depth `depth`, of the
+    nodes with these keys, in a tree of height limit h.
+
+    A node's key is (path << (h - depth)) << 6 | depth, path being its turns from
+    the root (left 0, right 1; the root's key is 0). So the keys of one tree's nodes
+    rise exactly in preorder: a left child's follows its parent's, and a right
+    child's follows every key in its sibling's subtree."""
+    left = key + 1
+    return left, left + (1 << (h - depth + 6))
+
+
 def _grow(X: np.ndarray, subsamples: np.ndarray, rngs: list, height_limit: int) -> tuple:
     """Grow tree i over the rows subsamples[i] of X, drawing from rngs[i], all
     trees together; returns the NODE_DTYPE table of every tree back to back, and their sizes."""
@@ -84,28 +100,26 @@ def _grow(X: np.ndarray, subsamples: np.ndarray, rngs: list, height_limit: int) 
     ramp = np.arange(max(cap, size))  # a step's total and tree count are at most this
     order = subsamples.ravel().copy()
     integers, random = [g.integers for g in rngs], [g.random for g in rngs]
-    # Each tree's pending nodes that may split, the last on top, as (id, start, count,
-    # depth): node id holds the points order[start:start + count]. Tree i's root is node i.
-    # A tree has at most h pending: a right child at each depth 1 .. h - 1 and a left one
-    # on top. The one more slot takes a child that is written but not pushed.
-    stack = np.zeros((n_trees, h + 1, 4), dtype=np.intp)
-    stack[:, 0, 0] = np.arange(n_trees)
+    # Each tree's pending nodes that may split, the last on top, as (key, start, count):
+    # the node with that preorder key holds the points order[start:start + count], and
+    # its depth is key & 63. A tree has at most h pending: a right child at each depth
+    # 1 .. h - 1 and a left one on top. The one more slot takes a child that is written
+    # but not pushed.
+    stack = np.zeros((n_trees, h + 1, 3), dtype=np.int64)
     stack[:, 0, 1] = np.arange(0, order.size, size)
     stack[:, 0, 2] = size
     top = np.full(n_trees, int(size > 1 and h > 0))  # each stack's height
-    # Each taken node's (id, column, left count, count, number of splittable columns),
-    # and its threshold. The s-th taken node's children are nodes n_trees + 2s and
-    # n_trees + 2s + 1, left then right; a node with no splittable column has none.
-    taken, thrs = [np.empty((5, 0), np.intp)], [np.empty(0)]
-    n_nodes = n_trees
+    # Each taken node's (tree, key, column, left count, count, number of splittable
+    # columns), and its threshold; a node with no splittable column is a leaf.
+    taken, thrs = [np.empty((6, 0), np.int64)], [np.empty(0)]
     while (live := top.nonzero()[0]).size:
         height = top[live] - 1
-        node, start, count, depth = stack[live, height].T
+        key, start, count = stack[live, height].T
         ends = count.cumsum()
         if ends[-1] > cap:  # the first trees whose points fit, and at least one
             n = max(1, int(ends.searchsorted(cap, "right")))
-            live, height, node, start, count, depth, ends = (
-                a[:n] for a in (live, height, node, start, count, depth, ends))
+            live, height, key, start, count, ends = (
+                a[:n] for a in (live, height, key, start, count, ends))
         offsets, total = ends - count, int(ends[-1])
         pos = ramp[:total] + (start - offsets).repeat(count)
         rows = order[pos]
@@ -126,69 +140,47 @@ def _grow(X: np.ndarray, subsamples: np.ndarray, rngs: list, height_limit: int) 
         n_left = np.add.reduceat(left, offsets, dtype=np.intp)
         order[pos] = rows[((2 * at + 1).repeat(count) - left).argsort(kind="stable")]
 
-        taken.append(np.array([node, col, n_left, count, k]))
+        taken.append(np.array([live, key, col, n_left, count, k]))
         thrs.append(thr)
-        kid = n_nodes + 2 * at
-        n_nodes += 2 * at.size
         # Push right, then left, so that the left child is split next. Both are written,
         # the left over the right if the right does not go; top counts those that go.
-        n_right, deeper = count - n_left, (depth < h - 1) & (k > 0)
+        depth = (key & 63) + 1
+        n_right, deeper = count - n_left, (depth < h) & (k > 0)
         go_right = (n_right > 1) & deeper
-        depth += 1
-        stack[live, height] = np.array([kid + 1, start + n_left, n_right, depth]).T
+        key, right = _child_keys(key, depth, h)
+        stack[live, height] = np.array([right, start + n_left, n_right]).T
         height += go_right
-        stack[live, height] = np.array([kid, start, n_left, depth]).T
+        stack[live, height] = np.array([key, start, n_left]).T
         top[live] = height + ((n_left > 1) & deeper)
     del XT, order, stack
     taken, thrs = np.concatenate(taken, axis=1), np.concatenate(thrs)  # frees the pieces
-    return _layout(n_trees, size, taken, thrs)
+    split = taken[5] > 0
+    (tree, key, col, n_left, count), thrs = taken[:5, split], thrs[split]
+    del taken
 
-
-def _layout(n_trees: int, size: int, taken: np.ndarray, thrs: np.ndarray) -> tuple:
-    """The NODE_DTYPE table of the trees _grow made, in preorder, and their sizes.
-
-    Node i < n_trees is tree i's root and holds size points. taken[:, s] is the
-    s-th taken node's (id, column, left count, count, number of splittable
-    columns), thrs[s] its threshold, and its children are nodes n_trees + 2s and
-    n_trees + 2s + 1 if it has a splittable column. One pass per depth top-down
-    finds the splits at each depth, one bottom-up gives each split's subtree
-    size, and one top-down places each node at its root's offset plus its
-    preorder position in its tree."""
-    node, cols, n_left, count, k = taken
-    s_of = np.full(n_trees + 2 * node.size, -1, dtype=np.intp)  # a split node's s, else -1
-    split = np.flatnonzero(k)
-    s_of[node[split]] = split
-    del split
-    kids = s_of[n_trees:].reshape(-1, 2)  # the s of each taken node's children, or -1
-    levels, level = [], s_of[:n_trees]
-    while (level := level[level >= 0]).size:
-        levels.append(level)
-        level = kids[level].ravel()
-    sizes = np.ones(node.size + 1, dtype=np.intp)  # a leaf's s of -1 reads the last 1
-    for level in reversed(levels):
-        sizes[level] = 1 + sizes[kids[level, 0]] + sizes[kids[level, 1]]
-    del levels
-    tree_sizes = sizes[s_of[:n_trees]]
-
-    nodes = np.empty(tree_sizes.sum(), dtype=NODE_DTYPE)
+    # Node i < n_trees is tree i's root, and nodes n_trees + s and n_trees + n + s are the
+    # s-th of the n splits' children. Sorting them on (tree, key) puts them in preorder:
+    # any sort on the keys, then a stable one on the trees, which numpy does by radix in
+    # their narrowest dtype (np.lexsort on both took 1.6 ms at the default shape, this 0.4).
+    n = tree.size
+    trees = np.concatenate([np.arange(n_trees), tree, tree])
+    keys = np.concatenate([np.zeros(n_trees, np.int64), *_child_keys(key, (key & 63) + 1, h)])
+    table = np.argsort(keys)  # the nodes in table order
+    table = table[np.argsort(trees.astype(np.min_scalar_type(n_trees))[table], kind="stable")]
+    sizes = np.bincount(trees, minlength=n_trees)
+    del trees, keys
+    where = np.empty_like(table)  # each node's index in the table
+    where[table] = np.arange(table.size)
+    del table
+    nodes = np.empty(where.size, dtype=NODE_DTYPE)
     f, t, r = (nodes[name] for name in NODE_DTYPE.names)
     f.fill(-1)
     t.fill(0.0)
-    # Of each node at this depth: its s or -1, its index in the table and in its tree,
-    # and its count.
-    level, g = s_of[:n_trees], np.cumsum(tree_sizes) - tree_sizes
-    q, c = np.zeros(n_trees, dtype=np.intp), np.full(n_trees, size)
-    while level.size:
-        leaf = level < 0
-        r[g[leaf]] = c[leaf]
-        s, g, q = level[~leaf], g[~leaf], q[~leaf]
-        right = q + 1 + sizes[kids[s, 0]]  # after the left subtree
-        f[g], t[g], r[g] = cols[s], thrs[s], right
-        level = kids[s].ravel()
-        g = np.stack([g + 1, g + right - q], axis=1).ravel()
-        q = np.stack([q + 1, right], axis=1).ravel()
-        c = np.stack([n_left[s], count[s] - n_left[s]], axis=1).ravel()
-    return nodes, tree_sizes
+    r[where] = np.concatenate([np.full(n_trees, size), n_left, count - n_left])
+    # A split comes just before its left child; its r is its right child's place in its tree.
+    g = where[n_trees:n_trees + n] - 1
+    f[g], t[g], r[g] = col, thrs, where[n_trees + n:] - where[tree]
+    return nodes, sizes
 
 
 @dataclass(eq=False)
@@ -236,36 +228,39 @@ class IsolationForest:
                 raise CorruptModel(f"tree {tree}: {what}")
         reject(inner & ((right <= left) | (right >= base + np.repeat(sizes, sizes))),
                "children must satisfy j + 1 < right < n_nodes")
+        del j, base
         reject(inner & (f >= self.n_features), f"feature outside [0, {self.n_features})")
         # f is -1, t is +0.0 bit for bit, and a negative size wraps above psi
         reject(~inner & ~((f == -1) & (t.view(np.uint64) == 0) & (r.view(np.uint32) <= self.psi)),
                "non-canonical leaf")
 
-        levels = [roots]  # the nodes the walk reaches in 0, 1, ..., h steps
-        for _ in range(h):
-            level = levels[-1][inner[levels[-1]]]
-            levels.append(np.concatenate([level + 1, right[level]]))
-            if sum(map(len, levels)) > rec.size:  # more visits than nodes
+        key = np.full(rec.size, -1, dtype=np.int64)  # each node's preorder key, -1 if never reached
+        key[roots] = 0
+        level, visits = roots, roots.size  # the nodes the walk reaches in 0, 1, ..., h steps
+        for depth in range(1, h + 1):
+            level = level[inner[level]]
+            key[level + 1], key[right[level]] = _child_keys(key[level], depth, h)
+            level = np.concatenate([level + 1, right[level]])
+            if (visits := visits + level.size) > rec.size:
                 raise CorruptModel("a node has more than one parent")
-        if inner[levels[-1]].any():
+        if inner[level].any():
             raise CorruptModel(f"a leaf is not reached within {h} steps")
-        # If no node is missed, each is reached once: a tree, which is in preorder iff
-        # every left subtree (from j + 1 to the right child) has one more leaf than inner node.
-        seen = np.concatenate(levels)
-        balance = 2 * (np.cumsum(inner, dtype=np.int32) - inner) - j
-        reject((np.bincount(seen, minlength=rec.size) == 0) | (balance[right] != balance),
-               "nodes are not one tree in preorder")
+        # A node never reached keeps -1. If none is, each is reached once: a tree, which
+        # is in preorder iff its keys rise from its root on.
+        falls = np.diff(key, prepend=0) <= 0
+        falls[roots] = False
+        reject(falls, "nodes are not one tree in preorder")
         # the walk's tables, indices in intp, which take reads without a cast
         self._roots, self._feature, self._threshold = roots, f, t
         self._next = np.stack([right, left], axis=1, dtype=np.intp).ravel()
+        del left, right
 
-        # Each node's slot in _path / _proba, which apply the scalar c_factor and
+        # Each leaf's slot in _path / _proba, which apply the scalar c_factor and
         # ** per distinct (depth, size): numpy's vectorized ** may differ in the last ulp.
-        depth = np.repeat(np.arange(h + 1), [level.size for level in levels])  # of each in seen
-        at = np.flatnonzero(~inner[seen])
-        keys, slots = np.unique(depth[at] << 32 | r[seen[at]], return_inverse=True)
+        leaf = np.flatnonzero(~inner)
+        keys, slots = np.unique((key[leaf] & 63) << 32 | r[leaf], return_inverse=True)
         self._slot = np.zeros(rec.size, dtype=np.intp)
-        self._slot[seen[at]] = slots
+        self._slot[leaf] = slots
         paths = [kd + c_factor(ks) for kd, ks in (divmod(k, 1 << 32) for k in keys.tolist())]
         self._path = np.array(paths)
         self._proba = np.array([2.0 ** (-p / self.c_psi) for p in paths])

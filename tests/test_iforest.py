@@ -13,6 +13,7 @@ from arlif.iforest import (
     EULER_GAMMA,
     NODE_DTYPE,
     IsolationForest,
+    _child_keys,
     _grow,
     build_forest,
     c_factor,
@@ -324,7 +325,9 @@ CRAFTED = pytest.mark.parametrize("make, T, psi", [
     (lambda rng: rng.uniform(size=(50, 3)), 20, 2),  # psi = 2
     (lambda rng: rng.uniform(size=(40, 3)), 6, 256),  # psi >= n
     (lambda rng: rng.uniform(size=(300, 5)), 1, 64),  # T = 1
-], ids=["ties", "few-values", "constant-column-duplicates", "adjacent-floats", "m1", "psi2", "psi-ge-n", "T1"])
+    (lambda rng: rng.uniform(size=(60, 3)), 300, 16),  # tree numbers past 255
+], ids=["ties", "few-values", "constant-column-duplicates", "adjacent-floats", "m1", "psi2", "psi-ge-n", "T1",
+        "T300"])
 
 
 @CRAFTED
@@ -364,20 +367,37 @@ def test_build_tree_equals_the_recursive_reference_and_draws_as_often(n, m, heig
     assert a.bit_generator.state == b.bit_generator.state
 
 
-def test_the_grower_at_a_thousand_trees_peaks_within_16_mb(default_shape):
-    # At T=1000, psi=256, m=10 a grower that gathers every tree's root in one step holds
-    # 20.5 MB of points in that step alone and peaks at 27 MB; GATHER_BYTES bounds a step.
+def thousand_tree_inputs(default_shape):
+    """_grow's arguments for T=1000, psi=256, m=10 on the default shape's rows."""
     records, pre, _ = default_shape
     X = np.array([transform(pre, r) for r in records])
     rngs = [stream(0, i) for i in range(1000)]
     subsamples = np.array([rng.choice(len(X), size=256, replace=False) for rng in rngs])
+    return X, subsamples, rngs, IsolationForest.height_limit_for(256)
+
+
+def peak_bytes(call, *args):
+    """call(*args) and the peak of the memory it allocates, traced."""
     tracemalloc.start()
     try:
-        nodes, sizes = _grow(X, subsamples, rngs, IsolationForest.height_limit_for(256))
-        peak = tracemalloc.get_traced_memory()[1]
+        return call(*args), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_the_grower_at_a_thousand_trees_peaks_within_16_mb(default_shape):
+    # At T=1000, psi=256, m=10 a grower that gathers every tree's root in one step holds
+    # 20.5 MB of points in that step alone and peaks at 27 MB; GATHER_BYTES bounds a step.
+    (nodes, sizes), peak = peak_bytes(_grow, *thousand_tree_inputs(default_shape))
     assert sizes.size == 1000 and peak <= 16e6
+
+
+def test_the_loader_of_a_thousand_trees_peaks_within_20_mb(default_shape):
+    # The 3.0 MB node table of T=1000 trees: a loader that keeps each level of its walk,
+    # a balance count and a bincount to check the preorder peaks at 24 MB.
+    nodes, sizes = _grow(*thousand_tree_inputs(default_shape))
+    forest, peak = peak_bytes(IsolationForest, nodes, sizes, 256, 10)
+    assert forest.n_trees == 1000 and peak <= 20e6
 
 
 def test_a_threshold_lo_plus_range_times_u_is_rng_uniform_bit_for_bit():
@@ -593,3 +613,50 @@ def test_path_length_equals_the_recursive_oracle_on_trees_of_unequal_depth():
 def test_a_tree_that_is_not_canonical_is_rejected(tree, message):
     with pytest.raises(CorruptModel, match=message):
         forest_of([LEAF, tree], psi=64, n_features=1)
+
+
+# --- preorder keys -------------------------------------------------------------
+
+def preorder_keys(tree, h):
+    """Each node's key, given by _child_keys from its parent's on the way down."""
+    keys = np.zeros(len(tree), dtype=np.int64)
+    for j in np.flatnonzero(tree["f"] >= 0):  # in preorder a parent comes before its children
+        keys[j + 1], keys[tree["r"][j]] = _child_keys(keys[j], (keys[j] & 63) + 1, h)
+    return keys
+
+
+def right_spine(depth):
+    """Internal nodes each with a leaf of 1 on the left and the next one on the right."""
+    return records(*[node for i in range(depth) for node in ((0, 0.5, 2 * i + 2), (-1, 0.0, 1))],
+                   (-1, 0.0, 1))
+
+
+@pytest.mark.parametrize("key, depth, h", [(0, 1, 8), (1, 2, 8), (2049, 2, 6), (0, 32, 32)])
+def test_a_left_child_keys_one_more_and_a_right_child_skips_the_left_subtree(key, depth, h):
+    left, right = _child_keys(np.int64(key), depth, h)
+    assert (left, right) == (key + 1, key + 1 + (1 << (h - depth + 6)))
+
+
+@pytest.mark.parametrize("tree", [UNEVEN, right_spine(6), chain_tree(6, 3)],
+                         ids=["uneven", "right-spine", "left-chain"])
+def test_keys_rise_along_a_tree_in_preorder_and_end_in_the_depth(tree):
+    keys = preorder_keys(tree, h=6)
+    assert (np.diff(keys) > 0).all()
+    assert (keys & 63).tolist() == depths(tree)
+
+
+@CRAFTED
+def test_keys_rise_along_every_grown_tree(make, T, psi):
+    forest = build_forest(make(np.random.default_rng(100)), T, psi, seed=0)
+    for tree in forest.trees:
+        assert (np.diff(preorder_keys(tree, forest.height_limit)) > 0).all()
+
+
+def test_a_depth_32_right_path_keys_within_int64_and_loads():
+    # psi = 2**32 - 1, the largest the header holds, gives the largest height limit.
+    psi = 2**32 - 1
+    h = IsolationForest.height_limit_for(psi)
+    keys = preorder_keys(right_spine(h), h)
+    assert h == 32 and keys[-1] == (2**32 - 1) << 6 | 32 and keys.dtype == np.int64
+    forest = forest_of([right_spine(h)], psi=psi, n_features=1)
+    assert forest_score(forest, [1.0]) == 2.0 ** (-32 / forest.c_psi)
