@@ -24,16 +24,19 @@ reals throughout:
                 psi u32 | m u32 | tau f64 | forest_tau f64 | eta f64 | samples_seen u64
     pre         selected m*u32 | min_max 41*2 f64 | vocab: per categorical
                 column count u32 then (len u32 + utf-8 bytes) per token
-    forest      per tree: n_nodes u32 + n_nodes 16-byte iforest.NODE_DTYPE records
-                in preorder (feature i32, threshold f64, right child or leaf size i32):
-                the forest's one node table, framed by its per-tree sizes
+    forest      four columns of the forest's one node table, every tree in preorder
+                and the trees back to back: each tree's node count, T*u32; each
+                node's feature, n*i8, -1 for a leaf; each node's right child (its
+                offset in its tree) or leaf size, n*u16, or n*u32 when psi > 32767;
+                then each internal node's threshold, f64, in table order
     attention   params: AttentionParams.flat, 3k(k+1) f64 (Wq, Wk, Wv k*k
                 each, then bq, bk, bv k each); histories (T*k f64)
     trailer     CRC-32 (zlib.crc32) of every byte before it, u32
 
 flags is exactly 0x0001 (bit 0: the attention segment is present); every file
 this program writes holds it, and a file with any other flags value is rejected
-on load, as are versions 1 (28-byte nodes) and 2 (no forest_tau, no trailer).
+on load, as are versions 1 (28-byte nodes), 2 (no forest_tau, no trailer) and 3
+(16-byte node records, each tree after its count).
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ PIECE_BYTES = 1 << 20
 DEFAULT_ETA = 0.001
 
 MAGIC = b"ARLF"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _FLAG_ATTENTION = 0x0001
 
 _HEADER = struct.Struct("<4sHHIIIIdddQ")
@@ -276,10 +279,22 @@ def _pre_bytes(pre: Preprocessor) -> bytes:
     return b"".join(out)
 
 
+def _offset_dtype(psi: int) -> str:
+    """The file's type of a right-child offset or leaf size. A tree is at most
+    ceil(log2 psi) deep, so up to psi = 32767 it has at most 65,535 nodes, and u16
+    holds every offset in it and every leaf size up to psi."""
+    return "<u2" if psi <= 32767 else "<u4"
+
+
 def forest_bytes(forest: IsolationForest) -> bytes:
-    """The forest segment exactly as it appears inside a model file."""
-    words = np.frombuffer(forest.nodes.tobytes(), "<u4")  # a record is 4 words; a count, 1
-    return np.insert(words, 4 * (np.cumsum(forest.sizes) - forest.sizes), forest.sizes).tobytes()
+    """The forest segment exactly as it appears inside a model file. A leaf's
+    threshold is +0.0 (IsolationForest's rule), so only internal ones are kept."""
+    if forest.n_features > 128:
+        raise DimensionMismatch(f"a model file holds a feature in one signed byte, so at "
+                                f"most 128 features, got {forest.n_features}")
+    f, t, r = (forest.nodes[name] for name in NODE_DTYPE.names)
+    return b"".join([forest.sizes.astype("<u4").tobytes(), f.astype("i1").tobytes(),
+                     r.astype(_offset_dtype(forest.psi)).tobytes(), t[f >= 0].tobytes()])
 
 
 def attention_params_bytes(params: AttentionParams) -> bytes:
@@ -327,21 +342,27 @@ class _Reader:
         self.end = end  # where the payload stops and the trailer starts
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def _skip(self, n: int) -> int:
+        """Where the next n bytes start, once they are known to lie within the payload."""
         if self.pos + n > self.end:
             raise TruncatedFile(
                 f"needed {n} bytes at offset {self.pos}, the payload has {self.end}"
             )
-        chunk = self.buf[self.pos : self.pos + n]
         self.pos += n
-        return chunk
+        return self.pos - n
+
+    def take(self, n: int) -> bytes:
+        at = self._skip(n)
+        return self.buf[at : at + n]
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def f64_array(self, count: int, shape=None) -> np.ndarray:
-        a = np.frombuffer(self.take(count * 8), dtype="<f8").copy()
-        return a.reshape(shape) if shape is not None else a
+    def array(self, dtype: str, count: int) -> np.ndarray:
+        """The next count items, a read-only view of the buffer: checked, then neither
+        copied nor allocated, so a count read from the file sizes nothing."""
+        dtype = np.dtype(dtype)
+        return np.frombuffer(self.buf, dtype, count, self._skip(count * dtype.itemsize))
 
 
 def from_bytes(data: bytes) -> Detector:
@@ -366,9 +387,8 @@ def from_bytes(data: bytes) -> Detector:
     if k < 1:
         raise CorruptModel(f"need window k >= 1 (got {k})")
 
-    selected = np.frombuffer(rd.take(4 * m), dtype="<u4").astype(int).tolist()
-    mm = rd.f64_array(N_FEATURES * 2, (N_FEATURES, 2))
-    min_max = [(float(lo), float(hi)) for lo, hi in mm]
+    selected = rd.array("<u4", m).tolist()
+    min_max = [(lo, hi) for lo, hi in rd.array("<f8", N_FEATURES * 2).reshape(-1, 2).tolist()]
     vocab: dict[int, list[str]] = {}
     for col in sorted(CATEGORICAL_COLUMNS):
         count = rd.u32()
@@ -382,15 +402,19 @@ def from_bytes(data: bytes) -> Detector:
         vocab[col] = toks
     pre = Preprocessor(vocab=vocab, min_max=min_max, selected=selected)
 
-    start, at = rd.pos, []  # at: each tree's count, in 4-byte words from start
-    for _ in range(T):  # a count at a time, so that the header's T sizes no allocation
-        at.append((rd.pos - start) // 4)
-        rd.take(rd.u32() * NODE_DTYPE.itemsize)
-    words = np.frombuffer(data, "<u4", (rd.pos - start) // 4, start)
-    forest = IsolationForest(np.delete(words, at).view(NODE_DTYPE), words[at], psi, m)
+    sizes = rd.array("<u4", T)
+    f = rd.array("i1", int(sizes.sum()))
+    r = rd.array(_offset_dtype(psi), f.size)
+    inner = f >= 0
+    t = rd.array("<f8", int(np.count_nonzero(inner)))
+    nodes = np.zeros(f.size, dtype=NODE_DTYPE)  # a leaf's threshold stays +0.0
+    nodes["f"], nodes["r"] = f, r
+    nodes["t"][inner] = t
+    del inner  # the constructor's own temporaries set the load's peak
+    forest = IsolationForest(nodes, sizes, psi, m)
 
-    params = AttentionParams(rd.f64_array(param_count(k)), k)
-    histories = rd.f64_array(T * k, (T, k))
+    params = AttentionParams(rd.array("<f8", param_count(k)).copy(), k)
+    histories = rd.array("<f8", T * k).reshape(T, k).copy()
     if rd.pos != end:
         raise TruncatedFile(f"{end - rd.pos} trailing bytes after model payload")
     return Detector(forest=forest, params=params, pre=pre, histories=histories,

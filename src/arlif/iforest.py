@@ -12,14 +12,16 @@ node. Every node carries its preorder key (_child_keys), and after the last
 step one sort of the roots and the splits' children on (tree, key) lays every
 tree out in preorder.
 
-A forest is one NODE_DTYPE table, its trees back to back in preorder as in a model
-file, and their sizes. IsolationForest checks it by giving each node the key of the
-walk that reaches it: a table is accepted only if every node is reached once and the
-keys rise along each tree. It derives walk tables from it once (each node's feature,
-threshold and two successors, a leaf leading to itself, and each leaf's path length
-and probability, its depth read from its key), so one walk of height_limit steps,
-1-D takes from the tables and a flat C-order copy of the points, reaches every
-tree's leaf for a point or a block.
+A forest is one NODE_DTYPE table, its trees back to back in preorder, and their
+sizes; a model file holds the table's fields as columns in this order, and of the
+thresholds only the internal nodes' (detector.forest_bytes). IsolationForest
+checks it by giving each node the key of the walk that reaches it: a table is
+accepted only if every node is reached once and the keys rise along each tree. It
+derives walk tables from it once (each node's feature, threshold and two successors,
+a leaf leading to itself, and each leaf's path length and probability, its depth
+read from its key), so one walk of height_limit steps, 1-D takes from the tables
+and a flat C-order copy of the points, reaches every tree's leaf for a point or a
+block.
 
 path_length is unused here: the benchmark's mean_path_length calls it, and it
 moves to tests/reference.py with the next benchmark change (ROADMAP item 1).
@@ -226,9 +228,12 @@ class IsolationForest:
             if bad.any():
                 tree = int(np.searchsorted(roots, np.argmax(bad), "right")) - 1
                 raise CorruptModel(f"tree {tree}: {what}")
-        reject(inner & ((right <= left) | (right >= base + np.repeat(sizes, sizes))),
-               "children must satisfy j + 1 < right < n_nodes")
-        del j, base
+        # A leaf's right is itself, so a tree's largest right reaches its end iff a child's
+        # does; that marks the tree's root, so the first bad tree is still the one reported.
+        bad = inner & (right <= left)
+        bad[roots] |= np.maximum.reduceat(right, roots) >= roots + sizes
+        reject(bad, "children must satisfy j + 1 < right < n_nodes")
+        del j, base, bad
         reject(inner & (f >= self.n_features), f"feature outside [0, {self.n_features})")
         # f is -1, t is +0.0 bit for bit, and a negative size wraps above psi
         reject(~inner & ~((f == -1) & (t.view(np.uint64) == 0) & (r.view(np.uint32) <= self.psi)),
@@ -239,8 +244,9 @@ class IsolationForest:
         level, visits = roots, roots.size  # the nodes the walk reaches in 0, 1, ..., h steps
         for depth in range(1, h + 1):
             level = level[inner[level]]
-            key[level + 1], key[right[level]] = _child_keys(key[level], depth, h)
-            level = np.concatenate([level + 1, right[level]])
+            kids = np.concatenate([level + 1, right[level]])  # the left children, then the right
+            key[kids[:level.size]], key[kids[level.size:]] = _child_keys(key[level], depth, h)
+            level = kids
             if (visits := visits + level.size) > rec.size:
                 raise CorruptModel("a node has more than one parent")
         if inner[level].any():

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArlifError, CorruptModel, FieldCountMismatch, NotUtf8, NumericParse, SingleClass
+from .errors import (ArlifError, CorruptModel, EmptyStream, FieldCountMismatch, NotUtf8,
+                     NumericParse, SingleClass)
 
 N_FEATURES = 41
 # protocol_type, service, flag
@@ -228,9 +229,12 @@ class Preprocessor:
 
 
 def fit_preprocessor(records: list[Record], m: int) -> Preprocessor:
-    """Fit vocab, select the top-m ranked columns, record per-column min/max."""
+    """Fit vocab, select the top-m ranked columns, record per-column min/max.
+    No records raises EmptyStream."""
     if not 1 <= m <= N_FEATURES:
         raise ValueError(f"m must be in 1..{N_FEATURES}, got {m}")
+    if not records:
+        raise EmptyStream("no records to fit the preprocessor on")
     vocab = _build_vocab(records)
     X = _encode(records, _vocab_index(vocab))
     min_max = list(zip(X.min(axis=0).tolist(), X.max(axis=0).tolist()))

@@ -15,14 +15,16 @@
 # both rows, each at its threshold stored in the model, so the `--mode` flag
 # is gone and is a usage error too. Each of these
 # must exit 1 with one error: line and no traceback: a model file whose
-# version field (bytes 4-5) says 2, one whose flags (bytes 6-7) say 3, one
+# version field (bytes 4-5) says 2, one whose version field says 3 (the
+# format before the columnar forest; its error must name "format version 3"),
+# one whose flags (bytes 6-7) say 3, one
 # whose first min/max value (bytes 96-103: a 56-byte header, then 4 * m bytes
 # of selected columns at m = 10) is NaN and whose CRC-32 trailer (the last
 # 4 bytes) is resealed so that the min/max rule is what rejects it, one with
-# a bit of tau (bytes 24-31) flipped and the trailer left as it was, a
-# training file with a byte
-# that is not UTF-8, a training file whose column 4 holds -1e308 and
-# 1e308 (its max - min overflows; this one must also print no numpy
+# a bit of tau (bytes 24-31) flipped and the trailer left as it was, an
+# empty training file (this one must also write no model), a training file
+# with a byte that is not UTF-8, a training file whose column 4 holds -1e308
+# and 1e308 (its max - min overflows; this one must also print no numpy
 # warning and write no model). A `bench` at --trees 600 under a 250 MB
 # address-space limit and one BLAS thread must exit 0 and print both report
 # rows (the table row and the key=value line of each model) with no
@@ -91,6 +93,10 @@ one_error() {
 cp "$d/ids.arlf" "$d/v2.arlf"
 printf '\002\000' | dd of="$d/v2.arlf" bs=1 seek=4 count=2 conv=notrunc status=none
 one_error arlif eval --model "$d/v2.arlf" --test "$d/test.txt"
+cp "$d/ids.arlf" "$d/v3.arlf"
+printf '\003\000' | dd of="$d/v3.arlf" bs=1 seek=4 count=2 conv=notrunc status=none
+one_error arlif eval --model "$d/v3.arlf" --test "$d/test.txt"
+grep -q "format version 3" "$d/one.err"
 cp "$d/ids.arlf" "$d/flags.arlf"
 printf '\003\000' | dd of="$d/flags.arlf" bs=1 seek=6 count=2 conv=notrunc status=none
 one_error arlif eval --model "$d/flags.arlf" --test "$d/test.txt"
@@ -106,6 +112,9 @@ python3 -c 'import sys; p = sys.argv[1]; b = bytearray(open(p, "rb").read())
 b[27] ^= 0x10; open(p, "wb").write(b)' "$d/flipped.arlf"
 one_error arlif eval --model "$d/flipped.arlf" --test "$d/test.txt"
 grep -q "checksum mismatch" "$d/one.err"
+: > "$d/empty.txt"
+one_error arlif train --train "$d/empty.txt" --model "$d/empty.arlf" $small
+test ! -e "$d/empty.arlf"
 cp "$d/train.txt" "$d/notutf8.txt"
 printf '\377\n' >> "$d/notutf8.txt"
 one_error arlif train --train "$d/notutf8.txt" --model "$d/notutf8.arlf" $small

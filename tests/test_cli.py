@@ -91,6 +91,18 @@ def test_train_missing_file_is_runtime_error(capsys, tmp_path):
     assert "nope.txt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank"])
+def test_train_on_a_file_with_no_records_is_one_error_line(capsys, tmp_path, text):
+    empty, model = tmp_path / "empty.txt", tmp_path / "m.arlf"
+    empty.write_text(text)
+    rc = main(["train", "--train", str(empty), "--model", str(model)] + SMALL)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("error:") == 1 and "Traceback" not in err
+    assert "no records" in err
+    assert not model.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_a_record_file_that_is_not_utf8_is_one_error_line(cli_env, capsys, tmp_path, command):
     bad = tmp_path / "bad.txt"
@@ -261,11 +273,39 @@ def with_header(data, **fields):
     return _HEADER.pack(*values.values()) + data[_HEADER.size:]
 
 
+def forest_columns(trees):
+    """A forest segment of these NODE_DTYPE trees, each field cast as it stands, with no
+    check (forest_bytes takes only a forest that loads): each tree's node count, every
+    node's feature as i1 and its r as u2 (each crafted file's psi is at most 32767), then
+    the thresholds of the nodes whose feature is not negative."""
+    nodes = np.concatenate([np.empty(0, NODE_DTYPE), *trees])
+    return b"".join([np.array([len(t) for t in trees], "<u4").tobytes(),
+                     nodes["f"].astype("i1").tobytes(), nodes["r"].astype("<u2").tobytes(),
+                     nodes["t"][nodes["f"] >= 0].tobytes()])
+
+
+def forest_start(data, det):
+    """Offset of the forest segment: its node counts, then the feature column."""
+    return data.index(forest_bytes(det.forest))
+
+
 def with_trees(data, det, trees):
     old = forest_bytes(det.forest)
-    new = b"".join(struct.pack("<I", len(t)) + t.tobytes() for t in trees)
     start = data.index(old)
-    return data[:start] + new + data[start + len(old):]
+    return data[:start] + forest_columns(trees) + data[start + len(old):]
+
+
+def with_size0(data, det, size):
+    """The file with tree 0's node count set to size and every column as it was."""
+    start = forest_start(data, det)
+    return data[:start] + struct.pack("<I", size) + data[start + 4:]
+
+
+def every_node_internal(data, det):
+    """The file with every node's feature byte set to 0, so that each node claims a
+    threshold; the thresholds column holds only the internal nodes' ones."""
+    start, n = forest_start(data, det) + 4 * det.forest.n_trees, det.forest.nodes.size
+    return data[:start] + bytes(n) + data[start + n:]
 
 
 def with_tree0(data, det, **node0_fields):
@@ -334,10 +374,14 @@ CRAFTED = {
     "psi_one": (lambda b, d: with_header(b, psi=1), "psi >= 2"),
     "version_one": (lambda b, d: with_header(b, version=1), "format version 1,"),
     "version_two": (lambda b, d: with_header(b, version=2), "format version 2,"),
+    "version_three": (lambda b, d: with_header(b, version=3), "format version 3,"),
     "flags_extra_bit": (lambda b, d: with_header(b, flags=3), "header flags 0x0003"),
     "no_trees": (without_trees, "got 0 trees"),
-    # T counts are read one at a time, so T sizes no allocation: the payload runs out
+    # Each column is checked against the payload before it is viewed, so no count read
+    # from the file sizes an allocation: T node counts, n nodes, one threshold per f >= 0.
     "trees_2_32_minus_1": (lambda b, d: with_header(b, T=2 ** 32 - 1), "needed"),
+    "nodes_past_payload": (lambda b, d: with_size0(b, d, 2 ** 32 - 1), "needed"),
+    "thresholds_past_payload": (every_node_internal, "needed"),
     "window_zero": (without_attention, "window k >= 1 (got 0)"),
     "tree_without_nodes": (lambda b, d: with_trees(b, d, [d.forest.trees[0][:0],
                                                           *d.forest.trees[1:]]), "nonempty trees"),
@@ -345,9 +389,9 @@ CRAFTED = {
     "right_child_is_left": (lambda b, d: with_tree0(b, d, r=1), "j + 1 < right"),
     "child_past_end": (lambda b, d: with_tree0(b, d, r=len(d.forest.trees[0])), "< n_nodes"),
     "feature_out_of_range": (lambda b, d: with_tree0(b, d, f=d.pre.m), "feature outside"),
-    "leaf_threshold_set": (lambda b, d: with_tree0(b, d, leaf=True, t=0.5), "non-canonical leaf"),
-    "leaf_threshold_negative_zero": (lambda b, d: with_tree0(b, d, leaf=True, t=-0.0),
-                                     "non-canonical leaf"),
+    # A leaf's threshold has no place in the file; IsolationForest's tests keep its rule.
+    "leaf_feature_minus_two": (lambda b, d: with_tree0(b, d, leaf=True, f=-2),
+                               "non-canonical leaf"),
     "leaf_negative_size": (lambda b, d: with_tree0(b, d, leaf=True, r=-1), "non-canonical leaf"),
     "node_unreached": (unreached_leaf, "not one tree in preorder"),
     "subtrees_out_of_preorder": (out_of_preorder, "not one tree in preorder"),

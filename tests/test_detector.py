@@ -41,7 +41,7 @@ from arlif.errors import (
     TruncatedFile,
     VersionUnsupported,
 )
-from arlif.iforest import build_forest, forest_probas
+from arlif.iforest import NODE_DTYPE, build_forest, forest_probas
 from arlif.ingest import CATEGORICAL_COLUMNS, N_FEATURES, fit_preprocessor, transform
 from arlif.metrics import evaluate
 from conftest import sealed, synth_records
@@ -651,29 +651,70 @@ def test_round_trip_after_training(pipe):
     assert np.array_equal(clone.histories, det.histories)
 
 
-def forest_segment(data):
-    """Each tree's node count and record bytes, read from a model file field by field."""
-    _, _, _, k, T, _, m, *_ = _HEADER.unpack_from(data)
+def forest_columns(data):
+    """The forest segment's four columns, read from a model file field by field: the
+    node counts, features, right offsets or leaf sizes, and internal thresholds."""
+    _, _, _, k, T, psi, m, *_ = _HEADER.unpack_from(data)
     pos = _HEADER.size + 4 * m + 8 * 2 * N_FEATURES
     for _ in CATEGORICAL_COLUMNS:
         (count,), pos = struct.unpack_from("<I", data, pos), pos + 4
         for _ in range(count):
             pos += 4 + struct.unpack_from("<I", data, pos)[0]
-    counts, records = [], []
-    for _ in range(T):
-        counts.append(struct.unpack_from("<I", data, pos)[0])
-        records.append(data[pos + 4:pos + 4 + 16 * counts[-1]])
-        pos += 4 + 16 * counts[-1]
-    assert pos == len(data) - 4 - 8 * (param_count(k) + T * k)  # the attention segment follows
-    return counts, b"".join(records)
+    sizes = np.frombuffer(data, "<u4", T, pos)
+    n, pos = int(sizes.sum()), pos + sizes.nbytes
+    f = np.frombuffer(data, "i1", n, pos)
+    r = np.frombuffer(data, "<u2" if psi <= 32767 else "<u4", n, pos + n)
+    pos += f.nbytes + r.nbytes
+    t = np.frombuffer(data, "<f8", int((f >= 0).sum()), pos)
+    assert pos + t.nbytes == len(data) - 4 - 8 * (param_count(k) + T * k)  # attention follows
+    return sizes, f, r, t
 
 
-def test_a_loaded_forest_is_the_files_records_with_the_counts_removed(pipe):
+def test_a_loaded_forest_is_the_files_columns_in_one_node_table(pipe):
     data = to_bytes(mk_detector(pipe, k=3))
-    counts, records = forest_segment(data)
+    sizes, f, r, t = forest_columns(data)
     forest = from_bytes(data).forest
-    assert forest.sizes.tolist() == counts and len(counts) == 10
-    assert forest.nodes.tobytes() == records
+    assert forest.sizes.tolist() == sizes.tolist() and len(sizes) == 10
+    nodes = forest.nodes
+    assert nodes["f"].tolist() == f.tolist() and nodes["r"].tolist() == r.tolist()
+    assert nodes["t"][f >= 0].tobytes() == t.tobytes()
+    assert not nodes["t"][f < 0].view(np.uint64).any()  # every leaf's threshold is +0.0
+    assert nodes.tobytes() == pipe[3].nodes.tobytes()
+
+
+def file_length(det):
+    """A model file's length from its layout: the header, the preprocessor, the forest's
+    node counts, 1 + w bytes per node for its feature and r (w = 2, or 4 when
+    psi > 32767), 8 per internal node's threshold, the attention segment, the trailer."""
+    vocab = sum(4 + sum(4 + len(tok.encode()) for tok in toks) for toks in det.pre.vocab.values())
+    pre = 4 * det.pre.m + 8 * 2 * N_FEATURES + vocab
+    nodes, w = det.forest.nodes, 2 if det.forest.psi <= 32767 else 4
+    forest = 4 * det.forest.n_trees + (1 + w) * nodes.size + 8 * int((nodes["f"] >= 0).sum())
+    attention = len(attention_params_bytes(det.params)) + det.histories.nbytes
+    return _HEADER.size + pre + forest + attention + 4
+
+
+def wide_psi_detector(pipe):
+    """The pipe's trees at psi 100,000, with one more tree whose leaf of 70,000 points
+    does not fit the 16 bits that r takes at psi <= 32767."""
+    _, pre, _, forest = pipe
+    big = np.array([(0, 0.5, 2), (-1, 0.0, 30_000), (-1, 0.0, 70_000)], dtype=NODE_DTYPE)
+    wide = forest_of([*forest.trees, big], psi=100_000, n_features=forest.n_features)
+    return new_detector(wide, init_params(3, seed=0), pre)
+
+
+def test_a_model_file_is_exactly_its_segments(pipe):
+    for det in (mk_detector(pipe, k=3), wide_psi_detector(pipe)):
+        assert len(to_bytes(det)) == file_length(det)
+
+
+def test_a_forest_past_psi_32767_saves_loads_and_resaves_byte_for_byte(pipe):
+    det = wide_psi_detector(pipe)
+    data = to_bytes(det)
+    clone = from_bytes(data)
+    assert clone.forest.psi == 100_000 and clone.forest.nodes["r"][-1] == 70_000
+    assert clone.forest.nodes.tobytes() == det.forest.nodes.tobytes()
+    assert to_bytes(clone) == data
 
 
 def test_loaded_detector_scores_identically(pipe):
@@ -730,7 +771,8 @@ def test_from_bytes_bad_magic(pipe):
 
 def test_from_bytes_unknown_version(pipe):
     data = bytearray(to_bytes(mk_detector(pipe)))
-    for version in (1, 2, 4):  # 2 had no forest_tau and no trailer; neither is converted
+    # 2 had no forest_tau and no trailer, 3 kept 16-byte node records; none is converted
+    for version in (1, 2, 3, 5):
         data[4:6] = version.to_bytes(2, "little")
         with pytest.raises(VersionUnsupported, match=f"format version {version},"):
             from_bytes(bytes(data))

@@ -543,8 +543,16 @@ def test_a_node_record_is_16_bytes():
     assert NODE_DTYPE.names == ("f", "t", "r") and NODE_DTYPE.itemsize == 16
     data = np.random.default_rng(6).uniform(size=(300, 5))
     f = build_forest(data, T=7, psi=64, seed=6)
-    nodes = sum(len(t) for t in f.trees)
-    assert len(forest_bytes(f)) == 4 * f.n_trees + 16 * nodes
+    nodes, internal = f.nodes.size, int((f.nodes["f"] >= 0).sum())
+    # in a file: a count per tree, a 1-byte feature and a 2-byte r per node, and a
+    # threshold per internal node
+    assert len(forest_bytes(f)) == 4 * f.n_trees + 3 * nodes + 8 * internal
+
+
+def test_a_forest_over_more_features_than_one_byte_holds_has_no_file_form():
+    assert len(forest_bytes(forest_of([LEAF], psi=2, n_features=128))) == 4 + 3
+    with pytest.raises(DimensionMismatch, match="at most 128 features, got 129"):
+        forest_bytes(forest_of([LEAF], psi=2, n_features=129))
 
 
 def test_each_tree_is_a_view_into_the_one_table(pipe):
@@ -609,6 +617,8 @@ def test_path_length_equals_the_recursive_oracle_on_trees_of_unequal_depth():
     # a ladder: node i's children are i + 1 and i + 2, so each level outgrows the last
     (records(*[(0, 0.5, i + 2) for i in range(8)], (-1, 0.0, 1), (-1, 0.0, 1)),
      "more than one parent"),
+    # a leaf's threshold other than +0.0, like the -0.0 above; a model file has no place for it
+    (records((0, 0.5, 2), (-1, 0.5, 1), (-1, 0.0, 1)), "non-canonical leaf"),
 ])
 def test_a_tree_that_is_not_canonical_is_rejected(tree, message):
     with pytest.raises(CorruptModel, match=message):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import arlif.ingest
-from arlif.errors import CorruptModel, FieldCountMismatch, NotUtf8, NumericParse, SingleClass
+from arlif.errors import (CorruptModel, EmptyStream, FieldCountMismatch, NotUtf8, NumericParse,
+                          SingleClass)
 from arlif.ingest import (
     CATEGORICAL_COLUMNS,
     FORMATS,
@@ -310,6 +311,14 @@ def test_rank_point_biserial_hand_value():
 def test_rank_single_class_rejected():
     with pytest.raises(SingleClass):
         rank_features([mk_record(label="normal"), mk_record(label="normal")])
+
+
+def test_fitting_no_records_raises_empty_stream(tmp_path):
+    blank = tmp_path / "blank.txt"
+    blank.write_text("\n  \n\n")  # blank lines are skipped, so it holds no record
+    for records in ([], load_records(blank)):
+        with pytest.raises(EmptyStream, match="no records"):
+            fit_preprocessor(records, 10)
 
 
 def test_rank_order_and_bounds():
