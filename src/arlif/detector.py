@@ -7,13 +7,18 @@ observe() scores a record or a block of records; learn() additionally
 applies one online SGD update to the attention layer. A block is walked
 once and its stack of history matrices scored in pieces of
 max(1, PIECE_BYTES // (8 T^2)) matrices: a piece's T x T buffers stay within
-one byte budget, or hold one matrix where one alone passes it, and every
-piece runs in one workspace. A single-record
-observe or learn runs the attention layer in the detector's own workspace
-(attention.workspace), made at its first such call and never saved, so a
-training row allocates none of the layer's T x T, T x k or T x 2 arrays; a
-copy by dataclasses.replace or a loaded model makes its own, a deepcopy or pickle
-copies it. A record shifts the histories, one C-order block, as one move of the
+one byte budget, or hold one matrix where one alone passes it. At T=100 a
+piece is 8 matrices, so eight tile a block of BLOCK rows; of 4, 8, 13, 16 and
+64 matrices per piece, 8 scored fastest in process, and all five gave the
+same scores bit for bit. Every piece runs in the detector's block workspace,
+made at its first block and never saved, so a later block allocates none of
+the layer's buffers; only a block whose pieces are longer than any before
+remakes it larger. A single-record observe or learn runs the attention layer
+in the detector's own single-matrix workspace (attention.workspace), made at
+its first such call and never saved, so a training row allocates none of the
+layer's T x T, T x k or T x 2 arrays. A copy by dataclasses.replace or a
+loaded model makes its own of each workspace; a deepcopy or pickle copies
+them. A record shifts the histories, one C-order block, as one move of the
 flat T*k buffer. Nothing ever mutates the forest or the preprocessor after
 construction. Nothing here reads the clock; a caller that reports a time does.
 
@@ -72,11 +77,14 @@ from .ingest import CATEGORICAL_COLUMNS, N_FEATURES, Preprocessor, Record, trans
 # 16, 32 and 64, 64 was within noise of the most lines/s.
 BLOCK = 64
 # Bytes of E, a history matrix's T x T buffer, that one piece of an observe block may hold:
-# max(1, PIECE_BYTES // (8 T^2)) matrices, 13 at T=100 and one from T=257 on. replay rows/s on
-# the same machine by matrices per piece (medians of 5 to 15 runs), where 64 is a whole block:
-# T=100: 3 28,600, 6 32,400, 9 34,200, 13 32,500, 19 30,400, 64 26,400;
-# T=200: 1 9,900, 3 11,300, 6 9,100, 64 8,100; T=400: 1 3,500, 6 2,600, 16 2,600, 64 1,200.
-PIECE_BYTES = 1 << 20
+# max(1, PIECE_BYTES // (8 T^2)) matrices, 8 at T=100, which tile BLOCK, and one from T=203 on.
+# replay rows/s at T=100 on the same machine by matrices per piece, in one process with every
+# block's pieces in one kept workspace (medians of 40 interleaved rounds), 64 a whole block:
+# 4 25,100, 8 27,200, 13 26,700, 16 26,100, 64 25,800; 8 was the fastest in 18 of the 40 rounds,
+# 13 ran at 0.973x of 8 (paired median), and all five gave the same scores bit for bit. Earlier,
+# with a fresh workspace per block (medians of 5 to 15 runs): T=200: 1 9,900, 3 11,300, 6 9,100,
+# 64 8,100; T=400: 1 3,500, 6 2,600, 16 2,600, 64 1,200.
+PIECE_BYTES = 5 << 17  # 5/8 MiB
 # SGD learning rate of new_detector and arlif's --eta. At 0.05 one step pushes the
 # readout onto its clamp, where backward returns zero for good.
 DEFAULT_ETA = 0.001
@@ -123,6 +131,8 @@ class Detector:
     samples_seen: int = 0
     # forward/backward buffers of single-record steps, made by the first; not in the file
     _workspace: ForwardCache | None = field(default=None, init=False, repr=False)
+    # forward's buffers of a block's pieces, made by the first block; not in the file
+    _block_workspace: ForwardCache | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.histories = np.ascontiguousarray(self.histories, dtype=np.float64)
@@ -184,9 +194,11 @@ def observe(det: Detector, r: Record | Sequence[Record], *,
     per-tree probability sequence (the current history, then each record's
     probabilities) is the matrix the single path would see at record i. A
     piece is max(1, PIECE_BYTES // (8 T^2)) consecutive windows, or fewer at
-    the end; every piece is scored in one workspace, a shorter last one in
-    its first matrices' buffers. A request past attention.WORKSPACE_LIMIT raises
-    BufferTooLarge and leaves the detector as it was.
+    the end; every piece is scored in the detector's block workspace, made at
+    its first block (or remade larger for longer pieces than any before), a
+    shorter piece in its first matrices' buffers. A request past
+    attention.WORKSPACE_LIMIT raises BufferTooLarge and leaves the detector as
+    it was, with no workspace the request would have made.
     """
     if isinstance(r, Record):
         H = det.histories
@@ -210,13 +222,15 @@ def observe(det: Detector, r: Record | Sequence[Record], *,
         (T, k), n = det.histories.shape, len(r)
         seq = np.concatenate([det.histories[:, 1:].T, _walk(det, r)])  # (k - 1 + N) x T
         windows = sliding_window_view(seq, k, axis=0)  # N x T x k
-        step = max(1, PIECE_BYTES // (8 * T * T))
-        s, ws = np.empty(n), workspace(min(n, step), T, k)
+        step = min(n, max(1, PIECE_BYTES // (8 * T * T)))
+        ws = det._block_workspace
+        if ws is None or len(ws.H) < step:
+            det._block_workspace = ws = workspace(step, T, k)
+        s = np.empty(n)
         for i in range(0, n, step):
             piece = windows[i:i + step]
-            if len(piece) < len(ws.H):  # a shorter last piece: no second allocation
-                ws = ws.head(len(piece))
-            s[i:i + step] = forward(det.params, piece, out=ws)[0]
+            out = ws if len(piece) == len(ws.H) else ws.head(len(piece))
+            s[i:i + step] = forward(det.params, piece, out=out)[0]
         det.histories[...] = seq[-k:].T
         cache, predicted = None, (s >= det.tau).astype(int)
     else:

@@ -263,8 +263,11 @@ class IsolationForest:
 
         # Each leaf's slot in _path / _proba, which apply the scalar c_factor and
         # ** per distinct (depth, size): numpy's vectorized ** may differ in the last ulp.
+        # A leaf's size is read as uint32, as the leaf rule reads it: in i4 a size of 2^31
+        # or more would sign-extend over the depth bits.
         leaf = np.flatnonzero(~inner)
-        keys, slots = np.unique((key[leaf] & 63) << 32 | r[leaf], return_inverse=True)
+        keys, slots = np.unique((key[leaf] & 63) << 32 | r[leaf].view(np.uint32),
+                                return_inverse=True)
         self._slot = np.zeros(rec.size, dtype=np.intp)
         self._slot[leaf] = slots
         paths = [kd + c_factor(ks) for kd, ks in (divmod(k, 1 << 32) for k in keys.tolist())]

@@ -6,6 +6,7 @@ import pickle
 import random
 import struct
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -257,6 +258,13 @@ def test_a_block_scored_in_pieces_equals_a_loop_of_observe(pipe, monkeypatch, sc
     assert res.predicted.tolist() == [one.predicted for one in singles]
     assert blocked.histories.tolist() == looped.histories.tolist()
     assert blocked.samples_seen == looped.samples_seen == 12
+    first, cut[:] = cut[0][1], []  # the next block runs in the first block's buffers
+    rows = records[12:19]
+    res = observe(blocked, rows)
+    assert [n for n, _ in cut] == pieces
+    assert all(np.shares_memory(out.E, first.E) for _, out in cut)
+    assert res.score.tolist() == [observe(looped, r).score for r in rows]
+    assert blocked.histories.tolist() == looped.histories.tolist()
 
 
 def test_a_refused_workspace_leaves_the_detector_as_it_was(pipe, monkeypatch):
@@ -269,6 +277,70 @@ def test_a_refused_workspace_leaves_the_detector_as_it_was(pipe, monkeypatch):
         with pytest.raises(BufferTooLarge, match=f"past the limit of {8 * T * T} bytes"):
             observe(det, r)
         assert to_bytes(det) == before and det._workspace is None
+        assert det._block_workspace is None
+    monkeypatch.undo()  # under the normal limit the same block scores as on a fresh detector
+    assert observe(det, records[:3]).score.tolist() == observe(mk_detector(pipe),
+                                                                records[:3]).score.tolist()
+    assert det._block_workspace is not None
+
+
+@pytest.mark.parametrize("matrices_per_piece", [None, 3], ids=["default", "not-dividing-BLOCK"])
+def test_short_and_long_blocks_at_the_default_shape_equal_a_loop_of_observe(
+        default_shape, monkeypatch, matrices_per_piece):
+    # at T=100 the default pieces hold 8 matrices: blocks of one piece, of less, of more, and
+    # of more than BLOCK, with a short block both before and after a full one
+    records, pre, forest = default_shape
+    T = forest.n_trees
+    if matrices_per_piece:
+        monkeypatch.setattr(arlif.detector, "PIECE_BYTES", 8 * T * T * matrices_per_piece)
+    params = init_params(10, seed=3, scale=0.05)
+    looped, blocked = new_detector(forest, params, pre), new_detector(forest, params, pre)
+    start = 0
+    for n in (1, 8, 7, 65, 9, 63, 64):
+        rows = records[start:start + n]
+        start += n
+        res = observe(blocked, rows)
+        singles = [observe(looped, r) for r in rows]
+        assert res.score.tolist() == [one.score for one in singles], n
+        assert res.predicted.tolist() == [one.predicted for one in singles]
+        assert blocked.histories.tolist() == looped.histories.tolist()
+    assert blocked.samples_seen == looped.samples_seen == start
+
+
+def test_the_default_pieces_tile_a_block_at_the_default_shape():
+    # else every full block would end in a short piece, scored in a view of the workspace
+    T = 100
+    assert arlif.detector.BLOCK % max(1, arlif.detector.PIECE_BYTES // (8 * T * T)) == 0
+
+
+def test_a_block_workspace_is_kept_and_each_copy_makes_its_own(pipe):
+    records, _, _, _ = pipe
+    det = mk_detector(pipe)
+    observe(det, records[:7])
+    first = det._block_workspace
+    observe(det, records[7:14])
+    assert det._block_workspace is first
+    twins = [dataclasses.replace(det, histories=det.histories.copy()), from_bytes(to_bytes(det))]
+    assert [twin._block_workspace for twin in twins] == [None, None]
+    for block in (records[14:21], records[21:28]):
+        res = [observe(d, block) for d in [det] + twins]
+        kept = [d._block_workspace for d in [det] + twins]
+        assert kept[0] is first and not any(np.shares_memory(a.E, b.E) for a, b in
+                                            [kept[:2], kept[1:], kept[::2]])
+        assert res[1].score.tolist() == res[2].score.tolist() == res[0].score.tolist()
+
+
+def test_a_second_block_allocates_less_than_one_piece(default_shape):
+    records, pre, forest = default_shape
+    det = new_detector(forest, init_params(10, seed=0), pre)
+    observe(det, records[:64])
+    tracemalloc.start()
+    try:
+        observe(det, records[64:128])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < det._block_workspace.E.nbytes, peak
 
 
 def test_observe_with_precomputed_probas_equals_observe(pipe):

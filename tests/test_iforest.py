@@ -662,6 +662,18 @@ def test_keys_rise_along_every_grown_tree(make, T, psi):
         assert (np.diff(preorder_keys(tree, forest.height_limit)) > 0).all()
 
 
+def test_a_leaf_of_2_31_points_or_more_gets_its_path_length():
+    # NODE_DTYPE holds a size in i4, as a model file's u4 column loads into it, so the
+    # loader reads it as uint32: in i4 it would sign-extend over the leaf key's depth bits
+    tree = records((0, 0.5, 2), (-1, 0.0, 1), (-1, 0.0, 0))
+    tree["r"][2] = np.uint32(3_000_000_000).view(np.int32)
+    forest = forest_of([tree], psi=2**32 - 1, n_features=1)
+    paths = [1 + c_factor(1), 1 + c_factor(3_000_000_000)]
+    assert forest._path[forest._slot[1:]].tolist() == paths and round(paths[1], 3) == 43.798
+    assert forest_probas(forest, [[0.25], [0.75]]).tolist() == [
+        [2.0 ** (-p / forest.c_psi)] for p in paths]
+
+
 def test_a_depth_32_right_path_keys_within_int64_and_loads():
     # psi = 2**32 - 1, the largest the header holds, gives the largest height limit.
     psi = 2**32 - 1
