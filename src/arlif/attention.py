@@ -32,13 +32,12 @@ column, H1 = [H, 1], and each step takes the live parameters into one
 (k+1) x (2k+1) matrix W1 = [[Wq, Wk, Wv[:, -1]], [bq, bk, bv[-1]]] (_live
 holds their positions in the vector), so one product H1.W1 gives Q, K and v
 with their biases, written beside a ones column as [Q, K, v, 1]. The logits'
-two factors, Q / sqrt(k) and K^T, are written from that buffer into C-order
-ones of the cache, Qs by one divide and KT by one copy: gemm runs faster on
-them than on its strided views, with the same bits. backward's one product
-H1^T.[dQ, dK, dv] gives every live weight and bias gradient, which one
-scatter writes into the gradient vector. workspace refuses a request whose
-T x T buffers (E per matrix, and a single matrix's dE) would pass
-WORKSPACE_LIMIT bytes.
+two factors, Q / sqrt(k) and K^T, are copied out of that buffer into C-order
+ones of the cache (Qs and KT): gemm runs faster on them than on its strided
+views, with the same bits. backward's one product H1^T.[dQ, dK, dv] gives
+every live weight and bias gradient, which one scatter writes into the
+gradient vector. workspace refuses a request whose T x T buffers (E per
+matrix, and a single matrix's dE) would pass WORKSPACE_LIMIT bytes.
 """
 
 from __future__ import annotations
@@ -263,8 +262,9 @@ def forward(params: AttentionParams, H, *,
     # _live's positions are in range, so "clip" only spares take a copy of its output
     np.matmul(c.H1, flat.take(_live(k), out=c.W1, mode="clip"), out=c.QKv)
     # the logits and then E in one buffer: no other temporary the size of E. Both
-    # factors are C-order: gemm is faster on them than on views of QKV1
-    np.divide(c.Q, math.sqrt(k), out=c.Qs)
+    # factors are C-order copies: gemm is faster on them than on views of QKV1
+    np.copyto(c.Qs, c.Q)
+    c.Qs /= math.sqrt(k)
     np.copyto(c.KT, c.K.swapaxes(-1, -2))
     E = np.matmul(c.Qs, c.KT, out=c.E)
     if _skips_row_max(flat, k, T):
