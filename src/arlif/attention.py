@@ -280,7 +280,9 @@ def forward(params: AttentionParams, H, *,
     np.divide(c.num, c.den, out=c.e)
     r = np.add.reduce(c.e, axis=-1) / T
     if r.ndim:
-        s = np.clip(r, EPS, 1.0 - EPS)
+        # np.clip's bits, NaN included, without its Python wrapper on every piece
+        s = np.maximum(r, EPS)
+        np.minimum(s, 1.0 - EPS, out=s)
     else:
         r = float(r)
         s = min(max(r, EPS), 1.0 - EPS)

@@ -34,6 +34,7 @@ from .ingest import (
     Record,
     fit_preprocessor,
     load_records,
+    parse_bare_rows,
     parse_record,
     transform,
 )
@@ -151,22 +152,28 @@ def _reply(det: Detector, run: list[Record], cumulative_ns: int) -> int:
 
 
 def cmd_stream(args: argparse.Namespace) -> int:
-    """Score the complete lines of each read as one run. A line that cannot be
-    scored is reported after the replies of the lines before it."""
+    """Score the complete lines of each read as one run. A read of bare rows
+    only is parsed as one block (ingest.parse_bare_rows); any other read, and
+    one the block parse cannot vouch for, is parsed line by line, and a line
+    that cannot be scored is reported after the replies of the lines before it.
+    Both parses give the same records, so the replies do not depend on how the
+    reads fall."""
     det = load_model(args.model)
     cumulative_ns = lineno = 0
     for lines in _pending_lines():
-        run = []
-        for raw in lines:
-            lineno += 1
-            try:
-                r = _parse_stream_line(raw, args.format)
-            except ArlifError as exc:
-                cumulative_ns, run = _reply(det, run, cumulative_ns), []
-                print(f"line {lineno}: {exc}", file=sys.stderr)
-                continue
-            if r is not None:
-                run.append(r)
+        run = parse_bare_rows(lines)
+        if run is None:
+            run = []
+            for n, raw in enumerate(lines, start=lineno + 1):
+                try:
+                    r = _parse_stream_line(raw, args.format)
+                except ArlifError as exc:
+                    cumulative_ns, run = _reply(det, run, cumulative_ns), []
+                    print(f"line {n}: {exc}", file=sys.stderr)
+                    continue
+                if r is not None:
+                    run.append(r)
+        lineno += len(lines)
         cumulative_ns = _reply(det, run, cumulative_ns)
     return 0
 

@@ -349,8 +349,10 @@ def forest_score(forest: IsolationForest, X):
 
 
 def path_length(tree: np.ndarray, x) -> float:
-    """Steps to the leaf reached by x, plus c_factor(leaf size)."""
-    feature, threshold, right = tree["f"], tree["t"], tree["r"]
+    """Steps to the leaf reached by x, plus c_factor(leaf size). The r field is
+    read as uint32, as IsolationForest reads a leaf's size: in i4 a size of
+    2^31 or more would read negative."""
+    feature, threshold, right = tree["f"], tree["t"], tree["r"].view(np.uint32)
     j = depth = 0
     while feature[j] >= 0:
         j = j + 1 if x[feature[j]] < threshold[j] else right[j]

@@ -12,6 +12,12 @@ names the first cell that is not a finite number, or parses a row of finite
 cells whose sum overflowed. transform encodes a sequence of records with the
 block encoder fitting uses, and one record without it: a take of its values
 and a vocabulary lookup per selected categorical column, with the same bits.
+
+parse_bare_rows parses the lines of one stream read as one block, when every
+line is a bare row of 41 fields in printable, non-space ASCII: one np.loadtxt
+converts the numeric cells, with float()'s bits, since both convert a number
+with CPython's PyOS_string_to_double. It returns None for any other read,
+which then goes line by line through parse_record.
 """
 
 from __future__ import annotations
@@ -30,6 +36,9 @@ N_FEATURES = 41
 # protocol_type, service, flag
 CATEGORICAL_COLUMNS = (1, 2, 3)
 _NANS = (math.nan,) * len(CATEGORICAL_COLUMNS)
+_NUMERIC_COLUMNS = tuple(c for c in range(N_FEATURES) if c not in CATEGORICAL_COLUMNS)
+# the bytes a bare row's cells may hold: printable ASCII, no space
+_GRAPHIC = bytes(range(0x21, 0x7F))
 
 FORMATS = ("nsl-kdd", "kdd99")
 
@@ -99,6 +108,47 @@ def parse_record(line: str, format: str = "nsl-kdd") -> Record:
     else:
         _number(fields[42], 42)  # difficulty, discarded
     return Record(values, tokens, 0 if label == "normal" else 1)
+
+
+def parse_bare_rows(lines: list[bytes]) -> list[Record] | None:
+    """The records of two or more bare rows, lines of 41 fields without their
+    newline, parsed as one block; None when the block parse cannot vouch for
+    them, so that the caller parses them line by line (as it does one line,
+    which parses faster alone).
+
+    Each record is parse_record's of the row + ",unlabeled,0": the same values
+    bits, NaN in the categorical columns, the same interned tokens, label 1.
+    The block parse applies only when every byte is printable non-space ASCII,
+    so no cell holds a byte the two parsers read apart: loadtxt skips 0x1c
+    around a number, which float() rejects. It then proves 41 fields a line:
+    loadtxt raises on a row with fewer, and the commas add up to 40 a line, so
+    a row with more would leave another with fewer. A blank line gives no row,
+    so the rows must number the lines, and every numeric cell must be finite.
+    Any other read, a cell loadtxt rejects included, gives None.
+    """
+    n = len(lines)
+    if n < 2:
+        return None
+    data = b"\n".join(lines)
+    if (data.count(b",") != (N_FEATURES - 1) * n
+            or data.translate(None, _GRAPHIC) != b"\n" * (n - 1)):
+        return None
+    rows = data.decode("ascii").split("\n")
+    try:
+        X = np.loadtxt(rows, delimiter=",", usecols=_NUMERIC_COLUMNS, comments=None,
+                       dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    if X.shape[0] != n or not np.isfinite(X).all():
+        return None
+    values = np.empty((n, N_FEATURES))
+    values[:, _NUMERIC_COLUMNS] = X
+    values[:, CATEGORICAL_COLUMNS] = math.nan
+    records = []
+    for v, row in zip(values, rows):
+        _, a, b, c, _ = row.split(",", 4)
+        records.append(Record(v, (sys.intern(a), sys.intern(b), sys.intern(c)), 1))
+    return records
 
 
 def load_records(path, format: str = "nsl-kdd", limit: int | None = None) -> list[Record]:

@@ -36,7 +36,11 @@
 # ns= field, cumulative detection time that stream's own clock reads around
 # each observe call, must never decrease. Under a strictly
 # decoding stdin, `stream` must report a line that is not UTF-8 as one
-# `line N:` stderr line, go on with the rest, and exit 0.
+# `line N:` stderr line, go on with the rest, and exit 0. The same 130 bare
+# rows (41 fields, no label) piped to `stream` in one write, so that a read
+# holds many lines and is parsed as one block, and one line a write with a
+# pause between, so that once the child has started each read holds one line
+# and is parsed alone, must give the same score= and pred= fields.
 set -eu
 d=$(mktemp -d)
 trap 'rm -rf "$d"' EXIT
@@ -65,6 +69,14 @@ PYTHONIOENCODING=utf-8:strict arlif stream --model "$d/ids.arlf" < "$d/mixed.txt
 test "$(wc -l < "$d/mixed.out")" -eq 5
 test "$(grep -c "^line 4:" "$d/mixed.err")" -eq 1
 test "$(grep -c Traceback "$d/mixed.err")" -eq 0
+python3 tests/synth_stream.py "$d/bare.txt" --rows 130 --seed 101 --attack-rate 0.5
+cut -d, -f1-41 "$d/bare.txt" > "$d/bare41.txt"
+cat "$d/bare41.txt" | arlif stream --model "$d/ids.arlf" > "$d/block.out"
+while IFS= read -r line; do printf '%s\n' "$line"; sleep 0.01; done < "$d/bare41.txt" \
+  | arlif stream --model "$d/ids.arlf" > "$d/lines.out"
+test "$(wc -l < "$d/block.out")" -eq 130
+cut -d' ' -f1,2 "$d/block.out" > "$d/block.scores"
+cut -d' ' -f1,2 "$d/lines.out" | cmp - "$d/block.scores"
 arlif bench --train "$d/train.txt" --test "$d/test.txt" $small
 rc=0
 arlif eval --model "$d/ids.arlf" --test "$d/test.txt" --tau 0.3 || rc=$?

@@ -78,9 +78,10 @@ def forest_of(trees, psi: int, n_features: int) -> IsolationForest:
 
 def recursive_path(tree, x, node=0, depth=0) -> float:
     """Path length of x in one tree (a NODE_DTYPE array in preorder): edges to
-    the leaf it reaches, plus c_factor(leaf size), by naive recursion."""
+    the leaf it reaches, plus c_factor(leaf size), by naive recursion. A leaf's
+    size is its r field read as uint32."""
     if tree["f"][node] < 0:
-        return depth + c_factor(int(tree["r"][node]))
+        return depth + c_factor(int(tree["r"].view(np.uint32)[node]))
     if x[tree["f"][node]] < tree["t"][node]:
         return recursive_path(tree, x, node + 1, depth + 1)
     return recursive_path(tree, x, tree["r"][node], depth + 1)

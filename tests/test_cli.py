@@ -638,20 +638,45 @@ def mixed_stream_lines() -> list[bytes]:
             good[9], b"\xff\xfe" + good[10], *good[11:]]  # 65 good
 
 
-@pytest.mark.parametrize("reads", ["pieces", "whole"])
+def bare_stream_lines(n: int, seed: int) -> list[bytes]:
+    """n bare rows of 41 fields, as a live tap sends them."""
+    return [b",".join(line.encode().split(b",")[:41]) for line in synth_lines(n, seed=seed)]
+
+
+def recording_block_parse(monkeypatch) -> list:
+    """Wrap cmd_stream's block parse: for each read, the number of records it
+    parsed as a block, or None where the read went line by line."""
+    parsed, parse = [], arlif.cli.parse_bare_rows
+
+    def recording(lines):
+        records = parse(lines)
+        parsed.append(None if records is None else len(records))
+        return records
+    monkeypatch.setattr(arlif.cli, "parse_bare_rows", recording)
+    return parsed
+
+
+@pytest.mark.parametrize("reads", ["pieces", "whole", "bare"])
 def test_stream_reader_equals_an_observe_loop(cli_env, monkeypatch, capsys, reads):
-    lines = mixed_stream_lines()
+    lines = bare_stream_lines(2 * BLOCK + 5, 20) if reads == "bare" else mixed_stream_lines()
     data = b"\n".join(lines)
     buffer = Pieces(data) if reads == "pieces" else io.BytesIO(data)
     monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=buffer))
+    parsed = recording_block_parse(monkeypatch)
     rc = main(["stream", "--model", str(cli_env["model"])])
     out, err = capsys.readouterr()
     expected, bad = observe_loop(cli_env["model"], lines)
-    assert rc == 0 and bad == [12, 14]
-    assert err == "line 12: expected 43 fields for format nsl-kdd, got 3\nline 14: not valid UTF-8\n"
     replies = out.splitlines()
+    assert rc == 0
     assert [r.rsplit(" ns=", 1)[0] for r in replies] == expected
-    assert len(expected) == BLOCK + 1  # read whole: a block of BLOCK, then one of one line
+    if reads == "bare":  # one read of every line but the last, which has no newline
+        assert bad == [] and err == "" and len(expected) == len(lines)
+        assert parsed == [len(lines) - 1, None] and parsed[0] >= 2 * BLOCK
+    else:
+        assert bad == [12, 14] and set(parsed) == {None}
+        assert err == ("line 12: expected 43 fields for format nsl-kdd, got 3\n"
+                       "line 14: not valid UTF-8\n")
+        assert len(expected) == BLOCK + 1  # read whole: a block of BLOCK, then one of one line
     ns = [int(STREAM_LINE.match(r).group(3)) for r in replies]
     assert ns == sorted(ns)
     if reads == "pieces":  # a multi-byte character split across reads, as every line is
@@ -660,6 +685,84 @@ def test_stream_reader_equals_an_observe_loop(cli_env, monkeypatch, capsys, read
             start = data.index(char.encode())
             inside.update(range(start + 1, start + len(char.encode())))
         assert inside & set(buffer.cuts)
+
+
+class OneLine:
+    """A byte stdin's buffer whose read1 returns one line a call, as a pipe
+    written a line at a time and drained between lines would."""
+
+    def __init__(self, data: bytes):
+        self.data, self.pos = data, 0
+
+    def read1(self, n: int) -> bytes:
+        end = self.data.find(b"\n", self.pos, self.pos + n)
+        end = len(self.data) if end < 0 else end + 1
+        piece, self.pos = self.data[self.pos:end], end
+        return piece
+
+
+def stream_both_ways(monkeypatch, capsys, model, data: bytes):
+    """(stdout minus ns=, stderr, the block parse's record) of arlif stream on data
+    read whole, then the same of it read one line at a time."""
+    runs = []
+    for buffer in (io.BytesIO(data), OneLine(data)):
+        monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=buffer))
+        parsed = recording_block_parse(monkeypatch)
+        assert main(["stream", "--model", str(model)]) == 0
+        out, err = capsys.readouterr()
+        runs.append(([r.rsplit(" ns=", 1)[0] for r in out.splitlines()], err, parsed))
+        monkeypatch.undo()
+    return runs
+
+
+def with_cell(line: bytes, col: int, cell: bytes) -> bytes:
+    fields = line.split(b",")
+    fields[col] = cell
+    return b",".join(fields)
+
+
+# what goes in place of the middle line of a read of 130 bare rows: the first
+# case leaves the read to the block parse, and each other case to the line parse
+MIDDLE_LINES = {
+    "bare rows only": lambda line: [line],
+    **{f"cell {cell!r}": lambda line, cell=cell: [with_cell(line, 5, cell.encode())]
+       for cell in ["\x1c1", "1_0", "\u0661", " 1", "1\r", "", "nan", "inf", "1e400", "#1",
+                    '"1"']},
+    "40 fields": lambda line: [line.rsplit(b",", 1)[0]],
+    "42 fields": lambda line: [line + b",0"],
+    "40 and 42 fields": lambda line: [line.rsplit(b",", 1)[0], line + b",0"],
+    "not UTF-8": lambda line: [with_cell(line, 5, b"\xff")],
+    "blank line": lambda line: [line, b""],
+}
+
+
+@pytest.mark.parametrize("case", MIDDLE_LINES)
+def test_a_read_replies_as_it_does_line_by_line(cli_env, monkeypatch, capsys, case):
+    lines = bare_stream_lines(130, 21)
+    lines[64:65] = MIDDLE_LINES[case](lines[64])
+    data = b"".join(line + b"\n" for line in lines)
+    (whole, whole_err, whole_parsed), (one, one_err, one_parsed) = stream_both_ways(
+        monkeypatch, capsys, cli_env["model"], data)
+    # one read, then one read a line
+    assert whole_parsed == ([130] if case == "bare rows only" else [None])
+    assert set(one_parsed) == {None}
+    assert whole == one and whole_err == one_err
+    # every line but a blank one gets a reply or one line N: report
+    assert len(whole) + whole_err.count("\n") == len(lines) - (case == "blank line")
+
+
+def test_a_clean_read_writes_nothing_to_stderr(cli_env):
+    """Over a real pipe, bare rows in one write: no warning from the block parse."""
+    lines = bare_stream_lines(130, 22)
+    env = dict(os.environ)
+    src = str(Path(arlif.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "arlif.cli", "stream", "--model",
+                           str(cli_env["model"])], input=b"".join(l + b"\n" for l in lines),
+                          capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == b""
+    expected, _ = observe_loop(cli_env["model"], lines)
+    assert [r.rsplit(" ns=", 1)[0] for r in proc.stdout.decode().splitlines()] == expected
 
 
 def test_stream_reports_a_bad_line_after_the_replies_before_it(cli_env, monkeypatch):

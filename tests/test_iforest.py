@@ -674,6 +674,16 @@ def test_a_leaf_of_2_31_points_or_more_gets_its_path_length():
         [2.0 ** (-p / forest.c_psi)] for p in paths]
 
 
+def test_the_tree_oracles_read_a_leaf_of_2_31_points_or_more_as_the_forest_does():
+    tree = records((0, 0.5, 2), (-1, 0.0, 1), (-1, 0.0, 0))
+    tree["r"][2] = np.uint32(3_000_000_000).view(np.int32)
+    forest = forest_of([tree], psi=2**32 - 1, n_features=1)
+    path = 1 + c_factor(3_000_000_000)
+    assert path_length(tree, [0.75]) == recursive_path(tree, [0.75]) == path
+    assert round(path, 3) == 43.798
+    assert forest_score(forest, [0.75]) == 2.0 ** (-path / forest.c_psi)
+
+
 def test_a_depth_32_right_path_keys_within_int64_and_loads():
     # psi = 2**32 - 1, the largest the header holds, gives the largest height limit.
     psi = 2**32 - 1

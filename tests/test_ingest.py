@@ -1,6 +1,8 @@
 import math
 import random
 import re
+import struct
+import sys
 import warnings
 
 import numpy as np
@@ -21,6 +23,7 @@ from arlif.ingest import (
     _vocab_index,
     fit_preprocessor,
     load_records,
+    parse_bare_rows,
     parse_record,
     transform,
 )
@@ -186,6 +189,109 @@ def test_features_csv_round_trip():
             back = parse_record(r.features_csv() + ",x,0")
             assert back.values.tobytes() == r.values.tobytes()
             assert back.tokens == r.tokens
+
+
+# --- parse_bare_rows --------------------------------------------------------
+
+NUMERIC_COLUMNS = [c for c in range(N_FEATURES) if c not in CATEGORICAL_COLUMNS]
+
+
+def numeric_cells(rng: random.Random):
+    """Endless numeric cells of the kinds a stream may carry: integers, fixed-point
+    and exponent forms, reprs of random doubles, and the subnormal and max-double
+    edges."""
+    edges = ["5e-324", "4.9e-324", "2.2250738585072014e-308", "2.225073858507201e-308",
+             "1.7976931348623157e308", "1.7976931348623158e+308", "1e-400", "-0", "0.0",
+             "0", "+1", "-1.0", "1E5", ".5", "5.", "00012", "9007199254740993"]
+    digits = lambda k: "".join(rng.choice("0123456789") for _ in range(k))
+    while True:
+        kind = rng.randrange(5)
+        sign = rng.choice(["", "-", "+"]) if kind else ""
+        if kind == 0:
+            yield rng.choice(edges)
+        elif kind == 1:
+            yield sign + str(rng.randrange(10 ** rng.randrange(1, 25)))
+        elif kind == 2:
+            yield sign + digits(rng.randrange(1, 12)) + "." + digits(rng.randrange(0, 20))
+        elif kind == 3:
+            mantissa = digits(rng.randrange(1, 18))
+            if rng.random() < 0.5:
+                mantissa = mantissa[:1] + "." + mantissa[1:]
+            exponent = rng.choice(["", "+", "-"]) + str(rng.randrange(0, 330))
+            yield sign + mantissa + rng.choice("eE") + exponent
+        else:
+            yield sign + repr(struct.unpack("<d", rng.randbytes(8))[0]).lstrip("-")
+
+
+def bare_row(cells, tokens=("tcp", "http", "SF")) -> str:
+    fields = [next(cells)] + list(tokens) + [next(cells) for _ in NUMERIC_COLUMNS[1:]]
+    return ",".join(fields)
+
+
+def assert_records_of_rows(records, rows):
+    """The records parse_record gives each row as an unlabeled nsl-kdd row, by
+    the cell parser: the values bits, the interned tokens and label 1."""
+    assert len(records) == len(rows)
+    for r, row in zip(records, rows):
+        values, tokens, label = parse_cells(row + ",unlabeled,0")
+        assert r.values.dtype == np.float64 and r.values.tobytes() == values.tobytes()
+        assert r.tokens == tokens and all(t is sys.intern(t) for t in r.tokens)
+        assert r.label == label == 1
+
+
+def test_a_block_of_bare_rows_gives_float_bits_on_every_finite_cell():
+    rng = random.Random(30)
+    finite = (c for c in numeric_cells(rng) if math.isfinite(float(c)))
+    rows = [bare_row(finite) for _ in range(2700)]  # 102,600 numeric cells
+    for start in range(0, len(rows), 300):
+        read = rows[start:start + 300]
+        assert_records_of_rows(parse_bare_rows([row.encode() for row in read]), read)
+
+
+def test_a_block_of_bare_rows_is_parse_record_of_each_unlabeled_row():
+    rows = [",".join(line.split(",")[:N_FEATURES]) for line in synth_lines(200, seed=31)]
+    records = parse_bare_rows([row.encode() for row in rows])
+    assert_records_of_rows(records, rows)
+    for r, row in zip(records, rows):
+        one = parse_record(row + ",unlabeled,0")
+        assert r.values.tobytes() == one.values.tobytes() and r.tokens == one.tokens
+        assert r.label == one.label
+
+
+@pytest.mark.parametrize("cell", ["\x1c1", "\x1f1", "1_0", "\u0661", " 1", "1\r", "", "nan",
+                                  "inf", "-inf", "1e400", "#1", '"1"', "0x10", "1\udcff"])
+def test_a_block_with_a_cell_the_line_parse_must_judge_is_left_to_it(cell):
+    rows = [bare_row(iter(["1"] * N_FEATURES)) for _ in range(5)]
+    for col in (0, 4, 40):
+        fields = rows[2].split(",")
+        fields[col] = cell
+        read = [row.encode("utf-8", "surrogateescape") for row in rows]
+        read[2] = ",".join(fields).encode("utf-8", "surrogateescape")
+        assert parse_bare_rows(read) is None
+
+
+def test_a_block_is_parsed_only_when_every_line_holds_41_fields():
+    rows = [bare_row(str(i) for i in range(N_FEATURES)).encode() for _ in range(4)]
+    assert parse_bare_rows(rows) is not None
+    assert parse_bare_rows(rows[:1]) is None and parse_bare_rows([]) is None
+    short, long = rows[1].rsplit(b",", 1)[0], rows[1] + b",7"
+    for read in ([rows[0], short, rows[2]], [rows[0], long, rows[2]], [rows[0], b"", rows[2]],
+                 [rows[0], rows[1] + b",", rows[2]]):
+        assert parse_bare_rows(read) is None
+    # 40 commas a line in all: loadtxt's raise on the short row settles the first,
+    # and the row count the second, whose blank line gives no row
+    for read in ([rows[0], short, long, rows[2]], [rows[0], b"", rows[1] + b"," + short]):
+        assert sum(line.count(b",") for line in read) == (N_FEATURES - 1) * len(read)
+        assert parse_bare_rows(read) is None
+
+
+def test_a_token_cell_is_kept_as_read():
+    rows = [bare_row(iter(["2"] * N_FEATURES), tokens) for tokens in
+            (("tcp", "http", "SF"), ("", "private", "S0"), ("1e400", "nan", "x"))]
+    records = parse_bare_rows([row.encode() for row in rows])
+    assert [r.tokens for r in records] == [("tcp", "http", "SF"), ("", "private", "S0"),
+                                           ("1e400", "nan", "x")]
+    assert_records_of_rows(records, rows)
 
 
 def test_load_records_limit(tmp_path):
