@@ -21,14 +21,17 @@ hand-differentiated from E and den (readout mean -> e -> row softmax ->
 finite differences in the test suite.
 
 Buffers: a ForwardCache holds every buffer of one step, forward's and, for
-one T x k matrix, backward's, and workspace(*shape) is their one allocator.
-A stack's cache carries none of backward's buffers: backward refuses a
-stack before it reads them. forward writes into the cache it is handed (out=),
-else into fresh ones, so a training step on one T x k matrix (forward,
-backward, sgd_step) in a reused cache allocates none of its T x T, T x k or
-T x 2 arrays; the bits are those of fresh buffers. backward writes the
-gradient into the cache's grad and returns it. The history carries a ones
-column, H1 = [H, 1], and each step takes the live parameters into one
+one T x k matrix, backward's, and workspace is their one allocator. A stack
+(N, T, k) of history matrices is scored in pieces: its workspace holds at
+most max(1, PIECE_BYTES // (8 T^2)) matrices, whose T x T buffers stay within
+that byte budget, or one matrix where one alone passes it, and forward runs
+the whole stack through it. backward refuses a stack's cache, which carries
+none of its buffers. forward writes into the cache it is handed (out=), else
+into fresh ones, so a training step on one T x k matrix (forward, backward,
+sgd_step) in a reused cache allocates none of its T x T, T x k or T x 2
+arrays; the bits are those of fresh buffers. backward writes the gradient
+into the cache's grad and returns it. The history carries a ones column,
+H1 = [H, 1], and each forward takes the live parameters into one
 (k+1) x (2k+1) matrix W1 = [[Wq, Wk, Wv[:, -1]], [bq, bk, bv[-1]]] (_live
 holds their positions in the vector), so one product H1.W1 gives Q, K and v
 with their biases, written beside a ones column as [Q, K, v, 1]. The logits'
@@ -59,6 +62,15 @@ LOGIT_LIMIT = 64.0
 _SUM_LIMIT = 2.0 ** 1000
 # bytes of T x T buffers one workspace may hold: E and dE of a single matrix up to T = 8192
 WORKSPACE_LIMIT = 1 << 30
+# Bytes of E, a history matrix's T x T buffer, that one piece of a stack may hold:
+# max(1, PIECE_BYTES // (8 T^2)) matrices, 8 at T=100, which tile detector.BLOCK, and one from
+# T=203 on. replay rows/s at T=100 on a 2-vCPU Xeon with 1 BLAS thread by matrices per piece, in
+# one process with every block's pieces in one kept workspace (medians of 40 interleaved rounds),
+# 64 a whole block: 4 25,100, 8 27,200, 13 26,700, 16 26,100, 64 25,800; 8 was the fastest in 18
+# of the 40 rounds, 13 ran at 0.973x of 8 (paired median), and all five gave the same scores bit
+# for bit. Earlier, with a fresh workspace per block (medians of 5 to 15 runs): T=200: 1 9,900,
+# 3 11,300, 6 9,100, 64 8,100; T=400: 1 3,500, 6 2,600, 16 2,600, 64 1,200.
+PIECE_BYTES = 5 << 17  # 5/8 MiB
 _block_starts = lru_cache(lambda k: np.cumsum([0, k * k, k * k, k * k, k, k]))  # see _blocks
 
 
@@ -153,15 +165,16 @@ class ForwardCache:
     [v, 1] are views of one buffer, as are dQ, dK and dv of D. The attention
     weights are E / den[..., None]. Every single-matrix cache lends backward
     its gradient buffer, grad: backward returns it, and the next backward on
-    the same cache writes over it. A stack's cache holds None in backward's
-    fields, and backward refuses it before it reads them."""
+    the same cache writes over it. A stack's cache holds one piece, n
+    matrices, and None in backward's fields, and backward refuses it before
+    it reads them."""
 
-    H1: np.ndarray  # [H, 1], H a copy of forward's input, (..., T, k + 1)
+    H1: np.ndarray  # [H, 1], H a copy of forward's input, (T, k + 1) or (n, T, k + 1)
     W1: np.ndarray  # the live parameters, (k + 1, 2k + 1): see _live
-    QKV1: np.ndarray  # [Q, K, v, 1] = [H1.W1, 1], (..., T, 2k + 2); v, the readout's value column
+    QKV1: np.ndarray  # [Q, K, v, 1] = [H1.W1, 1], ([n,] T, 2k + 2); v, the readout's value column
     Qs: np.ndarray  # Q / sqrt(k), C-order: the left factor of the logits
-    KT: np.ndarray  # K^T, C-order (..., k, T): the right one
-    E: np.ndarray  # exp of the scaled logits, each row shifted or not; (..., T, T)
+    KT: np.ndarray  # K^T, C-order ([n,] k, T): the right one
+    E: np.ndarray  # exp of the scaled logits, each row shifted or not; ([n,] T, T)
     Ev: np.ndarray  # [E.v, den], den the row sums of E, or all ones where forward normalized E
     e: np.ndarray  # the attention-weighted values, (E.v) / den
     grad: AttentionParams | None = None  # backward's result; its inert entries are never written
@@ -171,7 +184,7 @@ class ForwardCache:
     dE: np.ndarray | None = None  # the logits' gradient, (T, T)
     D: np.ndarray | None = None  # [dQ, dK, dv], (T, 2k + 1): the gradient of H1.W1
     G: np.ndarray | None = None  # H1^T.D, (k + 1, 2k + 1): W1's gradient, scattered into grad
-    r: float | np.ndarray = 0.0  # one per matrix of a stack
+    r: float | np.ndarray = 0.0  # one per matrix of the whole stack forward was handed
     s: float | np.ndarray = 0.0
 
     def __post_init__(self):
@@ -195,16 +208,19 @@ class ForwardCache:
 
 
 def workspace(*shape: int) -> ForwardCache:
-    """A step's buffers, fresh: forward's for an input of this shape,
-    (..., T, k), and for one T x k matrix backward's too; a stack gets none of
-    backward's, as backward refuses it. forward allocates its cache here
-    unless it is handed one as out=; handed back in, a cache serves any number
-    of steps. Raises BufferTooLarge, allocating nothing, when the T x T
-    buffers it would allocate (E, one per matrix, and a single matrix's dE)
-    pass WORKSPACE_LIMIT bytes."""
-    rows, (T, k) = shape[:-1], shape[-2:]
+    """A step's buffers, fresh: for one T x k matrix, shape (T, k), forward's
+    and backward's; for a stack, shape (N, T, k), forward's for one piece of
+    min(N, max(1, PIECE_BYTES // (8 T^2))) matrices and none of backward's,
+    as backward refuses a stack. forward allocates its cache here unless it
+    is handed one as out=; handed back in, a cache serves any number of steps,
+    a stack one stacks of any length. Raises BufferTooLarge, allocating
+    nothing, when the T x T buffers it would allocate (E, one per matrix, and
+    a single matrix's dE) pass WORKSPACE_LIMIT bytes."""
+    T, k = shape[-2:]
     single = len(shape) == 2
-    size = 8 * T * T * (math.prod(rows[:-1]) + single)
+    rows = (T,) if single else (min(shape[0], max(1, PIECE_BYTES // (8 * T * T))), T)
+    shape = rows + (k,)
+    size = 8 * T * T * (2 if single else rows[0])
     if size > WORKSPACE_LIMIT:
         raise BufferTooLarge(f"the attention step on {'x'.join(map(str, shape))} histories "
                              f"needs {size} bytes of T x T buffers, past the limit of "
@@ -215,59 +231,23 @@ def workspace(*shape: int) -> ForwardCache:
         G=np.empty((k + 1, 2 * k + 1))) if single else {}
     return ForwardCache(H1=np.ones(rows + (k + 1,)), W1=np.empty((k + 1, 2 * k + 1)),
                         QKV1=np.ones(rows + (2 * k + 2,)), Qs=np.empty(shape),
-                        KT=np.empty(shape[:-2] + (k, T)), E=np.empty(rows + rows[-1:]),
+                        KT=np.empty(shape[:-2] + (k, T)), E=np.empty(rows + (T,)),
                         Ev=np.empty(rows + (2,)), e=np.empty(rows), **backward_buffers)
 
 
-def forward(params: AttentionParams, H, *,
-            out: ForwardCache | None = None) -> tuple[float | np.ndarray, ForwardCache]:
-    """Score the current history matrix, or each matrix of a stack.
-
-    Q/K are affine images of H, the attention weights are the row softmax of
-    Z = Q.K^T / sqrt(k), and e weights v, the last value column, by them; the
-    readout is the mean of e over trees, clamped into [EPS, 1 - EPS]. H is
-    one T x k matrix, giving a float, or a stack (..., T, k), giving an array
-    of readouts of shape (...). H's entries must lie in [0, 1]: the bound
-    that lets exp skip the row max assumes it.
-
-    The weights stay unnormalized: E = exp(Z), and one product of E with
-    [v, 1] gives E.v and the row sums den, so e = (E.v) / den. exp takes Z as
-    it is when _skips_row_max shows that |Z| <= LOGIT_LIMIT and that E.v
-    cannot overflow. Otherwise forward falls back to the max-shifted softmax:
-    each row is shifted by its max and E is normalized in place, so den is
-    all ones. The branch depends on the parameters and T alone, so each
-    matrix of a stack gets the same BLAS calls, and so the same bits, as it
-    would alone.
-
-    The cache returned is out, when given, written over (a workspace of H's
-    shape); otherwise workspace(*H.shape). Either way it holds a copy of H,
-    so the caller's buffer may change afterwards.
-    """
-    H = np.asarray(H)
-    if H.ndim < 2 or H.shape[-2] < 1:
-        raise DimensionMismatch(f"H must be a T x k matrix or a stack of them, got shape {H.shape}")
-    k = params.k
-    if H.shape[-1] != k:
-        raise DimensionMismatch(f"H has {H.shape[-1]} columns, params expect k={k}")
-    if out is None:
-        c = workspace(*H.shape)
-    elif out.H.shape == H.shape:
-        c = out
-    else:
-        raise DimensionMismatch(f"workspace holds a {out.H.shape} input, H has shape {H.shape}")
+def _attend(c: ForwardCache, H: np.ndarray, skip_max: bool) -> None:
+    """e for H, one matrix or a piece of a stack, in c's buffers; c.W1 is set."""
     # a C-order snapshot: a stack lays each matrix out as a lone one is
     np.copyto(c.H, H)
-    T, flat = H.shape[-2], params.flat
-    # Q, K and v with their biases in one product, each matrix of a stack in its own;
-    # _live's positions are in range, so "clip" only spares take a copy of its output
-    np.matmul(c.H1, flat.take(_live(k), out=c.W1, mode="clip"), out=c.QKv)
+    # Q, K and v with their biases in one product, each matrix of a piece in its own
+    np.matmul(c.H1, c.W1, out=c.QKv)
     # the logits and then E in one buffer: no other temporary the size of E. Both
     # factors are C-order copies: gemm is faster on them than on views of QKV1
     np.copyto(c.Qs, c.Q)
-    c.Qs /= math.sqrt(k)
+    c.Qs /= math.sqrt(c.W1.shape[0] - 1)
     np.copyto(c.KT, c.K.swapaxes(-1, -2))
     E = np.matmul(c.Qs, c.KT, out=c.E)
-    if _skips_row_max(flat, k, T):
+    if skip_max:
         np.exp(E, out=E)
         np.matmul(E, c.V1, out=c.Ev)
     else:
@@ -278,14 +258,63 @@ def forward(params: AttentionParams, H, *,
         np.matmul(E, c.V1, out=c.Ev)
         c.den[...] = 1.0
     np.divide(c.num, c.den, out=c.e)
-    r = np.add.reduce(c.e, axis=-1) / T
-    if r.ndim:
-        # np.clip's bits, NaN included, without its Python wrapper on every piece
+
+
+def forward(params: AttentionParams, H, *,
+            out: ForwardCache | None = None) -> tuple[float | np.ndarray, ForwardCache]:
+    """Score the current history matrix, or each matrix of a stack.
+
+    Q/K are affine images of H, the attention weights are the row softmax of
+    Z = Q.K^T / sqrt(k), and e weights v, the last value column, by them; the
+    readout is the mean of e over trees, clamped into [EPS, 1 - EPS]. H is
+    one T x k matrix, giving a float, or a stack (N, T, k), giving an array
+    of N readouts. H's entries must lie in [0, 1]: the bound that lets exp
+    skip the row max assumes it.
+
+    The weights stay unnormalized: E = exp(Z), and one product of E with
+    [v, 1] gives E.v and the row sums den, so e = (E.v) / den. exp takes Z as
+    it is when _skips_row_max shows that |Z| <= LOGIT_LIMIT and that E.v
+    cannot overflow. Otherwise forward falls back to the max-shifted softmax:
+    each row is shifted by its max and E is normalized in place, so den is
+    all ones. The branch depends on the parameters and T alone, so it is
+    decided once per call, and each matrix of a stack gets the same BLAS
+    calls, and so the same bits, as it would alone.
+
+    The cache returned is out, when given, written over (a workspace for one
+    T x k matrix, or for a stack of them, as H is); otherwise workspace(*H.shape).
+    A stack runs through it in pieces of as many matrices as it holds, so its
+    buffers hold a copy of the last piece, and its r and s every readout. The
+    caller's buffer may change afterwards.
+    """
+    H = np.asarray(H)
+    if H.ndim not in (2, 3) or 0 in H.shape[:-1]:
+        raise DimensionMismatch(f"H must be a T x k matrix or a stack (N, T, k) of them, "
+                                f"got shape {H.shape}")
+    k = params.k
+    if H.shape[-1] != k:
+        raise DimensionMismatch(f"H has {H.shape[-1]} columns, params expect k={k}")
+    c = workspace(*H.shape) if out is None else out
+    if c.H.ndim != H.ndim or c.H.shape[-2:] != H.shape[-2:]:
+        raise DimensionMismatch(f"workspace holds a {c.H.shape} input, H has shape {H.shape}")
+    T, flat = H.shape[-2], params.flat
+    # _live's positions are in range, so "clip" only spares take a copy of its output
+    flat.take(_live(k), out=c.W1, mode="clip")
+    skip_max = _skips_row_max(flat, k, T)
+    if H.ndim == 2:
+        _attend(c, H, skip_max)
+        r = float(np.add.reduce(c.e)) / T
+        s = min(max(r, EPS), 1.0 - EPS)
+    else:
+        r, n = np.empty(len(H)), len(c.H)
+        for i in range(0, len(H), n):
+            piece = H[i:i + n]
+            part = c if len(piece) == n else c.head(len(piece))
+            _attend(part, piece, skip_max)
+            np.add.reduce(part.e, axis=-1, out=r[i:i + n])
+        r /= T
+        # np.clip's bits, NaN included, without its Python wrapper
         s = np.maximum(r, EPS)
         np.minimum(s, 1.0 - EPS, out=s)
-    else:
-        r = float(r)
-        s = min(max(r, EPS), 1.0 - EPS)
     c.r, c.s = r, s
     return s, c
 

@@ -26,7 +26,7 @@ from .detector import (
     save_model,
     train_online,
 )
-from .errors import ArlifError, NotUtf8
+from .errors import ArlifError, LineTooLong, NotUtf8
 from .iforest import build_forest
 from .ingest import (
     FORMATS,
@@ -39,6 +39,10 @@ from .ingest import (
     transform,
 )
 from .metrics import evaluate, replay, tune_baseline_threshold, tune_threshold
+
+# The longest stream line kept, newline excluded, and the most bytes one read of stdin takes:
+# a longer line is reported and its bytes dropped as they arrive, so it holds no more memory.
+MAX_LINE_BYTES = 64 << 10
 
 
 def _train_detector(args: argparse.Namespace) -> tuple[Detector, TrainingReport]:
@@ -94,7 +98,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def _parse_stream_line(raw: bytes, fmt: str) -> Record | None:
     """A row in the configured format, or a bare row of 41 features (labels are
     optional, ignored for detection), told apart by the field count; None for
-    a blank line."""
+    a blank line. raw is None for a line longer than MAX_LINE_BYTES."""
+    if raw is None:
+        raise LineTooLong(f"longer than {MAX_LINE_BYTES} bytes")
     try:
         line = raw.decode("utf-8")
     except UnicodeDecodeError:
@@ -109,25 +115,34 @@ def _parse_stream_line(raw: bytes, fmt: str) -> Record | None:
 def _pending_lines():
     """stdin's lines, split at each newline byte and without it, in lists of
     those that one read completes; at EOF, a last line that has no newline.
+    A line longer than MAX_LINE_BYTES is None: no read is longer, so only a
+    line that spans reads can be, and its pieces are dropped once they pass it.
 
     read1 returns what is pending and blocks only when nothing is, so no line
     waits for a later one. A stdin with no byte layer (an io.StringIO) is read
-    whole; a lone surrogate in it encodes to bytes that are not UTF-8."""
+    whole, then split as reads would be; a lone surrogate in it encodes to
+    bytes that are not UTF-8."""
     raw = getattr(sys.stdin, "buffer", None)
     if raw is None:
-        chunks = iter([sys.stdin.read().encode("utf-8", "surrogatepass")])
+        data = sys.stdin.read().encode("utf-8", "surrogatepass")
+        chunks = (data[i:i + MAX_LINE_BYTES] for i in range(0, len(data), MAX_LINE_BYTES))
     else:
-        chunks = iter(lambda: raw.read1(1 << 16), b"")
-    tail = []  # the pieces of a line no read has completed yet
+        chunks = iter(lambda: raw.read1(MAX_LINE_BYTES), b"")
+    tail, held = [], 0  # the kept pieces of a line no read has completed yet, and its length
     for chunk in chunks:
         *lines, last = chunk.split(b"\n")
         if lines:
-            lines[0] = b"".join(tail) + lines[0]
-            tail = []
+            held += len(lines[0])
+            lines[0] = b"".join(tail) + lines[0] if held <= MAX_LINE_BYTES else None
+            tail, held = [], 0
             yield lines
-        tail.append(last)
-    if rest := b"".join(tail):
-        yield [rest]
+        held += len(last)
+        if held <= MAX_LINE_BYTES:
+            tail.append(last)
+        else:
+            tail.clear()
+    if held:
+        yield [b"".join(tail) if held <= MAX_LINE_BYTES else None]
 
 
 def _reply(det: Detector, run: list[Record], cumulative_ns: int) -> int:
@@ -155,13 +170,13 @@ def cmd_stream(args: argparse.Namespace) -> int:
     """Score the complete lines of each read as one run. A read of bare rows
     only is parsed as one block (ingest.parse_bare_rows); any other read, and
     one the block parse cannot vouch for, is parsed line by line, and a line
-    that cannot be scored is reported after the replies of the lines before it.
-    Both parses give the same records, so the replies do not depend on how the
-    reads fall."""
+    that cannot be scored, or is longer than MAX_LINE_BYTES, is reported after
+    the replies of the lines before it. Both parses give the same records, so
+    the replies do not depend on how the reads fall."""
     det = load_model(args.model)
     cumulative_ns = lineno = 0
     for lines in _pending_lines():
-        run = parse_bare_rows(lines)
+        run = None if None in lines else parse_bare_rows(lines)
         if run is None:
             run = []
             for n, raw in enumerate(lines, start=lineno + 1):

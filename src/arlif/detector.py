@@ -4,23 +4,17 @@ A Detector owns a frozen isolation forest and preprocessor, the trainable
 attention parameters, and one k-length probability history per tree
 (kept as a T x k matrix whose last column is the most recent response).
 observe() scores a record or a block of records; learn() additionally
-applies one online SGD update to the attention layer. A block is walked
-once and its stack of history matrices scored in pieces of
-max(1, PIECE_BYTES // (8 T^2)) matrices: a piece's T x T buffers stay within
-one byte budget, or hold one matrix where one alone passes it. At T=100 a
-piece is 8 matrices, so eight tile a block of BLOCK rows; of 4, 8, 13, 16 and
-64 matrices per piece, 8 scored fastest in process, and all five gave the
-same scores bit for bit. Every piece runs in the detector's block workspace,
-made at its first block and never saved, so a later block allocates none of
-the layer's buffers; only a block whose pieces are longer than any before
-remakes it larger. A single-record observe or learn runs the attention layer
-in the detector's own single-matrix workspace (attention.workspace), made at
-its first such call and never saved, so a training row allocates none of the
-layer's T x T, T x k or T x 2 arrays. A copy by dataclasses.replace or a
-loaded model makes its own of each workspace; a deepcopy or pickle copies
-them. A record shifts the histories, one C-order block, as one move of the
-flat T*k buffer. Nothing ever mutates the forest or the preprocessor after
-construction. Nothing here reads the clock; a caller that reports a time does.
+applies one online SGD update to the attention layer. A block is walked once
+and its stack of history matrices scored by one forward call in the
+detector's block workspace, attention.workspace(BLOCK, T, k), which sizes its
+pieces. A single record runs in the detector's single-matrix workspace, which
+learn differentiates. Each is made at its first use and never saved, so no
+later block or training row allocates the layer's buffers; a copy by
+dataclasses.replace or a loaded model makes its own, a deepcopy or pickle
+copies them. A record shifts the histories, one C-order block, as one move of
+the flat T*k buffer. Nothing ever mutates the forest or the preprocessor
+after construction. Nothing here reads the clock; a caller that reports a
+time does.
 
 Model files are versioned little-endian binary ("ARLF" magic), 64-bit
 reals throughout:
@@ -71,20 +65,11 @@ from .ingest import CATEGORICAL_COLUMNS, N_FEATURES, Preprocessor, Record, trans
 
 # Rows per call of every row loop, read only by blocks(): train_online's and
 # tune_baseline_threshold's walks, replay's and stream's observe blocks. So it sizes the walks
-# and the reply batches; PIECE_BYTES sizes the T x T buffers. At T=100, k=10 on a 2-vCPU Xeon
-# with 1 BLAS thread: of 8 to 128, 64 gave a block observe, then one forward, the most rows/s; a
-# 64-row walk took 8.9 us/row (forest_score 6.2), a 4096-row one 14.4 (15.0); of stream caps
-# 16, 32 and 64, 64 was within noise of the most lines/s.
+# and the reply batches; attention.PIECE_BYTES sizes the T x T buffers. At T=100, k=10 on a
+# 2-vCPU Xeon with 1 BLAS thread: of 8 to 128, 64 gave a block observe, then one forward, the
+# most rows/s; a 64-row walk took 8.9 us/row (forest_score 6.2), a 4096-row one 14.4 (15.0); of
+# stream caps 16, 32 and 64, 64 was within noise of the most lines/s.
 BLOCK = 64
-# Bytes of E, a history matrix's T x T buffer, that one piece of an observe block may hold:
-# max(1, PIECE_BYTES // (8 T^2)) matrices, 8 at T=100, which tile BLOCK, and one from T=203 on.
-# replay rows/s at T=100 on the same machine by matrices per piece, in one process with every
-# block's pieces in one kept workspace (medians of 40 interleaved rounds), 64 a whole block:
-# 4 25,100, 8 27,200, 13 26,700, 16 26,100, 64 25,800; 8 was the fastest in 18 of the 40 rounds,
-# 13 ran at 0.973x of 8 (paired median), and all five gave the same scores bit for bit. Earlier,
-# with a fresh workspace per block (medians of 5 to 15 runs): T=200: 1 9,900, 3 11,300, 6 9,100,
-# 64 8,100; T=400: 1 3,500, 6 2,600, 16 2,600, 64 1,200.
-PIECE_BYTES = 5 << 17  # 5/8 MiB
 # SGD learning rate of new_detector and arlif's --eta. At 0.05 one step pushes the
 # readout onto its clamp, where backward returns zero for good.
 DEFAULT_ETA = 0.001
@@ -99,14 +84,11 @@ _CRC = struct.Struct("<I")
 
 @dataclass
 class DetectionResult:
-    """observe's result: for one record a float score, an int prediction and
-    the forward cache, which is the detector's workspace and stays valid until
-    its next single-record observe or learn; for a block an array of scores
-    and one of predictions, and no cache."""
+    """observe's result: for one record a float score and an int prediction,
+    for a block an array of each."""
 
     score: float | np.ndarray
     predicted: int | np.ndarray
-    cache: ForwardCache | None = field(repr=False, compare=False)
 
 
 @dataclass
@@ -131,7 +113,7 @@ class Detector:
     samples_seen: int = 0
     # forward/backward buffers of single-record steps, made by the first; not in the file
     _workspace: ForwardCache | None = field(default=None, init=False, repr=False)
-    # forward's buffers of a block's pieces, made by the first block; not in the file
+    # forward's buffers of a block, made by the first block; not in the file
     _block_workspace: ForwardCache | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -182,23 +164,18 @@ def observe(det: Detector, r: Record | Sequence[Record], *,
 
     One record: push its per-tree probas into the histories, run the
     attention forward pass in the detector's workspace, threshold at tau.
-    The result carries the forward cache, which learn() differentiates.
     probas, when given, is r's per-tree probability vector (T,) from an
     earlier forest walk; r is then not walked again. A probas of another
     shape raises DimensionMismatch, one with an entry outside [0, 1]
     CorruptModel, and either leaves the detector as it was.
 
     A block gives the scores, histories and samples_seen that one call per
-    record would, with one forest walk and one forward call per piece of the
-    stack of history matrices the records produce in turn: window i of the
-    per-tree probability sequence (the current history, then each record's
+    record would, with one forest walk and one forward call on the stack of
+    history matrices the records produce in turn: window i of the per-tree
+    probability sequence (the current history, then each record's
     probabilities) is the matrix the single path would see at record i. A
-    piece is max(1, PIECE_BYTES // (8 T^2)) consecutive windows, or fewer at
-    the end; every piece is scored in the detector's block workspace, made at
-    its first block (or remade larger for longer pieces than any before), a
-    shorter piece in its first matrices' buffers. A request past
-    attention.WORKSPACE_LIMIT raises BufferTooLarge and leaves the detector as
-    it was, with no workspace the request would have made.
+    workspace past attention.WORKSPACE_LIMIT raises BufferTooLarge and leaves
+    the detector as it was, with no workspace made.
     """
     if isinstance(r, Record):
         H = det.histories
@@ -216,27 +193,20 @@ def observe(det: Detector, r: Record | Sequence[Record], *,
         Hf = H.reshape(-1)  # a view: one move shifts every row, then the last column is set
         Hf[:-1] = Hf[1:]
         H[:, -1] = probas
-        s, cache = forward(det.params, H, out=det._workspace)
+        s = forward(det.params, H, out=det._workspace)[0]
         predicted, n = (1 if s >= det.tau else 0), 1
     elif len(r):
-        (T, k), n = det.histories.shape, len(r)
+        k, n = det.params.k, len(r)
         seq = np.concatenate([det.histories[:, 1:].T, _walk(det, r)])  # (k - 1 + N) x T
-        windows = sliding_window_view(seq, k, axis=0)  # N x T x k
-        step = min(n, max(1, PIECE_BYTES // (8 * T * T)))
-        ws = det._block_workspace
-        if ws is None or len(ws.H) < step:
-            det._block_workspace = ws = workspace(step, T, k)
-        s = np.empty(n)
-        for i in range(0, n, step):
-            piece = windows[i:i + step]
-            out = ws if len(piece) == len(ws.H) else ws.head(len(piece))
-            s[i:i + step] = forward(det.params, piece, out=out)[0]
+        if det._block_workspace is None:
+            det._block_workspace = workspace(BLOCK, *det.histories.shape)
+        s = forward(det.params, sliding_window_view(seq, k, axis=0), out=det._block_workspace)[0]
         det.histories[...] = seq[-k:].T
-        cache, predicted = None, (s >= det.tau).astype(int)
+        predicted = (s >= det.tau).astype(int)
     else:
-        s, cache, predicted, n = np.empty(0), None, np.empty(0, int), 0
+        s, predicted, n = np.empty(0), np.empty(0, int), 0
     det.samples_seen += n
-    return DetectionResult(score=s, predicted=predicted, cache=cache)
+    return DetectionResult(score=s, predicted=predicted)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as a decorator it costs half the with form
@@ -246,10 +216,11 @@ def learn(det: Detector, r: Record, label: int, *,
     layer only. Raises Diverged once the readout or the parameters are no
     longer finite; the overflow that leads there is reported by that error alone."""
     res = observe(det, r, probas=probas)
-    sgd_step(det.params, backward(det.params, res.cache, label), det.eta)
-    if not (math.isfinite(res.cache.r) and np.isfinite(det.params.flat).all()):
+    cache = det._workspace  # the forward pass observe just ran
+    sgd_step(det.params, backward(det.params, cache, label), det.eta)
+    if not (math.isfinite(cache.r) and np.isfinite(det.params.flat).all()):
         raise Diverged(f"attention layer diverged at sample {det.samples_seen} "
-                       f"(readout {res.cache.r}, eta={det.eta})")
+                       f"(readout {cache.r}, eta={det.eta})")
     return bce_loss(res.score, label)
 
 

@@ -23,6 +23,10 @@ class NotUtf8(ArlifError):
     """A record file line is not valid UTF-8."""
 
 
+class LineTooLong(ArlifError):
+    """A stream line is longer than arlif stream keeps of one."""
+
+
 class SingleClass(ArlifError):
     """All labels identical; a supervised statistic is undefined."""
 
@@ -44,7 +48,8 @@ class StaleCache(ArlifError):
 
 
 class EmptyStream(ArlifError):
-    """Online training requires at least one labeled sample."""
+    """No rows where at least one is required: to train online, to fit the
+    preprocessor on, or to evaluate and tally."""
 
 
 class BufferTooLarge(ArlifError):
@@ -77,7 +82,3 @@ class CorruptModel(ArlifError, ValueError):
 
 class LengthMismatch(ArlifError):
     """Predictions and labels differ in length."""
-
-
-class Empty(ArlifError):
-    """Empty input where at least one evaluated sample is required."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .detector import Detector, blocks, observe, to_bytes
-from .errors import Empty, LengthMismatch, SingleClass
+from .errors import EmptyStream, LengthMismatch, SingleClass
 from .iforest import IsolationForest, forest_score
 from .ingest import transform
 
@@ -42,7 +42,7 @@ def confusion_matrix(predictions, labels) -> Confusion:
     if len(p) != len(y):
         raise LengthMismatch(f"{len(p)} predictions vs {len(y)} labels")
     if not len(p):
-        raise Empty("no samples to tally")
+        raise EmptyStream("no samples to tally")
     tp = int((p & y).sum())
     fp = int(p.sum()) - tp
     fn = int(y.sum()) - tp
@@ -136,7 +136,7 @@ def evaluate(det: Detector, test, mode: str = "arlif", baseline_tau: float | Non
     """
     test = list(test)
     if not test:
-        raise Empty("test set is empty")
+        raise EmptyStream("test set is empty")
     scores, block_ns = replay(det, test, mode)
     if mode == "arlif":
         tau = det.tau

@@ -258,9 +258,15 @@ def test_forward_shape_guards():
         forward(p, np.zeros((4, 2)))
     with pytest.raises(DimensionMismatch):
         forward(p, np.zeros((0, 3)))
+    with pytest.raises(DimensionMismatch):
+        forward(p, np.zeros((0, 4, 3)))  # an empty stack
     for shape in ((5, 3), (2, 4, 3)):  # a workspace serves one T x k shape
         with pytest.raises(DimensionMismatch):
             forward(p, np.zeros(shape), out=workspace(4, 3))
+    for shape in ((4, 3), (2, 5, 3)):  # a stack's, stacks of one T x k shape, of any length
+        with pytest.raises(DimensionMismatch):
+            forward(p, np.zeros(shape), out=workspace(2, 4, 3))
+    assert forward(p, np.zeros((9, 4, 3)), out=workspace(2, 4, 3))[0].shape == (9,)
 
 
 def test_forward_clamps_readout():
@@ -366,17 +372,60 @@ def test_backward_single_row_leaves_query_key_untouched():
 
 def test_forward_on_a_stack_equals_each_matrix_alone():
     p = rand_params(3, seed=2)
-    Hs = np.random.default_rng(2).uniform(0.1, 0.9, size=(2, 5, 4, 3))
+    Hs = np.random.default_rng(2).uniform(0.1, 0.9, size=(10, 4, 3))
     assert skips_row_max(p, 4) and not skips_row_max(wide(p), 4)
     # both branches, and clamped readouts too
     for params in (p, wide(p), shifted(p, 100.0), shifted(p, -100.0)):
         s, cache = forward(params, Hs)
-        assert s.shape == cache.r.shape == (2, 5)
-        for idx in np.ndindex(2, 5):
-            one, alone = forward(params, Hs[idx])
-            assert s[idx] == one and cache.r[idx] == alone.r
+        assert s.shape == cache.r.shape == (10,) and len(cache.H) == 10  # one piece at T=4
+        for i in range(10):
+            one, alone = forward(params, Hs[i])
+            assert s[i] == one and cache.r[i] == alone.r
             for name in ("H", "Q", "K", "E", "den", "v", "e"):
-                assert np.array_equal(getattr(cache, name)[idx], getattr(alone, name))
+                assert np.array_equal(getattr(cache, name)[i], getattr(alone, name))
+    with pytest.raises(DimensionMismatch):  # a stack is (N, T, k), not deeper
+        forward(p, Hs.reshape(2, 5, 4, 3))
+
+
+@pytest.mark.parametrize("per_piece", [1, 2, 3])
+def test_a_stack_longer_than_its_workspace_is_scored_piece_by_piece(monkeypatch, per_piece):
+    # 7 matrices in pieces of 1, 2 or 3, the last one short, on both branches and
+    # clamped: each readout and the last piece's buffers are those of its matrix alone
+    T, k, n = 5, 3, 7
+    monkeypatch.setattr(arlif.attention, "PIECE_BYTES", 8 * T * T * per_piece)
+    p = rand_params(k, seed=5)
+    Hs = np.random.default_rng(5).uniform(0.0, 1.0, size=(n, T, k))
+    for params in (p, wide(p), shifted(p, 100.0), shifted(wide(p), -100.0)):
+        alone = [forward(params, H) for H in Hs]
+        ws = workspace(n, T, k)
+        assert len(ws.H) == per_piece and ws.E.shape == (per_piece, T, T)
+        s, cache = forward(params, Hs, out=ws)
+        assert cache is ws and s.shape == ws.r.shape == (n,)
+        assert s.tolist() == [one for one, _ in alone]
+        assert ws.r.tolist() == [c.r for _, c in alone]
+        last = n - per_piece * ((n - 1) // per_piece)  # matrices in the last piece
+        for j, (_, c) in enumerate(alone[n - last:]):
+            for name in ("H", "Q", "K", "E", "den", "v", "e"):
+                assert np.array_equal(getattr(ws, name)[j], getattr(c, name)), name
+        s_fresh, fresh = forward(params, Hs)  # fresh buffers are sized the same way
+        assert len(fresh.H) == per_piece and s_fresh.tolist() == s.tolist()
+
+
+def test_forward_decides_its_branch_once_per_call(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _skips_row_max(*args)
+    T, k = 4, 3
+    monkeypatch.setattr(arlif.attention, "PIECE_BYTES", 8 * T * T)  # pieces of one matrix
+    monkeypatch.setattr(arlif.attention, "_skips_row_max", counted)
+    p = rand_params(k, seed=1)
+    Hs = np.random.default_rng(1).uniform(0.0, 1.0, size=(6, T, k))
+    for H, out in ((Hs, None), (Hs, workspace(2, T, k)), (Hs[0], None), (Hs[:1], None)):
+        calls.clear()
+        forward(p, H, out=out)
+        assert len(calls) == 1
 
 
 CACHE_FIELDS = ("H", "Q", "K", "E", "den", "v", "e", "r", "s")

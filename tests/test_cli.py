@@ -6,6 +6,7 @@ import select
 import struct
 import subprocess
 import sys
+import tracemalloc
 import types
 import warnings
 from pathlib import Path
@@ -778,6 +779,64 @@ def test_stream_reports_a_bad_line_after_the_replies_before_it(cli_env, monkeypa
     kinds = [line.split("=", 1)[0] if line.startswith("score=") else line.split(":", 1)[0]
              for line in both.getvalue().splitlines()]
     assert kinds == ["score", "score", "line 3", "score", "score"]
+
+
+class Reads:
+    """A byte stdin's buffer whose read1 returns at most `size` bytes a call."""
+
+    def __init__(self, data: bytes, size: int):
+        self.data, self.pos, self.size = data, 0, size
+
+    def read1(self, n: int) -> bytes:
+        piece = self.data[self.pos:self.pos + min(n, self.size)]
+        self.pos += len(piece)
+        return piece
+
+
+@pytest.mark.parametrize("stdin", ["10 KiB reads", "64 KiB reads", "text"])
+def test_stream_reports_a_line_past_the_cap_once_and_goes_on(cli_env, monkeypatch, capsys,
+                                                            stdin):
+    cap = arlif.cli.MAX_LINE_BYTES
+    assert cap == 65536
+    good = bare_stream_lines(4, 23)
+    # a 100 KiB line over several reads, and lines at the cap and one byte past it
+    lines = [good[0], b"1," * (50 << 10), good[1], b"x" * cap, good[2], b"y" * (cap + 1),
+             good[3]]
+    data = b"".join(line + b"\n" for line in lines)
+    if stdin == "text":
+        source = io.StringIO(data.decode())
+    else:
+        source = types.SimpleNamespace(buffer=Reads(data, 10 << 10 if stdin[0] == "1" else cap))
+    monkeypatch.setattr(sys, "stdin", source)
+    rc = main(["stream", "--model", str(cli_env["model"])])
+    out, err = capsys.readouterr()
+    assert rc == 0
+    assert [r.rsplit(" ns=", 1)[0] for r in out.splitlines()] == observe_loop(
+        cli_env["model"], good)[0]
+    assert err == ("line 2: longer than 65536 bytes\n"
+                   "line 4: expected 43 fields for format nsl-kdd, got 1\n"
+                   "line 6: longer than 65536 bytes\n")
+
+
+def test_stream_holds_a_bounded_part_of_a_long_line(cli_env, monkeypatch, capsys):
+    """A 32 MiB line with no newline for 512 reads, then a row: its bytes are
+    dropped as they arrive instead of kept until its newline."""
+    row = bare_stream_lines(1, 24)[0]
+
+    reads = iter([b"7" * (64 << 10)] * 512 + [b"\n" + row + b"\n"])  # one piece, 512 times
+    monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(
+        buffer=types.SimpleNamespace(read1=lambda n: next(reads, b""))))
+    tracemalloc.start()
+    try:
+        rc = main(["stream", "--model", str(cli_env["model"])])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == "line 1: longer than 65536 bytes\n"
+    assert [r.rsplit(" ns=", 1)[0] for r in out.splitlines()] == observe_loop(
+        cli_env["model"], [row])[0]
+    assert peak < 8e6, peak
 
 
 def test_the_quick_start_script_passes(tmp_path):

@@ -19,6 +19,7 @@ from arlif.attention import (_skips_row_max, backward, bce_loss, forward, init_p
 from arlif.detector import (
     _HEADER,
     DEFAULT_ETA,
+    DetectionResult,
     Detector,
     attention_params_bytes,
     forest_bytes,
@@ -242,27 +243,37 @@ def test_a_block_scored_in_pieces_equals_a_loop_of_observe(pipe, monkeypatch, sc
     for r in records[:5]:  # histories that are not all 0.5
         observe(looped, r)
         observe(blocked, r)
-    cut = []
+    calls, cut = [], []  # observe's forward calls, and the pieces forward scores
+    attend_piece = arlif.attention._attend
 
     def recording(params, H, *, out=None):
-        cut.append((len(H), out))
+        calls.append((len(H), out))
         return forward(params, H, out=out)
-    monkeypatch.setattr(arlif.detector, "PIECE_BYTES", 8 * T * T * rows_per_piece)
+
+    def attend(c, H, skip_max):
+        cut.append((len(H), c))
+        return attend_piece(c, H, skip_max)
+    monkeypatch.setattr(arlif.attention, "PIECE_BYTES", 8 * T * T * rows_per_piece)
     monkeypatch.setattr(arlif.detector, "forward", recording)
+    monkeypatch.setattr(arlif.attention, "_attend", attend)
     rows = records[5:12]
     res = observe(blocked, rows)
-    assert [n for n, _ in cut] == pieces
-    assert all(np.shares_memory(out.E, cut[0][1].E) for _, out in cut)  # one workspace
+    first = blocked._block_workspace  # made by the first block and kept
+    assert [(n, out is first) for n, out in calls] == [(7, True)]  # one forward call
+    assert [n for n, _ in cut] == pieces and len(first.H) == rows_per_piece
+    assert all(np.shares_memory(c.E, first.E) for _, c in cut)
     singles = [observe(looped, r) for r in rows]
     assert res.score.tolist() == [one.score for one in singles]
     assert res.predicted.tolist() == [one.predicted for one in singles]
     assert blocked.histories.tolist() == looped.histories.tolist()
     assert blocked.samples_seen == looped.samples_seen == 12
-    first, cut[:] = cut[0][1], []  # the next block runs in the first block's buffers
+    calls[:], cut[:] = [], []  # the next block runs in the first block's buffers
     rows = records[12:19]
     res = observe(blocked, rows)
+    assert blocked._block_workspace is first
+    assert [(n, out is first) for n, out in calls] == [(7, True)]
     assert [n for n, _ in cut] == pieces
-    assert all(np.shares_memory(out.E, first.E) for _, out in cut)
+    assert all(np.shares_memory(c.E, first.E) for _, c in cut)
     assert res.score.tolist() == [observe(looped, r).score for r in rows]
     assert blocked.histories.tolist() == looped.histories.tolist()
 
@@ -292,7 +303,7 @@ def test_short_and_long_blocks_at_the_default_shape_equal_a_loop_of_observe(
     records, pre, forest = default_shape
     T = forest.n_trees
     if matrices_per_piece:
-        monkeypatch.setattr(arlif.detector, "PIECE_BYTES", 8 * T * T * matrices_per_piece)
+        monkeypatch.setattr(arlif.attention, "PIECE_BYTES", 8 * T * T * matrices_per_piece)
     params = init_params(10, seed=3, scale=0.05)
     looped, blocked = new_detector(forest, params, pre), new_detector(forest, params, pre)
     start = 0
@@ -305,12 +316,13 @@ def test_short_and_long_blocks_at_the_default_shape_equal_a_loop_of_observe(
         assert res.predicted.tolist() == [one.predicted for one in singles]
         assert blocked.histories.tolist() == looped.histories.tolist()
     assert blocked.samples_seen == looped.samples_seen == start
+    assert len(blocked._block_workspace.H) == (matrices_per_piece or 8)
 
 
 def test_the_default_pieces_tile_a_block_at_the_default_shape():
     # else every full block would end in a short piece, scored in a view of the workspace
-    T = 100
-    assert arlif.detector.BLOCK % max(1, arlif.detector.PIECE_BYTES // (8 * T * T)) == 0
+    per_piece = len(arlif.attention.workspace(arlif.detector.BLOCK, 100, 10).H)
+    assert per_piece == 8 and arlif.detector.BLOCK % per_piece == 0
 
 
 def test_a_block_workspace_is_kept_and_each_copy_makes_its_own(pipe):
@@ -384,16 +396,25 @@ def test_bad_probas_raise_and_leave_the_detector_as_it_was(pipe, bad, error):
     save_model(det, io.BytesIO())
 
 
-def test_a_single_record_result_holds_its_detectors_own_workspace(pipe):
+def test_a_single_record_step_runs_in_its_detectors_own_workspace(pipe):
+    # observe hands out a score and a prediction, never a buffer; learn differentiates
+    # the workspace the detector keeps, and each copy makes its own
     records, _, _, _ = pipe
+    assert [f.name for f in dataclasses.fields(DetectionResult)] == ["score", "predicted"]
     det = mk_detector(pipe)
-    first = observe(det, records[0]).cache
-    assert observe(det, records[1]).cache is first  # written over by the next observe
-    twins = [dataclasses.replace(det, histories=det.histories.copy()), from_bytes(to_bytes(det))]
-    for r in records[2:6]:
-        res = [observe(d, r) for d in [det] + twins]
-        assert res[0].cache is first and len({id(x.cache) for x in res}) == 3
-        assert res[1].score == res[2].score == res[0].score
+    observe(det, records[0])
+    first = det._workspace
+    learn(det, records[1], 1)
+    assert det._workspace is first and det._block_workspace is None
+    twins = [dataclasses.replace(det, histories=det.histories.copy(),
+                                 params=copy.deepcopy(det.params)), from_bytes(to_bytes(det))]
+    assert [twin._workspace for twin in twins] == [None, None]
+    for i, r in enumerate(records[2:8]):
+        step = (lambda d: observe(d, r).score) if i % 2 else (lambda d: learn(d, r, 1))
+        got = [step(d) for d in [det] + twins]
+        kept = [d._workspace for d in [det] + twins]
+        assert kept[0] is first and len({id(ws) for ws in kept}) == 3
+        assert got[1] == got[2] == got[0]
 
 
 def test_histories_in_any_layout_score_and_save_as_their_c_order_copy(pipe):

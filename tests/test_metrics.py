@@ -8,7 +8,7 @@ import arlif.detector
 import arlif.metrics
 from arlif.attention import init_params
 from arlif.detector import BLOCK, new_detector, observe, to_bytes, train_online
-from arlif.errors import Empty, LengthMismatch, SingleClass
+from arlif.errors import EmptyStream, LengthMismatch, SingleClass
 from arlif.iforest import build_forest, forest_score
 from arlif.ingest import transform
 from arlif.metrics import (
@@ -41,7 +41,7 @@ def test_confusion_matrix_hand_example():
 def test_confusion_matrix_guards():
     with pytest.raises(LengthMismatch):
         confusion_matrix([1, 0], [1])
-    with pytest.raises(Empty):
+    with pytest.raises(EmptyStream):
         confusion_matrix([], [])
 
 
@@ -78,7 +78,7 @@ def test_f1_equals_integer_form():
 
 def test_evaluate_requires_samples(pipe):
     det = mk_detector(pipe)
-    with pytest.raises(Empty):
+    with pytest.raises(EmptyStream):
         evaluate(det, [])
     with pytest.raises(ValueError):
         evaluate(det, pipe[0][:10], mode="nonsense")
@@ -146,7 +146,7 @@ def test_evaluate_equals_the_per_row_reference_at_the_default_shape(default_shap
 
 def test_a_replay_at_400_trees_peaks_under_30_mb(default_shape):
     # a whole 64-row block would hold 64 x 400 x 400 doubles (82 MB) in E alone; pieces
-    # bound the T x T buffers by detector.PIECE_BYTES, here one matrix at a time
+    # bound the T x T buffers by attention.PIECE_BYTES, here one matrix at a time
     records, pre, _ = default_shape
     forest = build_forest(transform(pre, records), T=400, psi=256, seed=0)
     det = new_detector(forest, init_params(10, seed=0), pre)
