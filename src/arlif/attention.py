@@ -213,7 +213,7 @@ def workspace(*shape: int) -> ForwardCache:
     min(N, max(1, PIECE_BYTES // (8 T^2))) matrices and none of backward's,
     as backward refuses a stack. forward allocates its cache here unless it
     is handed one as out=; handed back in, a cache serves any number of steps,
-    a stack one stacks of any length. Raises BufferTooLarge, allocating
+    a stack's stacks of any length. Raises BufferTooLarge, allocating
     nothing, when the T x T buffers it would allocate (E, one per matrix, and
     a single matrix's dE) pass WORKSPACE_LIMIT bytes."""
     T, k = shape[-2:]
