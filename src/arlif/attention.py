@@ -69,7 +69,10 @@ WORKSPACE_LIMIT = 1 << 30
 # 64 a whole block: 4 25,100, 8 27,200, 13 26,700, 16 26,100, 64 25,800; 8 was the fastest in 18
 # of the 40 rounds, 13 ran at 0.973x of 8 (paired median), and all five gave the same scores bit
 # for bit. Earlier, with a fresh workspace per block (medians of 5 to 15 runs): T=200: 1 9,900,
-# 3 11,300, 6 9,100, 64 8,100; T=400: 1 3,500, 6 2,600, 16 2,600, 64 1,200.
+# 3 11,300, 6 9,100, 64 8,100; T=400: 1 3,500, 6 2,600, 16 2,600, 64 1,200. Later, replay of
+# 2,000 rows at T=100 in 30 interleaved rounds: 8-matrix pieces 22,155 against 20,432 for a
+# whole block, faster in 27 of 30; a fresh 8-matrix workspace per block 24,517 against 23,999
+# for one kept across blocks, which was faster in only 14 of 30, so a detector keeps none.
 PIECE_BYTES = 5 << 17  # 5/8 MiB
 _block_starts = lru_cache(lambda k: np.cumsum([0, k * k, k * k, k * k, k, k]))  # see _blocks
 

@@ -5,13 +5,12 @@ attention parameters, and one k-length probability history per tree
 (kept as a T x k matrix whose last column is the most recent response).
 observe() scores a record or a block of records; learn() additionally
 applies one online SGD update to the attention layer. A block is walked once
-and its stack of history matrices scored by one forward call in the
-detector's block workspace, attention.workspace(BLOCK, T, k), which sizes its
-pieces. A single record runs in the detector's single-matrix workspace, which
-learn differentiates. Each is made at its first use and never saved, so no
-later block or training row allocates the layer's buffers; a copy by
+and its stack of history matrices scored by one forward call, in buffers
+forward makes and drops. A single record runs in the one buffer a detector
+keeps, its single-matrix workspace, which learn differentiates: made by the
+first such step, so no later one allocates, and never saved; a copy by
 dataclasses.replace or a loaded model makes its own, a deepcopy or pickle
-copies them. A record shifts the histories, one C-order block, as one move of
+copies it. A record shifts the histories, one C-order block, as one move of
 the flat T*k buffer. Nothing ever mutates the forest or the preprocessor
 after construction. Nothing here reads the clock; a caller that reports a
 time does.
@@ -113,8 +112,6 @@ class Detector:
     samples_seen: int = 0
     # forward/backward buffers of single-record steps, made by the first; not in the file
     _workspace: ForwardCache | None = field(default=None, init=False, repr=False)
-    # forward's buffers of a block, made by the first block; not in the file
-    _block_workspace: ForwardCache | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.histories = np.ascontiguousarray(self.histories, dtype=np.float64)
@@ -166,8 +163,8 @@ def observe(det: Detector, r: Record | Sequence[Record], *,
     attention forward pass in the detector's workspace, threshold at tau.
     probas, when given, is r's per-tree probability vector (T,) from an
     earlier forest walk; r is then not walked again. A probas of another
-    shape raises DimensionMismatch, one with an entry outside [0, 1]
-    CorruptModel, and either leaves the detector as it was.
+    shape, or any with a block, raises DimensionMismatch, one with an entry
+    outside [0, 1] CorruptModel, and either leaves the detector as it was.
 
     A block gives the scores, histories and samples_seen that one call per
     record would, with one forest walk and one forward call on the stack of
@@ -195,12 +192,12 @@ def observe(det: Detector, r: Record | Sequence[Record], *,
         H[:, -1] = probas
         s = forward(det.params, H, out=det._workspace)[0]
         predicted, n = (1 if s >= det.tau else 0), 1
+    elif probas is not None:
+        raise DimensionMismatch("probas is one record's; a block walks the forest itself")
     elif len(r):
         k, n = det.params.k, len(r)
         seq = np.concatenate([det.histories[:, 1:].T, _walk(det, r)])  # (k - 1 + N) x T
-        if det._block_workspace is None:
-            det._block_workspace = workspace(BLOCK, *det.histories.shape)
-        s = forward(det.params, sliding_window_view(seq, k, axis=0), out=det._block_workspace)[0]
+        s = forward(det.params, sliding_window_view(seq, k, axis=0))[0]
         det.histories[...] = seq[-k:].T
         predicted = (s >= det.tau).astype(int)
     else:
@@ -212,9 +209,11 @@ def observe(det: Detector, r: Record | Sequence[Record], *,
 @np.errstate(over="ignore", invalid="ignore")  # as a decorator it costs half the with form
 def learn(det: Detector, r: Record, label: int, *,
           probas: np.ndarray | None = None) -> float:
-    """observe (passing probas on), then one BCE/SGD update of the attention
-    layer only. Raises Diverged once the readout or the parameters are no
-    longer finite; the overflow that leads there is reported by that error alone."""
+    """observe one Record (passing probas on; any other r raises TypeError), then one BCE/SGD
+    update of the attention layer only. Raises Diverged once the readout or the parameters
+    are no longer finite; the overflow that leads there is reported by that error alone."""
+    if not isinstance(r, Record):
+        raise TypeError(f"learn takes one Record, got {type(r).__name__}")
     res = observe(det, r, probas=probas)
     cache = det._workspace  # the forward pass observe just ran
     sgd_step(det.params, backward(det.params, cache, label), det.eta)

@@ -42,7 +42,7 @@ EULER_GAMMA = 0.5772156649
 # child is j + 1: it holds its feature f, threshold t and tree-relative right
 # child r. A leaf holds f = -1, t = +0.0 and its size in r. Depth is derived at
 # load from the walk, so a forest has exactly one serialized form.
-NODE_DTYPE = np.dtype([("f", "<i4"), ("t", "<f8"), ("r", "<i4")], align=False)
+NODE_DTYPE = np.dtype([("f", "<i4"), ("t", "<f8"), ("r", "<u4")], align=False)
 
 # A step of the grower gathers the points of the nodes it splits, as many trees' nodes as
 # fit in this many bytes (one node alone may take more), so that its working memory
@@ -235,8 +235,8 @@ class IsolationForest:
         reject(bad, "children must satisfy j + 1 < right < n_nodes")
         del j, base, bad
         reject(inner & (f >= self.n_features), f"feature outside [0, {self.n_features})")
-        # f is -1, t is +0.0 bit for bit, and a negative size wraps above psi
-        reject(~inner & ~((f == -1) & (t.view(np.uint64) == 0) & (r.view(np.uint32) <= self.psi)),
+        # f is -1, t is +0.0 bit for bit, and the size at most psi
+        reject(~inner & ~((f == -1) & (t.view(np.uint64) == 0) & (r <= self.psi)),
                "non-canonical leaf")
 
         key = np.full(rec.size, -1, dtype=np.int64)  # each node's preorder key, -1 if never reached
@@ -263,11 +263,8 @@ class IsolationForest:
 
         # Each leaf's slot in _path / _proba, which apply the scalar c_factor and
         # ** per distinct (depth, size): numpy's vectorized ** may differ in the last ulp.
-        # A leaf's size is read as uint32, as the leaf rule reads it: in i4 a size of 2^31
-        # or more would sign-extend over the depth bits.
         leaf = np.flatnonzero(~inner)
-        keys, slots = np.unique((key[leaf] & 63) << 32 | r[leaf].view(np.uint32),
-                                return_inverse=True)
+        keys, slots = np.unique((key[leaf] & 63) << 32 | r[leaf], return_inverse=True)
         self._slot = np.zeros(rec.size, dtype=np.intp)
         self._slot[leaf] = slots
         paths = [kd + c_factor(ks) for kd, ks in (divmod(k, 1 << 32) for k in keys.tolist())]
@@ -349,10 +346,8 @@ def forest_score(forest: IsolationForest, X):
 
 
 def path_length(tree: np.ndarray, x) -> float:
-    """Steps to the leaf reached by x, plus c_factor(leaf size). The r field is
-    read as uint32, as IsolationForest reads a leaf's size: in i4 a size of
-    2^31 or more would read negative."""
-    feature, threshold, right = tree["f"], tree["t"], tree["r"].view(np.uint32)
+    """Steps to the leaf reached by x, plus c_factor(leaf size)."""
+    feature, threshold, right = tree["f"], tree["t"], tree["r"]
     j = depth = 0
     while feature[j] >= 0:
         j = j + 1 if x[feature[j]] < threshold[j] else right[j]

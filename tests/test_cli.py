@@ -250,7 +250,7 @@ def test_a_refused_allocation_is_one_error_line(cli_env, capsys, monkeypatch):
 
     def refused(*shape):
         raise MemoryError(text)
-    monkeypatch.setattr(arlif.detector, "workspace", refused)
+    monkeypatch.setattr(arlif.attention, "workspace", refused)
     rc = main(["eval", "--model", str(cli_env["model"]), "--test", str(cli_env["test"])])
     out, err = capsys.readouterr()
     assert rc == 1 and out == "" and err == f"error: {text}\n"
@@ -393,7 +393,8 @@ CRAFTED = {
     # A leaf's threshold has no place in the file; IsolationForest's tests keep its rule.
     "leaf_feature_minus_two": (lambda b, d: with_tree0(b, d, leaf=True, f=-2),
                                "non-canonical leaf"),
-    "leaf_negative_size": (lambda b, d: with_tree0(b, d, leaf=True, r=-1), "non-canonical leaf"),
+    "leaf_negative_size": (lambda b, d: with_tree0(b, d, leaf=True, r=2**32 - 1),  # -1 as u4
+                           "non-canonical leaf"),
     "node_unreached": (unreached_leaf, "not one tree in preorder"),
     "subtrees_out_of_preorder": (out_of_preorder, "not one tree in preorder"),
     "leaf_too_deep": (too_deep, "not reached within"),

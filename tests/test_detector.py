@@ -256,26 +256,19 @@ def test_a_block_scored_in_pieces_equals_a_loop_of_observe(pipe, monkeypatch, sc
     monkeypatch.setattr(arlif.attention, "PIECE_BYTES", 8 * T * T * rows_per_piece)
     monkeypatch.setattr(arlif.detector, "forward", recording)
     monkeypatch.setattr(arlif.attention, "_attend", attend)
-    rows = records[5:12]
-    res = observe(blocked, rows)
-    first = blocked._block_workspace  # made by the first block and kept
-    assert [(n, out is first) for n, out in calls] == [(7, True)]  # one forward call
-    assert [n for n, _ in cut] == pieces and len(first.H) == rows_per_piece
-    assert all(np.shares_memory(c.E, first.E) for _, c in cut)
-    singles = [observe(looped, r) for r in rows]
-    assert res.score.tolist() == [one.score for one in singles]
-    assert res.predicted.tolist() == [one.predicted for one in singles]
-    assert blocked.histories.tolist() == looped.histories.tolist()
-    assert blocked.samples_seen == looped.samples_seen == 12
-    calls[:], cut[:] = [], []  # the next block runs in the first block's buffers
-    rows = records[12:19]
-    res = observe(blocked, rows)
-    assert blocked._block_workspace is first
-    assert [(n, out is first) for n, out in calls] == [(7, True)]
-    assert [n for n, _ in cut] == pieces
-    assert all(np.shares_memory(c.E, first.E) for _, c in cut)
-    assert res.score.tolist() == [observe(looped, r).score for r in rows]
-    assert blocked.histories.tolist() == looped.histories.tolist()
+    for rows in (records[5:12], records[12:19]):  # each block in buffers forward makes
+        calls[:], cut[:] = [], []
+        res = observe(blocked, rows)
+        assert calls == [(7, None)]  # one forward call, handed no workspace
+        first = cut[0][1]  # the one workspace every piece of the block runs in
+        assert [n for n, _ in cut] == pieces and len(first.H) == rows_per_piece
+        assert all(np.shares_memory(c.E, first.E) for _, c in cut)
+        singles = [observe(looped, r) for r in rows]
+        assert res.score.tolist() == [one.score for one in singles]
+        assert res.predicted.tolist() == [one.predicted for one in singles]
+        assert blocked.histories.tolist() == looped.histories.tolist()
+        assert blocked.samples_seen == looped.samples_seen
+    assert blocked.samples_seen == 19
 
 
 def test_a_refused_workspace_leaves_the_detector_as_it_was(pipe, monkeypatch):
@@ -288,11 +281,10 @@ def test_a_refused_workspace_leaves_the_detector_as_it_was(pipe, monkeypatch):
         with pytest.raises(BufferTooLarge, match=f"past the limit of {8 * T * T} bytes"):
             observe(det, r)
         assert to_bytes(det) == before and det._workspace is None
-        assert det._block_workspace is None
     monkeypatch.undo()  # under the normal limit the same block scores as on a fresh detector
     assert observe(det, records[:3]).score.tolist() == observe(mk_detector(pipe),
                                                                 records[:3]).score.tolist()
-    assert det._block_workspace is not None
+    assert det._workspace is None  # a block keeps none of its buffers
 
 
 @pytest.mark.parametrize("matrices_per_piece", [None, 3], ids=["default", "not-dividing-BLOCK"])
@@ -304,10 +296,17 @@ def test_short_and_long_blocks_at_the_default_shape_equal_a_loop_of_observe(
     T = forest.n_trees
     if matrices_per_piece:
         monkeypatch.setattr(arlif.attention, "PIECE_BYTES", 8 * T * T * matrices_per_piece)
+    # forward's workspaces, one per block; a single record's comes through arlif.detector's name
+    made, make = [], arlif.attention.workspace
+
+    def recording(*shape):
+        made.append(make(*shape))
+        return made[-1]
+    monkeypatch.setattr(arlif.attention, "workspace", recording)
     params = init_params(10, seed=3, scale=0.05)
     looped, blocked = new_detector(forest, params, pre), new_detector(forest, params, pre)
-    start = 0
-    for n in (1, 8, 7, 65, 9, 63, 64):
+    start, sizes = 0, (1, 8, 7, 65, 9, 63, 64)
+    for n in sizes:
         rows = records[start:start + n]
         start += n
         res = observe(blocked, rows)
@@ -316,7 +315,7 @@ def test_short_and_long_blocks_at_the_default_shape_equal_a_loop_of_observe(
         assert res.predicted.tolist() == [one.predicted for one in singles]
         assert blocked.histories.tolist() == looped.histories.tolist()
     assert blocked.samples_seen == looped.samples_seen == start
-    assert len(blocked._block_workspace.H) == (matrices_per_piece or 8)
+    assert [len(ws.H) for ws in made] == [min(n, matrices_per_piece or 8) for n in sizes]
 
 
 def test_the_default_pieces_tile_a_block_at_the_default_shape():
@@ -325,34 +324,21 @@ def test_the_default_pieces_tile_a_block_at_the_default_shape():
     assert per_piece == 8 and arlif.detector.BLOCK % per_piece == 0
 
 
-def test_a_block_workspace_is_kept_and_each_copy_makes_its_own(pipe):
-    records, _, _, _ = pipe
-    det = mk_detector(pipe)
-    observe(det, records[:7])
-    first = det._block_workspace
-    observe(det, records[7:14])
-    assert det._block_workspace is first
-    twins = [dataclasses.replace(det, histories=det.histories.copy()), from_bytes(to_bytes(det))]
-    assert [twin._block_workspace for twin in twins] == [None, None]
-    for block in (records[14:21], records[21:28]):
-        res = [observe(d, block) for d in [det] + twins]
-        kept = [d._block_workspace for d in [det] + twins]
-        assert kept[0] is first and not any(np.shares_memory(a.E, b.E) for a, b in
-                                            [kept[:2], kept[1:], kept[::2]])
-        assert res[1].score.tolist() == res[2].score.tolist() == res[0].score.tolist()
-
-
-def test_a_second_block_allocates_less_than_one_piece(default_shape):
+def test_a_detector_keeps_no_block_buffer_and_each_block_peaks_near_one_piece(default_shape):
+    # at T=100 a block's piece holds 8 matrices, 640 KB of them E: a block may peak there,
+    # and nothing of it is left once observe returns
     records, pre, forest = default_shape
     det = new_detector(forest, init_params(10, seed=0), pre)
-    observe(det, records[:64])
     tracemalloc.start()
     try:
-        observe(det, records[64:128])
-        peak = tracemalloc.get_traced_memory()[1]
+        for i in range(0, 3 * 64, 64):
+            tracemalloc.reset_peak()
+            observe(det, records[i:i + 64])
+            kept, peak = tracemalloc.get_traced_memory()
+            assert kept < 64 << 10 and peak < 1_200_000, (i, kept, peak)
     finally:
         tracemalloc.stop()
-    assert peak < det._block_workspace.E.nbytes, peak
+    assert det._workspace is None and det.samples_seen == 3 * 64
 
 
 def test_observe_with_precomputed_probas_equals_observe(pipe):
@@ -373,6 +359,7 @@ def test_observe_with_precomputed_probas_equals_observe(pipe):
     (7.0, CorruptModel),
     (-0.25, CorruptModel),
     (math.nan, CorruptModel),
+    ("block", DimensionMismatch),
 ])
 def test_bad_probas_raise_and_leave_the_detector_as_it_was(pipe, bad, error):
     records, _, _, _ = pipe
@@ -380,13 +367,17 @@ def test_bad_probas_raise_and_leave_the_detector_as_it_was(pipe, bad, error):
     learn(det, records[0], 1)
     T = det.forest.n_trees
     p = np.asarray(probas_for(det, records[1]))
-    probas = {"long": np.full(T + 1, 0.5), "short": p[:-1], "matrix": p[None]}.get(bad)
+    probas = {"long": np.full(T + 1, 0.5), "short": p[:-1], "matrix": p[None],
+              "block": np.full(7, 5.0)}.get(bad)
     if probas is None:
         probas = p.copy()
         probas[T // 2] = bad
+    steps = [lambda: observe(det, records[1], probas=probas),
+             lambda: learn(det, records[1], 1, probas=probas)]
+    if bad == "block":  # a block walks the forest itself; learn refuses one before observe
+        steps = [lambda: observe(det, records[1:6], probas=probas)]
     before, hist, seen = to_bytes(det), det.histories.copy(), det.samples_seen
-    for step in (lambda: observe(det, records[1], probas=probas),
-                 lambda: learn(det, records[1], 1, probas=probas)):
+    for step in steps:
         with pytest.raises(error):
             step()
         assert to_bytes(det) == before and det.samples_seen == seen
@@ -394,6 +385,23 @@ def test_bad_probas_raise_and_leave_the_detector_as_it_was(pipe, bad, error):
     learn(det, records[1], 1, probas=p)  # the detector goes on, and saves
     assert det.samples_seen == seen + 1
     save_model(det, io.BytesIO())
+
+
+def test_learn_refuses_a_block_and_leaves_the_detector_as_it_was(pipe):
+    # on a fresh detector, and after a single-record step whose gradient buffer is live
+    records, _, _, _ = pipe
+    fresh, stepped = mk_detector(pipe), mk_detector(pipe)
+    learn(stepped, records[0], 1)
+    for det, rows, label in ((fresh, records[:3], 1), (stepped, records[1:4], 0)):
+        before, hist, seen = to_bytes(det), det.histories.copy(), det.samples_seen
+        with pytest.raises(TypeError, match="learn takes one Record, got list"):
+            learn(det, rows, label)
+        assert to_bytes(det) == before and det.samples_seen == seen
+        assert np.array_equal(det.histories, hist)
+    twin = mk_detector(pipe)  # the refused call applied no stale gradient
+    learn(twin, records[0], 1)
+    assert learn(stepped, records[1], 0) == learn(twin, records[1], 0)
+    assert to_bytes(stepped) == to_bytes(twin)
 
 
 def test_a_single_record_step_runs_in_its_detectors_own_workspace(pipe):
@@ -405,7 +413,8 @@ def test_a_single_record_step_runs_in_its_detectors_own_workspace(pipe):
     observe(det, records[0])
     first = det._workspace
     learn(det, records[1], 1)
-    assert det._workspace is first and det._block_workspace is None
+    assert det._workspace is first  # and the only buffer a detector keeps
+    assert [f.name for f in dataclasses.fields(Detector) if not f.init] == ["_workspace"]
     twins = [dataclasses.replace(det, histories=det.histories.copy(),
                                  params=copy.deepcopy(det.params)), from_bytes(to_bytes(det))]
     assert [twin._workspace for twin in twins] == [None, None]

@@ -663,10 +663,10 @@ def test_keys_rise_along_every_grown_tree(make, T, psi):
 
 
 def test_a_leaf_of_2_31_points_or_more_gets_its_path_length():
-    # NODE_DTYPE holds a size in i4, as a model file's u4 column loads into it, so the
-    # loader reads it as uint32: in i4 it would sign-extend over the leaf key's depth bits
+    # NODE_DTYPE holds a size in u4, as a model file's u4 column does: in i4 it would
+    # sign-extend over the leaf key's depth bits
     tree = records((0, 0.5, 2), (-1, 0.0, 1), (-1, 0.0, 0))
-    tree["r"][2] = np.uint32(3_000_000_000).view(np.int32)
+    tree["r"][2] = 3_000_000_000
     forest = forest_of([tree], psi=2**32 - 1, n_features=1)
     paths = [1 + c_factor(1), 1 + c_factor(3_000_000_000)]
     assert forest._path[forest._slot[1:]].tolist() == paths and round(paths[1], 3) == 43.798
@@ -676,7 +676,7 @@ def test_a_leaf_of_2_31_points_or_more_gets_its_path_length():
 
 def test_the_tree_oracles_read_a_leaf_of_2_31_points_or_more_as_the_forest_does():
     tree = records((0, 0.5, 2), (-1, 0.0, 1), (-1, 0.0, 0))
-    tree["r"][2] = np.uint32(3_000_000_000).view(np.int32)
+    tree["r"][2] = 3_000_000_000
     forest = forest_of([tree], psi=2**32 - 1, n_features=1)
     path = 1 + c_factor(3_000_000_000)
     assert path_length(tree, [0.75]) == recursive_path(tree, [0.75]) == path
