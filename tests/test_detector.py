@@ -324,9 +324,31 @@ def test_the_default_pieces_tile_a_block_at_the_default_shape():
     assert per_piece == 8 and arlif.detector.BLOCK % per_piece == 0
 
 
-def test_a_detector_keeps_no_block_buffer_and_each_block_peaks_near_one_piece(default_shape):
-    # at T=100 a block's piece holds 8 matrices, 640 KB of them E: a block may peak there,
-    # and nothing of it is left once observe returns
+def test_a_detector_and_its_copies_keep_no_block_buffer(default_shape):
+    # at T=100 a block's piece holds 8 matrices, 640 KB of them E: none of it is left once
+    # observe returns, on the detector or on a copy of it, and the copies score as it does
+    records, pre, forest = default_shape
+    det = new_detector(forest, init_params(10, seed=0), pre)
+    observe(det, records[:64])
+    dets = [det, dataclasses.replace(det, histories=det.histories.copy()),
+            from_bytes(to_bytes(det))]
+    tracemalloc.start()
+    try:
+        for i in range(64, 3 * 64, 64):
+            res = []
+            for d in dets:
+                before = tracemalloc.get_traced_memory()[0]
+                res.append(observe(d, records[i:i + 64]).score)
+                kept = tracemalloc.get_traced_memory()[0] - before
+                assert kept < 64 << 10, (i, kept)
+            assert res[1].tolist() == res[2].tolist() == res[0].tolist()
+    finally:
+        tracemalloc.stop()
+    assert all(d._workspace is None and d.samples_seen == 3 * 64 for d in dets)
+
+
+def test_each_block_peaks_near_one_piece(default_shape):
+    # a block may peak at its piece workspace, made afresh by forward for every block
     records, pre, forest = default_shape
     det = new_detector(forest, init_params(10, seed=0), pre)
     tracemalloc.start()
@@ -338,7 +360,7 @@ def test_a_detector_keeps_no_block_buffer_and_each_block_peaks_near_one_piece(de
             assert kept < 64 << 10 and peak < 1_200_000, (i, kept, peak)
     finally:
         tracemalloc.stop()
-    assert det._workspace is None and det.samples_seen == 3 * 64
+    assert det.samples_seen == 3 * 64
 
 
 def test_observe_with_precomputed_probas_equals_observe(pipe):
