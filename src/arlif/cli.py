@@ -8,6 +8,7 @@ text and as one-line key=value records.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import sys
 import time
@@ -30,19 +31,17 @@ from .errors import ArlifError, LineTooLong, NotUtf8
 from .iforest import build_forest
 from .ingest import (
     FORMATS,
+    MAX_LINE_BYTES,
     N_FEATURES,
     Record,
     fit_preprocessor,
     load_records,
     parse_bare_rows,
     parse_record,
+    read_lines,
     transform,
 )
 from .metrics import evaluate, replay, tune_baseline_threshold, tune_threshold
-
-# The longest stream line kept, newline excluded, and the most bytes one read of stdin takes:
-# a longer line is reported and its bytes dropped as they arrive, so it holds no more memory.
-MAX_LINE_BYTES = 64 << 10
 
 
 def _train_detector(args: argparse.Namespace) -> tuple[Detector, TrainingReport]:
@@ -112,39 +111,6 @@ def _parse_stream_line(raw: bytes, fmt: str) -> Record | None:
     return parse_record(line, fmt)
 
 
-def _pending_lines():
-    """stdin's lines, split at each newline byte and without it, in lists of
-    those that one read completes; at EOF, a last line that has no newline.
-    A line longer than MAX_LINE_BYTES is None: no read is longer, so only a
-    line that spans reads can be, and its pieces are dropped once they pass it.
-
-    read1 returns what is pending and blocks only when nothing is, so no line
-    waits for a later one. A stdin with no byte layer (an io.StringIO) is read
-    whole, then split as reads would be; a lone surrogate in it encodes to
-    bytes that are not UTF-8."""
-    raw = getattr(sys.stdin, "buffer", None)
-    if raw is None:
-        data = sys.stdin.read().encode("utf-8", "surrogatepass")
-        chunks = (data[i:i + MAX_LINE_BYTES] for i in range(0, len(data), MAX_LINE_BYTES))
-    else:
-        chunks = iter(lambda: raw.read1(MAX_LINE_BYTES), b"")
-    tail, held = [], 0  # the kept pieces of a line no read has completed yet, and its length
-    for chunk in chunks:
-        *lines, last = chunk.split(b"\n")
-        if lines:
-            held += len(lines[0])
-            lines[0] = b"".join(tail) + lines[0] if held <= MAX_LINE_BYTES else None
-            tail, held = [], 0
-            yield lines
-        held += len(last)
-        if held <= MAX_LINE_BYTES:
-            tail.append(last)
-        else:
-            tail.clear()
-    if held:
-        yield [b"".join(tail) if held <= MAX_LINE_BYTES else None]
-
-
 def _reply(det: Detector, run: list[Record], cumulative_ns: int) -> int:
     """Score run block by block as detector.blocks() slices it, one observe call
     and one flushed write of its replies per block; returns cumulative_ns after it.
@@ -167,15 +133,19 @@ def _reply(det: Detector, run: list[Record], cumulative_ns: int) -> int:
 
 
 def cmd_stream(args: argparse.Namespace) -> int:
-    """Score the complete lines of each read as one run. A read of bare rows
-    only is parsed as one block (ingest.parse_bare_rows); any other read, and
-    one the block parse cannot vouch for, is parsed line by line, and a line
-    that cannot be scored, or is longer than MAX_LINE_BYTES, is reported after
-    the replies of the lines before it. Both parses give the same records, so
-    the replies do not depend on how the reads fall."""
+    """Score the complete lines of each read of stdin (ingest.read_lines) as one run.
+    A read of bare rows only is parsed as one block (ingest.parse_bare_rows); any other
+    read, and one the block parse cannot vouch for, is parsed line by line, and a line
+    that cannot be scored, or is longer than MAX_LINE_BYTES, is reported after the
+    replies of the lines before it. Both parses give the same records, so the replies
+    do not depend on how the reads fall. A stdin with no byte layer (an io.StringIO) is
+    read whole; a lone surrogate in it encodes to bytes that are not UTF-8."""
     det = load_model(args.model)
+    stdin = getattr(sys.stdin, "buffer", None)
+    if stdin is None:
+        stdin = io.BytesIO(sys.stdin.read().encode("utf-8", "surrogatepass"))
     cumulative_ns = lineno = 0
-    for lines in _pending_lines():
+    for lines in read_lines(stdin):
         run = None if None in lines else parse_bare_rows(lines)
         if run is None:
             run = []

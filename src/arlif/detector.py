@@ -46,7 +46,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .attention import (AttentionParams, ForwardCache, backward, bce_loss, forward,
                         param_count, sgd_step, workspace)
@@ -197,7 +196,10 @@ def observe(det: Detector, r: Record | Sequence[Record], *,
     elif len(r):
         k, n = det.params.k, len(r)
         seq = np.concatenate([det.histories[:, 1:].T, _walk(det, r)])  # (k - 1 + N) x T
-        s = forward(det.params, sliding_window_view(seq, k, axis=0))[0]
+        step, tree = seq.strides  # window i's [t, j] is seq[i + j, t], in a read-only view
+        windows = np.ndarray((n, seq.shape[1], k), seq.dtype, seq, strides=(step, tree, step))
+        windows.flags.writeable = False
+        s = forward(det.params, windows)[0]
         det.histories[...] = seq[-k:].T
         predicted = (s >= det.tau).astype(int)
     else:
@@ -210,10 +212,13 @@ def observe(det: Detector, r: Record | Sequence[Record], *,
 def learn(det: Detector, r: Record, label: int, *,
           probas: np.ndarray | None = None) -> float:
     """observe one Record (passing probas on; any other r raises TypeError), then one BCE/SGD
-    update of the attention layer only. Raises Diverged once the readout or the parameters
-    are no longer finite; the overflow that leads there is reported by that error alone."""
+    update of the attention layer only; a label other than 0 or 1 raises ValueError, before
+    any change. Raises Diverged once the readout or the parameters are no longer finite;
+    the overflow that leads there is reported by that error alone."""
     if not isinstance(r, Record):
         raise TypeError(f"learn takes one Record, got {type(r).__name__}")
+    if label not in (0, 1):
+        raise ValueError(f"label must be 0 or 1, got {label!r}")
     res = observe(det, r, probas=probas)
     cache = det._workspace  # the forward pass observe just ran
     sgd_step(det.params, backward(det.params, cache, label), det.eta)

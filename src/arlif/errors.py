@@ -20,11 +20,12 @@ class NumericParse(ArlifError):
 
 
 class NotUtf8(ArlifError):
-    """A record file line is not valid UTF-8."""
+    """A record file or stream line is not valid UTF-8."""
 
 
 class LineTooLong(ArlifError):
-    """A stream line is longer than arlif stream keeps of one."""
+    """A record file or stream line is longer than ingest.MAX_LINE_BYTES, the most
+    that ingest.read_lines keeps of one line."""
 
 
 class SingleClass(ArlifError):

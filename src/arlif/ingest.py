@@ -17,20 +17,23 @@ parse_bare_rows parses the lines of one stream read as one block, when every
 line is a bare row of 41 fields in printable, non-space ASCII: one np.loadtxt
 converts the numeric cells, with float()'s bits, since both convert a number
 with CPython's PyOS_string_to_double. It returns None for any other read,
-which then goes line by line through parse_record.
+which then goes line by line through parse_record. read_lines splits a record
+file (load_records) and arlif stream's stdin alike into lines, and drops a line
+past MAX_LINE_BYTES as its bytes arrive.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .errors import (ArlifError, CorruptModel, EmptyStream, FieldCountMismatch, NotUtf8,
-                     NumericParse, SingleClass)
+from .errors import (ArlifError, CorruptModel, EmptyStream, FieldCountMismatch, LineTooLong,
+                     NotUtf8, NumericParse, SingleClass)
 
 N_FEATURES = 41
 # protocol_type, service, flag
@@ -41,6 +44,8 @@ _NUMERIC_COLUMNS = tuple(c for c in range(N_FEATURES) if c not in CATEGORICAL_CO
 _GRAPHIC = bytes(range(0x21, 0x7F))
 
 FORMATS = ("nsl-kdd", "kdd99")
+# the longest line read_lines keeps, newline excluded, and the most bytes one read takes
+MAX_LINE_BYTES = 64 << 10
 
 
 @dataclass(eq=False, slots=True)
@@ -151,19 +156,44 @@ def parse_bare_rows(lines: list[bytes]) -> list[Record] | None:
     return records
 
 
+def read_lines(raw) -> Iterator[list[bytes | None]]:
+    """A binary stream's lines, split at each newline byte and without it, in lists of
+    those that one read1 call completes; at EOF, a last line with no newline. read1
+    returns what is pending and blocks only when nothing is, so no line waits for a
+    later one. A line longer than MAX_LINE_BYTES is None: no read is longer, so only a
+    line that spans reads can be, and its pieces are dropped once they pass it."""
+    tail, held = [], 0  # the kept pieces of a line no read has completed yet, and its length
+    for chunk in iter(lambda: raw.read1(MAX_LINE_BYTES), b""):
+        *lines, last = chunk.split(b"\n")
+        if lines:
+            held += len(lines[0])
+            lines[0] = b"".join(tail) + lines[0] if held <= MAX_LINE_BYTES else None
+            tail, held = [], 0
+            yield lines
+        held += len(last)
+        if held <= MAX_LINE_BYTES:
+            tail.append(last)
+        else:
+            tail.clear()
+    if held:
+        yield [b"".join(tail) if held <= MAX_LINE_BYTES else None]
+
+
 def load_records(path, format: str = "nsl-kdd", limit: int | None = None) -> list[Record]:
-    """Parse a record file top to bottom, one line per record ending at a newline;
-    blank lines are skipped. A line that is not UTF-8 raises NotUtf8, and a parse
-    error names the line too, both as "path:line: ...".
+    """Parse a record file top to bottom, one read_lines line per record; blank lines
+    are skipped. A line past MAX_LINE_BYTES raises LineTooLong, one that is not UTF-8
+    NotUtf8, and a parse error names the line too, all as "path:line: ...".
 
     `limit` keeps the first `limit` parsed records (deterministic
     head-of-file truncation for desk-scale runs); at 0 or below, none.
     """
     records: list[Record] = []
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for lineno, raw in enumerate(chain.from_iterable(read_lines(fh)), start=1):
             if limit is not None and len(records) >= limit:
                 break
+            if raw is None:
+                raise LineTooLong(f"{path}:{lineno}: longer than {MAX_LINE_BYTES} bytes")
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:

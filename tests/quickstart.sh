@@ -23,7 +23,9 @@
 # 4 bytes) is resealed so that the min/max rule is what rejects it, one with
 # a bit of tau (bytes 24-31) flipped and the trailer left as it was, an
 # empty training file (this one must also write no model), a training file
-# with a byte that is not UTF-8, a training file whose column 4 holds -1e308
+# with a byte that is not UTF-8, a training file of one 32 MiB line with no
+# newline (its error must name line 1 as longer than 65536 bytes, and it must
+# write no model), a training file whose column 4 holds -1e308
 # and 1e308 (its max - min overflows; this one must also print no numpy
 # warning and write no model). A `bench` at --trees 600 under a 250 MB
 # address-space limit and one BLAS thread must exit 0 and print both report
@@ -130,6 +132,10 @@ test ! -e "$d/empty.arlf"
 cp "$d/train.txt" "$d/notutf8.txt"
 printf '\377\n' >> "$d/notutf8.txt"
 one_error arlif train --train "$d/notutf8.txt" --model "$d/notutf8.arlf" $small
+head -c 33554432 /dev/zero | tr '\0' 7 > "$d/long.txt"
+one_error arlif train --train "$d/long.txt" --model "$d/long.arlf" $small
+grep -q "long.txt:1: longer than 65536 bytes" "$d/one.err"
+test ! -e "$d/long.arlf"
 awk -F, -v OFS=, 'NR == 1 { $5 = "-1e308" } NR == 2 { $5 = "1e308" } 1' \
   "$d/train.txt" > "$d/wide.txt"
 one_error arlif train --train "$d/wide.txt" --model "$d/wide.arlf" $small

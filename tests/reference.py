@@ -4,8 +4,9 @@ Each is written apart from the package's vectorized code, so agreement is
 evidence: a recursive grower of one tree, a naive recursive walk of one tree,
 each leaf's depth by the same walk, the per-tree probability built on it, a
 textbook row softmax, the attention readout, its gradient and a learn loop
-built on it, a record parser that converts one cell at a time, and a string
-encoder with transform's scaling over rows split into their text fields.
+built on it, a record parser that converts one cell at a time, a record file
+reader that splits lines by Python's own line iteration, with no cap, and a
+string encoder with transform's scaling over rows split into their text fields.
 forest_of joins hand-made trees into a forest, and build_tree runs the
 package's grower on one tree, for the tests that grow one.
 """
@@ -17,8 +18,9 @@ import math
 import numpy as np
 
 from arlif.attention import EPS, AttentionParams
-from arlif.errors import NumericParse
+from arlif.errors import ArlifError, NotUtf8, NumericParse
 from arlif.iforest import NODE_DTYPE, IsolationForest, _check_finite, _grow, c_factor
+from arlif.ingest import parse_record
 
 
 def recursive_tree(subsample, rng, height_limit: int) -> np.ndarray:
@@ -182,6 +184,26 @@ def parse_cells(line: str, format: str = "nsl-kdd"):
         values.append(x)
     label = fields[41].removesuffix(".") if format == "kdd99" else fields[41]
     return np.array(values[:41]), tuple(fields[1:4]), 0 if label == "normal" else 1
+
+
+def iterating_load_records(path, format: str = "nsl-kdd", limit=None) -> list:
+    """load_records with the lines of `for raw in open(path, "rb")`: each holds its
+    newline and any length; the same limit rule, records and path:line: errors."""
+    records = []
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if limit is not None and len(records) >= limit:
+                break
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise NotUtf8(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})") from None
+            if line.strip():
+                try:
+                    records.append(parse_record(line, format))
+                except ArlifError as exc:
+                    raise type(exc)(f"{path}:{lineno}: {exc}") from None
+    return records
 
 
 def encode_fields(rows, vocab, cols) -> np.ndarray:

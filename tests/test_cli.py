@@ -118,6 +118,17 @@ def test_a_record_file_that_is_not_utf8_is_one_error_line(cli_env, capsys, tmp_p
     assert not (tmp_path / "m.arlf").exists()
 
 
+def test_train_on_a_line_past_the_cap_is_one_error_line(capsys, tmp_path):
+    """A 32 MiB training file with no newline ends in one error: line naming its line 1."""
+    long, model = tmp_path / "long.txt", tmp_path / "m.arlf"
+    with open(long, "wb") as fh:
+        for _ in range(512):
+            fh.write(b"7" * (64 << 10))
+    rc = main(["train", "--train", str(long), "--model", str(model)] + SMALL)
+    assert rc == 1 and not model.exists()
+    assert capsys.readouterr().err == f"error: {long}:1: longer than 65536 bytes\n"
+
+
 def test_train_on_a_column_whose_span_overflows_is_one_error_line(cli_env, capsys, tmp_path):
     lines = cli_env["train"].read_text().splitlines()
     for i, value in ((0, "-1e308"), (1, "1e308")):  # column 4 spans more than the float range

@@ -4,6 +4,7 @@ import io
 import math
 import pickle
 import random
+import re
 import struct
 import time
 import tracemalloc
@@ -422,6 +423,24 @@ def test_learn_refuses_a_block_and_leaves_the_detector_as_it_was(pipe):
         assert np.array_equal(det.histories, hist)
     twin = mk_detector(pipe)  # the refused call applied no stale gradient
     learn(twin, records[0], 1)
+    assert learn(stepped, records[1], 0) == learn(twin, records[1], 0)
+    assert to_bytes(stepped) == to_bytes(twin)
+
+
+@pytest.mark.parametrize("label", [2, -1, 0.5, "1", None])
+def test_learn_refuses_a_label_other_than_0_or_1_and_leaves_the_detector_as_it_was(pipe, label):
+    # on a fresh detector, and after a single-record step whose gradient buffer is live
+    records, _, _, _ = pipe
+    fresh, stepped = mk_detector(pipe), mk_detector(pipe)
+    learn(stepped, records[0], 1)
+    for det in (fresh, stepped):
+        before, hist, seen = to_bytes(det), det.histories.copy(), det.samples_seen
+        with pytest.raises(ValueError, match=f"label must be 0 or 1, got {re.escape(repr(label))}"):
+            learn(det, records[1], label)
+        assert to_bytes(det) == before and det.samples_seen == seen
+        assert np.array_equal(det.histories, hist)
+    twin = mk_detector(pipe)
+    assert learn(fresh, records[0], 1) == learn(twin, records[0], 1)
     assert learn(stepped, records[1], 0) == learn(twin, records[1], 0)
     assert to_bytes(stepped) == to_bytes(twin)
 

@@ -1,19 +1,23 @@
+import bisect
+import io
 import math
 import random
 import re
 import struct
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import arlif.ingest
-from arlif.errors import (CorruptModel, EmptyStream, FieldCountMismatch, NotUtf8, NumericParse,
-                          SingleClass)
+from arlif.errors import (ArlifError, CorruptModel, EmptyStream, FieldCountMismatch, LineTooLong,
+                          NotUtf8, NumericParse, SingleClass)
 from arlif.ingest import (
     CATEGORICAL_COLUMNS,
     FORMATS,
+    MAX_LINE_BYTES,
     N_FEATURES,
     Preprocessor,
     Record,
@@ -25,11 +29,12 @@ from arlif.ingest import (
     load_records,
     parse_bare_rows,
     parse_record,
+    read_lines,
     transform,
 )
 
 from conftest import DATA_DIR, requires_dataset, synth_records
-from reference import encode_fields, parse_cells, scale_fields
+from reference import encode_fields, iterating_load_records, parse_cells, scale_fields
 from synth_stream import synth_lines
 
 
@@ -318,6 +323,132 @@ def test_load_records_parse_errors_name_their_line(tmp_path):
     p.write_text(mk_line() + "\n" + mk_line(format="kdd99") + "\n")
     with pytest.raises(FieldCountMismatch, match=f"^{re.escape(str(p))}:2: expected 43 fields"):
         load_records(p)
+
+
+# --- read_lines -----------------------------------------------------------------
+
+class Reads:
+    """A binary stream whose read1 returns at most the next of `sizes` bytes a call;
+    `ends` records where each read ended."""
+
+    def __init__(self, data: bytes, sizes):
+        self.data, self.pos, self.sizes, self.ends = data, 0, sizes, []
+
+    def read1(self, n: int) -> bytes:
+        piece = self.data[self.pos:self.pos + min(n, next(self.sizes))]
+        self.pos += len(piece)
+        self.ends.append(self.pos)
+        return piece
+
+
+def lines_by_read(data: bytes, ends: list[int]) -> list[list]:
+    """data's lines without their newline, grouped by the read that holds their
+    newline, then a last line that has none; a line past the cap as None."""
+    lines = data.split(b"\n")
+    groups, start = [], 0
+    for line in lines[:-1]:
+        start += len(line) + 1  # past this line's newline
+        read = bisect.bisect_left(ends, start)
+        if not groups or groups[-1][0] != read:
+            groups.append((read, []))
+        groups[-1][1].append(line)
+    if lines[-1]:
+        groups.append((None, [lines[-1]]))
+    return [[None if len(line) > MAX_LINE_BYTES else line for line in group]
+            for _, group in groups]
+
+
+def test_read_lines_groups_each_reads_lines_and_caps_a_line_over_random_reads():
+    # lines of random bytes at, around and far past the cap, read in random sizes
+    # and as io.BytesIO reads them, in MAX_LINE_BYTES a call
+    rng, cap = random.Random(30), MAX_LINE_BYTES
+    for _ in range(300):
+        lengths = [rng.choice([0, rng.randint(1, 200), cap - 1, cap, cap + 1, 3 * cap])
+                   for _ in range(rng.randint(0, 8))]
+        data = b"\n".join(rng.randbytes(n).replace(b"\n", b"\r") for n in lengths)
+        data += b"\n" * rng.randint(0, 1)
+        sizes = iter(lambda: int(2 ** rng.uniform(0, 17)), None)
+        stream = Reads(data, sizes)
+        assert list(read_lines(stream)) == lines_by_read(data, stream.ends)
+        whole = list(range(cap, len(data), cap)) + [len(data)]
+        assert list(read_lines(io.BytesIO(data))) == lines_by_read(data, whole)
+
+
+# --- load_records -----------------------------------------------------------------
+
+def record_file_lines(rng: random.Random, fmt: str) -> list[bytes]:
+    """Rows of fmt mixed with every kind of line load_records must read: blank and
+    whitespace lines, CRLF rows, a row padded to exactly MAX_LINE_BYTES, a bad
+    line of exactly that length, and, one file in two, bad rows."""
+    cap, seed = MAX_LINE_BYTES, rng.randrange(10 ** 6)
+    rows = [line.encode() for line in synth_lines(rng.randint(0, 12), seed=seed, format=fmt)]
+    kinds = ["row"] * 8 + ["blank", "space", "crlf", "at cap", "x at cap", "wide"]
+    if rng.random() < 0.5:
+        kinds += ["3 fields", "nan", "not utf-8", "kdd99 row" if fmt == "nsl-kdd" else "43 fields"]
+    lines = []
+    for row in rows:
+        kind = rng.choice(kinds)
+        fields = row.split(b",")
+        lines.append({
+            "row": row, "blank": b"", "space": b" \t ", "crlf": row + b"\r",
+            "at cap": row.ljust(cap), "x at cap": b"x" * cap,
+            "wide": b",".join(fields[:2] + ["pr\u00f6t\u6f22".encode()] + fields[3:]),
+            "3 fields": b"only,three,fields", "nan": b",".join([b"nan"] + fields[1:]),
+            "not utf-8": row[:10] + b"\xff" + row[10:],
+            "kdd99 row": b",".join(fields[:41] + [fields[41] + b"."]), "43 fields": row + b",0",
+        }[kind])
+    return lines
+
+
+def load_outcome(load, path, fmt, limit):
+    """What load(path, fmt, limit) gives: each record's value bits, tokens and label,
+    or the type and text of what it raised."""
+    try:
+        return [(r.values.tobytes(), r.tokens, r.label) for r in load(path, fmt, limit)]
+    except ArlifError as exc:
+        return type(exc), str(exc)
+
+
+def test_load_records_equals_python_line_iteration_on_random_files(tmp_path):
+    # with no line past the cap, splitting by read_lines changes no record and no error
+    rng = random.Random(31)
+    for i in range(300):
+        fmt = rng.choice(FORMATS)
+        lines = record_file_lines(rng, fmt)
+        path = tmp_path / f"{i}.txt"
+        path.write_bytes(b"\n".join(lines) + b"\n" * rng.randint(0, 1))
+        limit = rng.choice([None, None, rng.randint(0, 12)])
+        assert load_outcome(load_records, path, fmt, limit) == load_outcome(
+            iterating_load_records, path, fmt, limit), (i, fmt, limit)
+
+
+def test_load_records_reports_a_line_past_the_cap_by_its_line(tmp_path):
+    cap, p = MAX_LINE_BYTES, tmp_path / "rows.txt"
+    assert cap == 65536
+    p.write_text("\n".join([mk_line(), mk_line().ljust(cap), "y" * (cap + 1), mk_line()]) + "\n")
+    with pytest.raises(LineTooLong, match=f"^{re.escape(str(p))}:3: longer than 65536 bytes$"):
+        load_records(p)
+    assert len(load_records(p, limit=2)) == 2  # the rows before it, as limit reads them
+    p.write_text(mk_line() + "\n" + "1," * (2 * cap))  # a last line with no newline
+    with pytest.raises(LineTooLong, match=f"^{re.escape(str(p))}:2: longer than 65536 bytes$"):
+        load_records(p)
+
+
+def test_load_records_holds_a_bounded_part_of_a_long_line(tmp_path):
+    """A 32 MiB file with no newline: its bytes are dropped as they are read,
+    instead of kept until the line ends."""
+    p = tmp_path / "long.txt"
+    with open(p, "wb") as fh:
+        for _ in range(512):
+            fh.write(b"7" * (64 << 10))
+    tracemalloc.start()
+    try:
+        with pytest.raises(LineTooLong, match=f"^{re.escape(str(p))}:1: longer than 65536 bytes$"):
+            load_records(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
 
 
 @pytest.mark.parametrize("selected", [[], [3, 3], [41], [-1]])
