@@ -6,11 +6,12 @@ partitions its segment in place, so no tree holds a copy of its subsample.
 Each tree keeps the nodes that may split on an array stack, and each step pops
 the next one in preorder from every tree that has one, as many trees as fit
 GATHER_BYTES. For all taken nodes at once, one gather from a transposed copy
-of the data and two reduceat give each column's min and max, and one stable
-argsort partitions every segment; only each tree's own two draws run node by
-node. Every node carries its preorder key (_child_keys), and after the last
-step one sort of the roots and the splits' children on (tree, key) lays every
-tree out in preorder.
+of the data and two reduceat give each column's min and max, one stable argsort
+partitions every segment, and _Draws makes each taken tree's two draws, the
+rank of its column and then u, in array operations on raw words of that tree's
+own generator, bit for bit what one Generator call per draw gives. Every node
+carries its preorder key (_child_keys), and after the last step one sort of the
+roots and the splits' children on (tree, key) lays every tree out in preorder.
 
 A forest is one NODE_DTYPE table, its trees back to back in preorder, and their
 sizes; a model file holds the table's fields as columns in this order, and of the
@@ -52,6 +53,12 @@ NODE_DTYPE = np.dtype([("f", "<i4"), ("t", "<f8"), ("r", "<u4")], align=False)
 # process gave its heap back to the OS and faulted it in again (+0.6 ms a load, 2-vCPU VM).
 GATHER_BYTES = 2 << 20
 
+# Each tree's generator hands the grower raw 64-bit words this many at a time: 51 KB of
+# windows at T=100, kept small because what the grower leaves on the heap sets the cost
+# of later model loads in the same process (see above).
+WINDOW = 64
+_LOW32, _32, _11 = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(11)
+
 
 def c_factor(n: int) -> float:
     """Average unsuccessful-BST search path over n points.
@@ -92,16 +99,108 @@ def _child_keys(key, depth, h: int) -> tuple:
     return left, left + (1 << (h - depth + 6))
 
 
+class _Draws:
+    """Each tree's draws for a node, Generator.integers(c) and then Generator.random(),
+    taken for many trees at once from raw words of their own PCG64 generators, bit for bit.
+
+    numpy's integers(c) is Lemire's multiply-shift bound on the generator's 32-bit output.
+    c == 1 draws nothing. Otherwise x is the half word PCG64 keeps from the last word it
+    split, if it keeps one, and else the low half of a fresh word, whose high half it keeps;
+    the rank is (x * c) >> 32, drawn again while (x * c) mod 2^32 < (2^32 - c) mod c.
+    random() is (word >> 11) * 2^-53 of a fresh word. Each tree's fresh words come from a
+    window of WINDOW words of its own stream, refilled when used up, and close() leaves each
+    generator where drawing one call at a time would have. The arithmetic stays in uint64
+    arrays and constants: numpy 1.x makes a float64 of a uint64 scalar and a Python int."""
+
+    def __init__(self, rngs: list):
+        self.bits = [g.bit_generator for g in rngs]
+        self.entry = [b.state for b in self.bits]
+        self.has = np.array([s["has_uint32"] for s in self.entry], dtype=bool)
+        self.half = np.array([s["uinteger"] for s in self.entry], dtype=np.uint64)
+        # Tree i's window holds the words fetched[i] - WINDOW .. fetched[i] - 1 of its
+        # stream, of which the first pos[i] are used; before the first fill it counts as used up.
+        self.words = np.empty((len(rngs), WINDOW), dtype=np.uint64)
+        self.fetched = np.zeros(len(rngs), dtype=np.int64)
+        self.pos = np.full(len(rngs), WINDOW, dtype=np.int64)
+
+    def _refill(self, trees) -> None:
+        """Move each tree's unused words to the front of its window and fetch the rest."""
+        for i in trees:
+            p, w = int(self.pos[i]), self.words[i]
+            w[:WINDOW - p] = w[p:]
+            w[WINDOW - p:] = self.bits[i].random_raw(p)
+            self.fetched[i] += p
+            self.pos[i] = 0
+
+    def _next32(self, i: int) -> int:
+        """Tree i's next 32-bit output, drawn alone as PCG64 draws it."""
+        if self.has[i]:
+            self.has[i] = False
+            return int(self.half[i])
+        if self.pos[i] == WINDOW:
+            self._refill([i])
+        word = int(self.words[i, self.pos[i]])
+        self.pos[i] += 1
+        self.has[i], self.half[i] = True, word >> 32
+        return word & 0xFFFFFFFF
+
+    def take(self, trees: np.ndarray, c: np.ndarray) -> tuple:
+        """The rank integers(c[j]) and the u = random() that tree trees[j] draws next, the
+        trees distinct; a tree with c[j] == 0 draws nothing and gets rank 0 and u 0.0."""
+        pos, drawn = self.pos[trees], c > 0
+        if (low := drawn & (pos > WINDOW - 2)).any():  # a draw takes at most two words
+            self._refill(trees[low].tolist())
+            pos = self.pos[trees]
+        # A tree that draws nothing may read past its window: clip keeps it inside the array.
+        at, c = trees * WINDOW, c.astype(np.uint64)
+        has, word = self.has[trees], self.words.take(at + pos, mode="clip")
+        bounded = c > 1
+        fresh = bounded & ~has
+        x = np.where(has, self.half[trees], word & _LOW32)
+        self.half[trees[fresh]] = word[fresh] >> _32
+        self.has[trees] = has ^ bounded
+        pos += fresh
+        m = x * c  # for c <= 1, x is read but not drawn: the rank is 0 and none is drawn again
+        rank = (m >> _32).astype(np.intp)
+        # (x * c) mod 2^32 < c bounds the threshold, about 1 time in 10^8 at these c
+        for j in np.flatnonzero((m & _LOW32) < c).tolist():
+            i, cj, mj = int(trees[j]), int(c[j]), int(m[j])
+            self.pos[i] = pos[j]
+            while mj & 0xFFFFFFFF < (2**32 - cj) % cj:
+                mj = self._next32(i) * cj
+            if self.pos[i] == WINDOW:
+                self._refill([i])
+            rank[j], pos[j] = mj >> 32, self.pos[i]
+        u = np.where(drawn, (self.words.take(at + pos, mode="clip") >> _11) * 2.0 ** -53, 0.0)
+        self.pos[trees] = pos + drawn
+        return rank, u
+
+    def close(self) -> None:
+        """Leave each generator where drawing one call at a time would have left it: its
+        entry state advanced by the words it used, and its kept half word, which advance
+        clears. Only a tree that draws fetches words, so each delta is positive, the one
+        case advance documents."""
+        used = self.fetched - WINDOW + self.pos
+        for i in np.flatnonzero(self.fetched).tolist():
+            bits = self.bits[i]
+            bits.state = self.entry[i]
+            bits.advance(int(used[i]))
+            state = bits.state
+            state["has_uint32"], state["uinteger"] = int(self.has[i]), int(self.half[i])
+            bits.state = state
+
+
 def _grow(X: np.ndarray, subsamples: np.ndarray, rngs: list, height_limit: int) -> tuple:
-    """Grow tree i over the rows subsamples[i] of X, drawing from rngs[i], all
-    trees together; returns the NODE_DTYPE table of every tree back to back, and their sizes."""
+    """Grow tree i over the rows subsamples[i] of X, drawing from rngs[i] (PCG64
+    Generators, as np.random.default_rng makes), all trees together; returns the
+    NODE_DTYPE table of every tree back to back, and their sizes."""
     n_trees, size = subsamples.shape
     h = height_limit if X.shape[1] else 0  # with no column, every root is a leaf
     XT = np.ascontiguousarray(X.T)  # a step gathers its points as columns of XT
     cap = GATHER_BYTES // (8 * max(X.shape[1], 1))  # points per step
     ramp = np.arange(max(cap, size))  # a step's total and tree count are at most this
     order = subsamples.ravel().copy()
-    integers, random = [g.integers for g in rngs], [g.random for g in rngs]
+    draws = _Draws(rngs)
     # Each tree's pending nodes that may split, the last on top, as (key, start, count):
     # the node with that preorder key holds the points order[start:start + count], and
     # its depth is key & 63. A tree has at most h pending: a right child at each depth
@@ -130,9 +229,7 @@ def _grow(X: np.ndarray, subsamples: np.ndarray, rngs: list, height_limit: int) 
         hi = np.maximum.reduceat(block, offsets, axis=1)
         ranks = (hi > lo).cumsum(axis=0)
         k = ranks[-1]
-        # Each tree's own draws in its own order: the rank of the column, then u.
-        rank, u = np.array([(integers[i](c), random[i]()) if c else (0, 0.0)
-                            for i, c in zip(live.tolist(), k.tolist())]).T
+        rank, u = draws.take(live, k)  # each tree's own draws: its column's rank, then u
         col = (ranks > rank).argmax(axis=0)
         at = ramp[:live.size]
         lo, hi = lo[col, at], hi[col, at]
@@ -154,7 +251,8 @@ def _grow(X: np.ndarray, subsamples: np.ndarray, rngs: list, height_limit: int) 
         height += go_right
         stack[live, height] = np.array([key, start, n_left]).T
         top[live] = height + ((n_left > 1) & deeper)
-    del XT, order, stack
+    draws.close()
+    del XT, order, stack, draws
     taken, thrs = np.concatenate(taken, axis=1), np.concatenate(thrs)  # frees the pieces
     split = taken[5] > 0
     (tree, key, col, n_left, count), thrs = taken[:5, split], thrs[split]
@@ -284,10 +382,14 @@ def build_forest(data, T: int, psi: int, seed: int) -> IsolationForest:
     its subsample, then for each node that may split, in preorder, the rank of
     its column and a uniform u. A tree depends only on the order of its own
     draws, so growing the trees interleaved, one node of each per step, gives
-    the trees that growing them one after another would. Data holding a value,
-    or a column range, that is not a finite number raises NumericParse before
-    any draw.
+    the trees that growing them one after another would. T < 1 or psi < 2 raises
+    ValueError, and data holding a value, or a column range, that is not a
+    finite number raises NumericParse, before any generator is seeded.
     """
+    if T < 1:
+        raise ValueError(f"a forest needs T >= 1 trees, got T={T}")
+    if psi < 2:
+        raise ValueError(f"a forest needs psi >= 2, got psi={psi}")
     X = np.asarray(data, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise InsufficientData("forest construction needs at least 2 points")
@@ -298,7 +400,7 @@ def build_forest(data, T: int, psi: int, seed: int) -> IsolationForest:
     rngs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
             for i in range(T)]
     subsamples = np.array([rng.choice(n, size=eff_psi, replace=False) for rng in rngs],
-                          dtype=np.intp).reshape(len(rngs), eff_psi)
+                          dtype=np.intp)
     return IsolationForest(*_grow(X, subsamples, rngs, height_limit), eff_psi, int(X.shape[1]))
 
 

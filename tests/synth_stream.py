@@ -8,9 +8,16 @@ overlap noise so nothing is perfectly separable. The signal lives in
 columns that a label-correlation ranking should find (flag, src_bytes,
 logged_in, count, serror rates, same_srv_rate, dst_host_srv_count).
 
+Rows are attacks independently at --attack-rate, or with --burst in episodes: a
+two-state chain that enters an attack episode with p = BURST_ENTER after a normal
+row and stays in it with p = BURST_STAY, so that episodes last 1 / (1 - 0.95) = 20
+rows on average and cover 0.02 / (0.02 + 0.05) ~ 0.29 of the rows. Either way the
+row's kind is one rng.random() draw, so a stream without --burst is the same
+stream it was before the option.
+
 Run as a script to write a file:
 
-    python tests/synth_stream.py out.txt --rows 2000 --seed 0 --format nsl-kdd
+    python tests/synth_stream.py out.txt --rows 2000 --seed 0 --format nsl-kdd [--burst]
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ N_FEATURES = 41
 _NORMAL_SERVICES = ["http", "smtp", "ftp_data", "domain_u", "telnet"]
 _ATTACK_SERVICES = ["private", "ecr_i", "http"]
 _ATTACK_NAMES = ["neptune", "smurf", "portsweep"]
+BURST_ENTER, BURST_STAY = 0.02, 0.95
 
 
 def _fmt_rate(x: float) -> str:
@@ -79,12 +87,15 @@ def _attack_features(rng: np.random.Generator) -> list[str]:
 
 
 def synth_lines(n: int, seed: int = 0, format: str = "nsl-kdd",
-                attack_rate: float = 0.35) -> list[str]:
-    """n record lines in the requested format, deterministic in seed."""
+                attack_rate: float = 0.35, burst: bool = False) -> list[str]:
+    """n record lines in the requested format, deterministic in seed. A row is an
+    attack with p = attack_rate, or with burst, BURST_STAY after an attack row and
+    BURST_ENTER after a normal one (the first row follows a normal one)."""
     rng = np.random.default_rng(seed)
-    lines = []
+    lines, attack = [], False
     for _ in range(n):
-        if rng.random() < attack_rate:
+        p = (BURST_STAY if attack else BURST_ENTER) if burst else attack_rate
+        if attack := rng.random() < p:
             feats = _attack_features(rng)
             label = str(rng.choice(_ATTACK_NAMES, p=[0.6, 0.25, 0.15]))
         else:
@@ -98,9 +109,9 @@ def synth_lines(n: int, seed: int = 0, format: str = "nsl-kdd",
 
 
 def write_stream(path, n: int, seed: int = 0, format: str = "nsl-kdd",
-                 attack_rate: float = 0.35) -> None:
+                 attack_rate: float = 0.35, burst: bool = False) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for line in synth_lines(n, seed, format, attack_rate):
+        for line in synth_lines(n, seed, format, attack_rate, burst):
             fh.write(line + "\n")
 
 
@@ -112,7 +123,10 @@ if __name__ == "__main__":
     ap.add_argument("--rows", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--format", choices=("nsl-kdd", "kdd99"), default="nsl-kdd")
-    ap.add_argument("--attack-rate", type=float, default=0.35)
+    kind = ap.add_mutually_exclusive_group()
+    kind.add_argument("--attack-rate", type=float, default=0.35)
+    kind.add_argument("--burst", action="store_true",
+                      help=f"attacks in episodes: enter with p={BURST_ENTER}, stay with p={BURST_STAY}")
     args = ap.parse_args()
-    write_stream(args.out, args.rows, args.seed, args.format, args.attack_rate)
+    write_stream(args.out, args.rows, args.seed, args.format, args.attack_rate, args.burst)
     print(f"wrote {args.rows} rows to {args.out}")

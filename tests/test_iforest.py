@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from arlif import iforest
 from arlif.attention import init_params
 from arlif.detector import forest_bytes, from_bytes, new_detector, to_bytes
 from arlif.errors import CorruptModel, DimensionMismatch, InsufficientData, NumericParse
@@ -14,6 +15,7 @@ from arlif.iforest import (
     NODE_DTYPE,
     IsolationForest,
     _child_keys,
+    _Draws,
     _grow,
     build_forest,
     c_factor,
@@ -220,6 +222,26 @@ def test_forest_guards():
         build_forest(data[:1], T=1, psi=16, seed=0)
 
 
+@pytest.mark.parametrize("T, psi, message", [
+    (0, 16, "T >= 1 trees, got T=0"),
+    (-2, 16, "T >= 1 trees, got T=-2"),
+    (1, 1, "psi >= 2, got psi=1"),
+    (3, 0, "psi >= 2, got psi=0"),
+])
+def test_no_trees_or_a_psi_below_2_is_refused_before_any_generator_is_seeded(
+        monkeypatch, T, psi, message):
+    # An argument fault, not a model-file fault: a plain ValueError, not CorruptModel.
+    data = np.random.default_rng(0).uniform(size=(50, 3))
+
+    def seeded(*args):
+        raise AssertionError("a generator was seeded")
+    monkeypatch.setattr(np.random, "default_rng", seeded)
+    monkeypatch.setattr(iforest, "_Draws", seeded)
+    with pytest.raises(ValueError, match=message) as caught:
+        build_forest(data, T=T, psi=psi, seed=0)
+    assert type(caught.value) is ValueError
+
+
 def test_a_forest_over_no_columns_is_rejected_at_build_time():
     with pytest.raises(CorruptModel, match="one or more features, got 2 trees, 0 features"):
         build_forest(np.zeros((10, 0)), T=2, psi=8, seed=0)
@@ -316,18 +338,18 @@ def _adjacent_floats(rng):
     return 1.0 + rng.integers(0, 4, size=(200, 3)) * np.spacing(1.0)
 
 
-CRAFTED = pytest.mark.parametrize("make, T, psi", [
-    (_ties, 12, 64),
-    (lambda rng: rng.integers(0, 3, size=(200, 5)).astype(float), 10, 128),  # few values
-    (_constant_column_and_duplicates, 9, 128),
-    (_adjacent_floats, 10, 64),
-    (lambda rng: rng.uniform(size=(150, 1)), 15, 32),  # m = 1
-    (lambda rng: rng.uniform(size=(50, 3)), 20, 2),  # psi = 2
-    (lambda rng: rng.uniform(size=(40, 3)), 6, 256),  # psi >= n
-    (lambda rng: rng.uniform(size=(300, 5)), 1, 64),  # T = 1
-    (lambda rng: rng.uniform(size=(60, 3)), 300, 16),  # tree numbers past 255
-], ids=["ties", "few-values", "constant-column-duplicates", "adjacent-floats", "m1", "psi2", "psi-ge-n", "T1",
-        "T300"])
+CRAFTED_CASES = [
+    pytest.param(_ties, 12, 64, id="ties"),
+    pytest.param(lambda rng: rng.integers(0, 3, size=(200, 5)).astype(float), 10, 128, id="few-values"),
+    pytest.param(_constant_column_and_duplicates, 9, 128, id="constant-column-duplicates"),
+    pytest.param(_adjacent_floats, 10, 64, id="adjacent-floats"),
+    pytest.param(lambda rng: rng.uniform(size=(150, 1)), 15, 32, id="m1"),
+    pytest.param(lambda rng: rng.uniform(size=(50, 3)), 20, 2, id="psi2"),
+    pytest.param(lambda rng: rng.uniform(size=(40, 3)), 6, 256, id="psi-ge-n"),
+    pytest.param(lambda rng: rng.uniform(size=(300, 5)), 1, 64, id="T1"),
+    pytest.param(lambda rng: rng.uniform(size=(60, 3)), 300, 16, id="T300"),  # tree numbers past 255
+]
+CRAFTED = pytest.mark.parametrize("make, T, psi", CRAFTED_CASES)
 
 
 @CRAFTED
@@ -356,6 +378,31 @@ def test_the_grower_at_the_default_shape_draws_as_the_recursive_reference(defaul
     records, pre, _ = default_shape
     vectors = [transform(pre, r) for r in records]
     assert same_states(grown_streams(vectors, 100, 256, 0), reference_streams(vectors, 100, 256, 0)[1])
+
+
+# At 4 KiB a step gathers at most 4096 // (8 m) points, 51 at the default shape's m = 10,
+# so that of the steps below 9 in 10 (99 in 100 at the default shape) take only a prefix
+# of the live trees, where at GATHER_BYTES only the thousand-tree memory test does so.
+SMALL_GATHER = 4 << 10
+
+
+@pytest.mark.parametrize("make, T, psi", [c for c in CRAFTED_CASES if c.id in ("few-values", "T300")])
+def test_steps_that_take_a_prefix_of_the_live_trees_grow_the_reference_trees_and_streams(
+        monkeypatch, make, T, psi):
+    monkeypatch.setattr(iforest, "GATHER_BYTES", SMALL_GATHER)
+    X = make(np.random.default_rng(100))
+    trees, rngs = reference_streams(X, T, psi, 0)
+    assert same_trees(build_forest(X, T, psi, 0), trees)
+    assert same_states(grown_streams(X, T, psi, 0), rngs)
+
+
+def test_steps_that_take_a_prefix_of_the_live_trees_at_the_default_shape(monkeypatch, default_shape):
+    records, pre, _ = default_shape
+    vectors = [transform(pre, r) for r in records]
+    monkeypatch.setattr(iforest, "GATHER_BYTES", SMALL_GATHER)
+    trees, rngs = reference_streams(vectors, 100, 256, 0)
+    assert same_trees(build_forest(vectors, 100, 256, 0), trees)
+    assert same_states(grown_streams(vectors, 100, 256, 0), rngs)
 
 
 @pytest.mark.parametrize("n, m, height_limit", [(1, 2, 3), (2, 1, 1), (30, 3, 0), (30, 3, 2),
@@ -411,6 +458,108 @@ def test_a_threshold_lo_plus_range_times_u_is_rng_uniform_bit_for_bit():
     drawn = np.array([a.uniform(l, h) for l, h in zip(lo, hi)])
     u = np.array([b.random() for _ in range(lo.size)])
     assert drawn.tobytes() == (lo + (hi - lo) * u).tobytes()
+
+
+# --- the grower's draw step against numpy's own draws ---------------------------
+
+def numpy_draws(rngs, cs):
+    """Each generator's integers(c) and then random(), one call at a time; c = 0 draws nothing."""
+    return [(int(g.integers(c)), g.random()) if c else (0, 0.0) for g, c in zip(rngs, cs)]
+
+
+def draws_in_steps(rngs, steps):
+    """_Draws over the generators for each step's (trees, counts), then closed."""
+    draws = _Draws(rngs)
+    out = []
+    for trees, cs in steps:
+        rank, u = draws.take(np.asarray(trees, dtype=np.intp), np.asarray(cs, dtype=np.int64))
+        out.append(list(zip(rank.tolist(), u.tolist())))
+    draws.close()
+    return out
+
+
+def same_draws(make_rngs, steps):
+    """_Draws gives each tree what drawing one call at a time gives, bit for bit, and
+    leaves every generator in the same state."""
+    a, b = make_rngs(), make_rngs()
+    expected = [numpy_draws([b[i] for i in trees], cs) for trees, cs in steps]
+    got = draws_in_steps(a, steps)
+    as_bits = lambda draws: [[(r, np.float64(u).tobytes()) for r, u in d] for d in draws]
+    return as_bits(got) == as_bits(expected) and same_states(a, b)
+
+
+def kept_half(rng):
+    """rng with PCG64's 32-bit buffer full: integers(7) uses a low half and keeps the high."""
+    rng.integers(7)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+@pytest.mark.parametrize("kept", [False, True], ids=["nothing-kept", "half-kept"])
+@pytest.mark.parametrize("c", [*range(1, 42), 128, 65_537])
+def test_a_draw_step_is_integers_then_random_bit_for_bit(c, kept):
+    # 70 steps of two words each pass the 64-word window twice.
+    make = lambda: [kept_half(stream(5, i)) if kept else stream(5, i) for i in range(4)]
+    assert same_draws(make, [(range(4), [c] * 4)] * 70)
+
+
+def test_draw_steps_over_any_trees_and_counts_are_each_trees_own_calls():
+    # As in the grower: each step takes some of the trees, each once, with any count,
+    # 0 (a leaf: no draw) and 1 (no rank drawn) among them.
+    src = np.random.default_rng(44)
+    counts = [0, 1, 2, 3, 5, 10, 41, 128, 65_537, 2**31 + 1]
+    steps = []
+    for _ in range(300):
+        trees = src.permutation(12)[:src.integers(1, 13)]
+        steps.append((trees, src.choice(counts, size=trees.size)))
+    assert same_draws(lambda: [kept_half(stream(6, i)) if i % 3 else stream(6, i) for i in range(12)],
+                      steps)
+
+
+PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
+M64, M128 = (1 << 64) - 1, (1 << 128) - 1
+
+
+def xsl_rr_state(word, hi):
+    """A 128-bit PCG64 state whose XSL-RR output is word: the output is hi ^ lo rotated
+    right by hi's top 6 bits, so lo is hi ^ word rotated left by them."""
+    rot = hi >> 58
+    return hi << 64 | (hi ^ ((word << rot | word >> (64 - rot)) & M64))
+
+
+def emitting(*words, kept=None):
+    """A PCG64 generator whose next raw words are these one or two words, and whose
+    32-bit buffer holds kept (or nothing). PCG64 steps its LCG, state * MULTIPLIER + inc
+    mod 2^128, and outputs the new state's XSL-RR; so the state before the first word is
+    (after - inc) / MULTIPLIER, and a second word fixes the (odd) inc."""
+    after, inc = xsl_rr_state(words[0], 0x9E3779B97F4A7C15), stream(0, 0).bit_generator.state["state"]["inc"]
+    if len(words) == 2:
+        hi = 0xC2B2AE3D27D4EB4F
+        if not (xsl_rr_state(words[1], hi) - after * PCG64_MULTIPLIER) & 1:
+            hi ^= 1  # flips the low bit of the next state, and so the parity of inc
+        inc = (xsl_rr_state(words[1], hi) - after * PCG64_MULTIPLIER) & M128
+    bits = np.random.PCG64()
+    bits.state = {"bit_generator": "PCG64",
+                  "state": {"state": (after - inc) * pow(PCG64_MULTIPLIER, -1, 1 << 128) & M128, "inc": inc},
+                  "has_uint32": int(kept is not None), "uinteger": kept or 0}
+    return np.random.Generator(bits)
+
+
+@pytest.mark.parametrize("words, kept, window", [
+    ((0xDEADBEEF << 32,), None, 64),  # a fresh word's low half is 0; the high half it keeps is drawn
+    ((0x89ABCDEF12345678,), 0, 64),  # the kept half is 0; a fresh word's low half is drawn
+    ((0,), 0, 2),  # three zero halves: the draw takes the word that ends the window, u the next
+    ((0, 0), None, 2),  # four zero halves: the window is used up within the draw
+], ids=["low-half", "kept-half", "window-ends-after", "window-ends-within"])
+def test_lemire_draws_again_below_its_threshold_as_numpy_does(monkeypatch, words, kept, window):
+    # For c = 3 the threshold is (2^32 - 3) mod 3 = 1: an x of 0 gives x * 3 mod 2^32 = 0 and
+    # is drawn again, and no other x is.
+    assert (2**32 - 3) % 3 == 1
+    make = lambda: emitting(*words, kept=kept)
+    assert make().bit_generator.random_raw(len(words)).tolist() == list(words)
+    monkeypatch.setattr(iforest, "WINDOW", window)
+    for cs in ([3], [3, 3, 2, 1, 3]):  # the first ends where the kept half is used, not cleared
+        assert same_draws(lambda: [make()], [([0], [c]) for c in cs])
 
 
 @pytest.mark.parametrize("column, message", [
