@@ -22,11 +22,11 @@ reals throughout:
                 psi u32 | m u32 | tau f64 | forest_tau f64 | eta f64 | samples_seen u64
     pre         selected m*u32 | min_max 41*2 f64 | vocab: per categorical
                 column count u32 then (len u32 + utf-8 bytes) per token
-    forest      four columns of the forest's one node table, every tree in preorder
-                and the trees back to back: each tree's node count, T*u32; each
-                node's feature, n*i8, -1 for a leaf; each node's right child (its
-                offset in its tree) or leaf size, n*u16, or n*u32 when psi > 32767;
-                then each internal node's threshold, f64, in table order
+    forest      IsolationForest's four columns, every tree in preorder and the
+                trees back to back: each tree's node count, T*u32; each node's
+                feature, n*i8, -1 for a leaf; each node's right child (its offset
+                in its tree) or leaf size, n*u16, or n*u32 when psi > 32767; then
+                each internal node's threshold, f64, in node order
     attention   params: AttentionParams.flat, 3k(k+1) f64 (Wq, Wk, Wv k*k
                 each, then bq, bk, bv k each); histories (T*k f64)
     trailer     CRC-32 (zlib.crc32) of every byte before it, u32
@@ -58,7 +58,7 @@ from .errors import (
     TruncatedFile,
     VersionUnsupported,
 )
-from .iforest import NODE_DTYPE, IsolationForest, forest_probas
+from .iforest import IsolationForest, forest_probas
 from .ingest import CATEGORICAL_COLUMNS, N_FEATURES, Preprocessor, Record, transform
 
 # Rows per call of every row loop, read only by blocks(): train_online's and
@@ -276,14 +276,14 @@ def _offset_dtype(psi: int) -> str:
 
 
 def forest_bytes(forest: IsolationForest) -> bytes:
-    """The forest segment exactly as it appears inside a model file. A leaf's
-    threshold is +0.0 (IsolationForest's rule), so only internal ones are kept."""
+    """The forest segment exactly as it appears inside a model file: the forest's
+    four columns, each in the file's type."""
     if forest.n_features > 128:
         raise DimensionMismatch(f"a model file holds a feature in one signed byte, so at "
                                 f"most 128 features, got {forest.n_features}")
-    f, t, r = (forest.nodes[name] for name in NODE_DTYPE.names)
-    return b"".join([forest.sizes.astype("<u4").tobytes(), f.astype("i1").tobytes(),
-                     r.astype(_offset_dtype(forest.psi)).tobytes(), t[f >= 0].tobytes()])
+    return b"".join([forest.sizes.astype("<u4").tobytes(), forest.feature.astype("i1").tobytes(),
+                     forest.right.astype(_offset_dtype(forest.psi)).tobytes(),
+                     forest.threshold.astype("<f8", copy=False).tobytes()])
 
 
 def attention_params_bytes(params: AttentionParams) -> bytes:
@@ -394,13 +394,8 @@ def from_bytes(data: bytes) -> Detector:
     sizes = rd.array("<u4", T)
     f = rd.array("i1", int(sizes.sum()))
     r = rd.array(_offset_dtype(psi), f.size)
-    inner = f >= 0
-    t = rd.array("<f8", int(np.count_nonzero(inner)))
-    nodes = np.zeros(f.size, dtype=NODE_DTYPE)  # a leaf's threshold stays +0.0
-    nodes["f"], nodes["r"] = f, r
-    nodes["t"][inner] = t
-    del inner  # the constructor's own temporaries set the load's peak
-    forest = IsolationForest(nodes, sizes, psi, m)
+    t = rd.array("<f8", int(np.count_nonzero(f >= 0)))
+    forest = IsolationForest(sizes, f, r, t, psi, m)
 
     params = AttentionParams(rd.array("<f8", param_count(k)).copy(), k)
     histories = rd.array("<f8", T * k).reshape(T, k).copy()

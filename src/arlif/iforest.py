@@ -13,16 +13,16 @@ own generator, bit for bit what one Generator call per draw gives. Every node
 carries its preorder key (_child_keys), and after the last step one sort of the
 roots and the splits' children on (tree, key) lays every tree out in preorder.
 
-A forest is one NODE_DTYPE table, its trees back to back in preorder, and their
-sizes; a model file holds the table's fields as columns in this order, and of the
-thresholds only the internal nodes' (detector.forest_bytes). IsolationForest
-checks it by giving each node the key of the walk that reaches it: a table is
-accepted only if every node is reached once and the keys rise along each tree. It
-derives walk tables from it once (each node's feature, threshold and two successors,
-a leaf leading to itself, and each leaf's path length and probability, its depth
-read from its key), so one walk of height_limit steps, 1-D takes from the tables
-and a flat C-order copy of the points, reaches every tree's leaf for a point or a
-block.
+A forest is the four columns of its model file (detector.forest_bytes), its trees
+back to back in preorder: each tree's node count, each node's feature and right
+child or leaf size, and the internal nodes' thresholds. IsolationForest keeps its
+own copies and checks them by giving each node the key of the walk that reaches
+it: a forest is accepted only if every node is reached once and the keys rise along
+each tree. It derives walk tables from them once (each node's threshold, +0.0 at a
+leaf, and two successors, a leaf leading to itself, and each leaf's path length and
+probability, its depth read from its key), so one walk of height_limit steps, 1-D
+takes from the tables and a flat C-order copy of the points, reaches every tree's
+leaf for a point or a block.
 
 path_length is unused here: the benchmark's mean_path_length calls it, and it
 moves to tests/reference.py with the next benchmark change (ROADMAP item 1).
@@ -38,12 +38,6 @@ import numpy as np
 from .errors import CorruptModel, DimensionMismatch, InsufficientData, NumericParse
 
 EULER_GAMMA = 0.5772156649
-
-# Node j is a leaf iff f < 0. Trees are in preorder, so an internal node's left
-# child is j + 1: it holds its feature f, threshold t and tree-relative right
-# child r. A leaf holds f = -1, t = +0.0 and its size in r. Depth is derived at
-# load from the walk, so a forest has exactly one serialized form.
-NODE_DTYPE = np.dtype([("f", "<i4"), ("t", "<f8"), ("r", "<u4")], align=False)
 
 # A step of the grower gathers the points of the nodes it splits, as many trees' nodes as
 # fit in this many bytes (one node alone may take more), so that its working memory
@@ -192,8 +186,8 @@ class _Draws:
 
 def _grow(X: np.ndarray, subsamples: np.ndarray, rngs: list, height_limit: int) -> tuple:
     """Grow tree i over the rows subsamples[i] of X, drawing from rngs[i] (PCG64
-    Generators, as np.random.default_rng makes), all trees together; returns the
-    NODE_DTYPE table of every tree back to back, and their sizes."""
+    Generators, as np.random.default_rng makes), all trees together; returns
+    IsolationForest's four columns: sizes, feature, right and threshold."""
     n_trees, size = subsamples.shape
     h = height_limit if X.shape[1] else 0  # with no column, every root is a leaf
     XT = np.ascontiguousarray(X.T)  # a step gathers its points as columns of XT
@@ -272,23 +266,24 @@ def _grow(X: np.ndarray, subsamples: np.ndarray, rngs: list, height_limit: int) 
     where = np.empty_like(table)  # each node's index in the table
     where[table] = np.arange(table.size)
     del table
-    nodes = np.empty(where.size, dtype=NODE_DTYPE)
-    f, t, r = (nodes[name] for name in NODE_DTYPE.names)
-    f.fill(-1)
-    t.fill(0.0)
-    r[where] = np.concatenate([np.full(n_trees, size), n_left, count - n_left])
-    # A split comes just before its left child; its r is its right child's place in its tree.
+    feature = np.full(where.size, -1, dtype=np.intp)
+    right = np.empty(where.size, dtype=np.uint32)
+    right[where] = np.concatenate([np.full(n_trees, size), n_left, count - n_left])
+    # A split comes just before its left child; its right is its right child's place in its tree.
     g = where[n_trees:n_trees + n] - 1
-    f[g], t[g], r[g] = col, thrs, where[n_trees + n:] - where[tree]
-    return nodes, sizes
+    feature[g], right[g] = col, where[n_trees + n:] - where[tree]
+    return sizes, feature, right, thrs[g.argsort()]
 
 
 @dataclass(eq=False)
 class IsolationForest:
-    """T frozen trees and their walk tables; bad nodes, sizes, psi or n_features: CorruptModel."""
+    """T frozen trees and their walk tables; bad columns, psi or n_features: CorruptModel.
+    Depth is derived from the walk, so a forest has exactly one serialized form."""
 
-    nodes: np.ndarray  # NODE_DTYPE records, every tree back to back in preorder
-    sizes: np.ndarray  # each tree's record count, in tree order
+    sizes: np.ndarray  # each tree's node count; the trees are back to back, each in preorder
+    feature: np.ndarray  # node j's, or -1 if it is a leaf; an internal node's left child is j + 1
+    right: np.ndarray  # an internal node's right child, its offset in its tree; a leaf's size
+    threshold: np.ndarray  # the internal nodes' thresholds, in node order
     psi: int  # effective subsample size
     n_features: int
     c_psi: float = field(init=False)
@@ -304,21 +299,27 @@ class IsolationForest:
 
     def __post_init__(self):
         self.height_limit = h = self.height_limit_for(self.psi)
-        self.sizes = sizes = np.asarray(self.sizes, dtype=np.intp)
-        rec = self.nodes
+        # copies of their own, so that a loaded forest holds no view of the file
+        self.sizes = sizes = np.array(self.sizes, dtype=np.intp)
+        self.feature = f = np.array(self.feature, dtype=np.intp)
+        self.right = r = np.array(self.right, dtype=np.uint32)
+        self.threshold = t = np.array(self.threshold, dtype=np.float64)
         if not sizes.size or sizes.min() < 1 or self.n_features < 1:
             raise CorruptModel(f"a forest needs nonempty trees over one or more features, "
                                f"got {sizes.size} trees, {self.n_features} features")
-        if sizes.sum() != rec.size:
-            raise CorruptModel(f"tree sizes add up to {sizes.sum()}, not the {rec.size} nodes")
+        if not (n := int(sizes.sum()),) == f.shape == r.shape:
+            raise CorruptModel(f"tree sizes add up to {n}, not the {f.size} nodes: features "
+                               f"of shape {f.shape}, right children {r.shape}")
+        inner = f >= 0
+        if t.shape != (np.count_nonzero(inner),):
+            raise CorruptModel(f"{np.count_nonzero(inner)} internal nodes need as many "
+                               f"thresholds, got shape {t.shape}")
         self.c_psi, self.n_trees = c_factor(self.psi), sizes.size
 
         # j is a node's index in the table, base its tree's root
         roots = np.cumsum(sizes) - sizes
-        f, t, r = rec["f"].astype(np.intp), rec["t"].copy(), rec["r"].copy()
-        j = np.arange(rec.size, dtype=np.intp)
+        j = np.arange(n, dtype=np.intp)
         base = np.repeat(roots, sizes)
-        inner = f >= 0
         # A leaf links to itself (after reading x[-1]), so every walk takes h steps.
         left, right = j + inner, np.where(inner, base + r, j)
 
@@ -333,11 +334,10 @@ class IsolationForest:
         reject(bad, "children must satisfy j + 1 < right < n_nodes")
         del j, base, bad
         reject(inner & (f >= self.n_features), f"feature outside [0, {self.n_features})")
-        # f is -1, t is +0.0 bit for bit, and the size at most psi
-        reject(~inner & ~((f == -1) & (t.view(np.uint64) == 0) & (r <= self.psi)),
-               "non-canonical leaf")
+        # f is -1 and the size at most psi
+        reject(~inner & ~((f == -1) & (r <= self.psi)), "non-canonical leaf")
 
-        key = np.full(rec.size, -1, dtype=np.int64)  # each node's preorder key, -1 if never reached
+        key = np.full(n, -1, dtype=np.int64)  # each node's preorder key, -1 if never reached
         key[roots] = 0
         level, visits = roots, roots.size  # the nodes the walk reaches in 0, 1, ..., h steps
         for depth in range(1, h + 1):
@@ -345,7 +345,7 @@ class IsolationForest:
             kids = np.concatenate([level + 1, right[level]])  # the left children, then the right
             key[kids[:level.size]], key[kids[level.size:]] = _child_keys(key[level], depth, h)
             level = kids
-            if (visits := visits + level.size) > rec.size:
+            if (visits := visits + level.size) > n:
                 raise CorruptModel("a node has more than one parent")
         if inner[level].any():
             raise CorruptModel(f"a leaf is not reached within {h} steps")
@@ -355,7 +355,8 @@ class IsolationForest:
         falls[roots] = False
         reject(falls, "nodes are not one tree in preorder")
         # the walk's tables, indices in intp, which take reads without a cast
-        self._roots, self._feature, self._threshold = roots, f, t
+        self._roots, self._threshold = roots, np.zeros(n)
+        self._threshold[inner] = t
         self._next = np.stack([right, left], axis=1, dtype=np.intp).ravel()
         del left, right
 
@@ -363,16 +364,18 @@ class IsolationForest:
         # ** per distinct (depth, size): numpy's vectorized ** may differ in the last ulp.
         leaf = np.flatnonzero(~inner)
         keys, slots = np.unique((key[leaf] & 63) << 32 | r[leaf], return_inverse=True)
-        self._slot = np.zeros(rec.size, dtype=np.intp)
+        self._slot = np.zeros(n, dtype=np.intp)
         self._slot[leaf] = slots
         paths = [kd + c_factor(ks) for kd, ks in (divmod(k, 1 << 32) for k in keys.tolist())]
         self._path = np.array(paths)
         self._proba = np.array([2.0 ** (-p / self.c_psi) for p in paths])
 
     @property
-    def trees(self) -> tuple[np.ndarray, ...]:
-        """Each tree's records, views into nodes made on each read; for tree oracles."""
-        return tuple(np.split(self.nodes, self._roots[1:]))
+    def trees(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Each tree's (feature, threshold, right), a leaf's threshold +0.0: views made
+        on each read, for tree oracles."""
+        return tuple(zip(*(np.split(c, self._roots[1:])
+                           for c in (self.feature, self._threshold, self.right))))
 
 
 def build_forest(data, T: int, psi: int, seed: int) -> IsolationForest:
@@ -417,7 +420,7 @@ def _leaf_slots(forest: IsolationForest, X) -> np.ndarray:
     if X.ndim == 2:  # every point starts at every root; point i's features start at i * m
         j, rows = np.broadcast_to(j, (len(X), j.size)), np.arange(0, X.size, m)[:, None]
     for _ in range(forest.height_limit):
-        f = forest._feature.take(j)
+        f = forest.feature.take(j)
         if rows is not None:
             f += rows
         step = j + j  # _next[2j] if x >= t, else _next[2j + 1]
@@ -447,9 +450,9 @@ def forest_score(forest: IsolationForest, X):
     return np.array([2.0 ** x for x in e.tolist()])
 
 
-def path_length(tree: np.ndarray, x) -> float:
-    """Steps to the leaf reached by x, plus c_factor(leaf size)."""
-    feature, threshold, right = tree["f"], tree["t"], tree["r"]
+def path_length(tree: tuple, x) -> float:
+    """Steps to the leaf x reaches in a tree of IsolationForest.trees, plus c_factor(its size)."""
+    feature, threshold, right = tree
     j = depth = 0
     while feature[j] >= 0:
         j = j + 1 if x[feature[j]] < threshold[j] else right[j]

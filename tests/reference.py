@@ -7,8 +7,12 @@ textbook row softmax, the attention readout, its gradient and a learn loop
 built on it, a record parser that converts one cell at a time, a record file
 reader that splits lines by Python's own line iteration, with no cap, and a
 string encoder with transform's scaling over rows split into their text fields.
-forest_of joins hand-made trees into a forest, and build_tree runs the
-package's grower on one tree, for the tests that grow one.
+
+A tree here is the triple IsolationForest.trees yields, (feature, threshold,
+right) arrays in preorder, a leaf's threshold 0.0; tree_of makes one from node
+tuples. columns gives the forest columns of trees, forest_of joins them into a
+forest, and build_tree runs the package's grower on one tree, for the tests that
+grow one.
 """
 
 from __future__ import annotations
@@ -19,12 +23,28 @@ import numpy as np
 
 from arlif.attention import EPS, AttentionParams
 from arlif.errors import ArlifError, NotUtf8, NumericParse
-from arlif.iforest import NODE_DTYPE, IsolationForest, _check_finite, _grow, c_factor
+from arlif.iforest import IsolationForest, _check_finite, _grow, c_factor
 from arlif.ingest import parse_record
 
 
-def recursive_tree(subsample, rng, height_limit: int) -> np.ndarray:
-    """One isolation tree grown by recursion, node by node, as NODE_DTYPE records.
+def tree_of(*nodes) -> tuple:
+    """The tree of these (feature, threshold, right child) internal and (-1, 0.0, size)
+    leaf tuples, in preorder, as a (feature, threshold, right) triple of arrays in
+    IsolationForest's types."""
+    f, t, r = zip(*nodes)
+    return np.array(f, np.intp), np.array(t, np.float64), np.array(r, np.uint32)
+
+
+def columns(trees) -> tuple:
+    """The forest columns of these trees: each tree's node count, every node's feature
+    and right, back to back, then the internal nodes' thresholds."""
+    f, t, r = (np.concatenate([np.empty(0, dtype), *(tree[i] for tree in trees)])
+               for i, dtype in enumerate((np.intp, np.float64, np.uint32)))
+    return [len(tree[0]) for tree in trees], f, r, t[f >= 0]
+
+
+def recursive_tree(subsample, rng, height_limit: int) -> tuple:
+    """One isolation tree grown by recursion, node by node.
 
     A node becomes a leaf when it holds <= 1 point, sits at the height limit,
     or is constant in every column; otherwise it splits on a uniformly random
@@ -53,11 +73,11 @@ def recursive_tree(subsample, rng, height_limit: int) -> np.ndarray:
         return node
 
     grow(np.arange(X.shape[0]), 0)
-    return np.array(nodes, dtype=NODE_DTYPE)
+    return tree_of(*nodes)
 
 
-def build_tree(subsample, rng: np.random.Generator, height_limit: int) -> np.ndarray:
-    """The package's grower on one tree over the subsample: its NODE_DTYPE records.
+def build_tree(subsample, rng: np.random.Generator, height_limit: int) -> tuple:
+    """The package's grower on one tree over the subsample, as a tree.
 
     A node becomes a leaf when it holds <= 1 point, sits at the height
     limit, or is constant in every column; otherwise split on a uniformly
@@ -69,32 +89,36 @@ def build_tree(subsample, rng: np.random.Generator, height_limit: int) -> np.nda
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("subsample must be a non-empty 2-d array of vectors")
     _check_finite(X)
-    return _grow(X, np.arange(X.shape[0])[None], [rng], height_limit)[0]
+    _, f, r, thresholds = _grow(X, np.arange(X.shape[0])[None], [rng], height_limit)
+    t = np.zeros(f.size)
+    t[f >= 0] = thresholds
+    return f, t, r
 
 
 def forest_of(trees, psi: int, n_features: int) -> IsolationForest:
-    """The forest whose node table is the trees (NODE_DTYPE arrays) back to back."""
-    nodes = np.concatenate([np.empty(0, NODE_DTYPE), *trees])
-    return IsolationForest(nodes, [len(t) for t in trees], psi, n_features)
+    """The forest of these trees, back to back."""
+    return IsolationForest(*columns(trees), psi, n_features)
 
 
 def recursive_path(tree, x, node=0, depth=0) -> float:
-    """Path length of x in one tree (a NODE_DTYPE array in preorder): edges to
-    the leaf it reaches, plus c_factor(leaf size), by naive recursion."""
-    if tree["f"][node] < 0:
-        return depth + c_factor(int(tree["r"][node]))
-    if x[tree["f"][node]] < tree["t"][node]:
+    """Path length of x in one tree: edges to the leaf it reaches, plus
+    c_factor(leaf size), by naive recursion."""
+    f, t, r = tree
+    if f[node] < 0:
+        return depth + c_factor(int(r[node]))
+    if x[f[node]] < t[node]:
         return recursive_path(tree, x, node + 1, depth + 1)
-    return recursive_path(tree, x, tree["r"][node], depth + 1)
+    return recursive_path(tree, x, r[node], depth + 1)
 
 
 def leaf_depths(tree, node=0, depth=0) -> dict:
-    """Each leaf of one tree (a NODE_DTYPE array in preorder) and its depth,
-    {leaf index: edges from the root}, by the same naive recursion."""
-    if tree["f"][node] < 0:
+    """Each leaf of one tree and its depth, {leaf index: edges from the root}, by
+    the same naive recursion."""
+    f, _, r = tree
+    if f[node] < 0:
         return {node: depth}
     return {**leaf_depths(tree, node + 1, depth + 1),
-            **leaf_depths(tree, tree["r"][node], depth + 1)}
+            **leaf_depths(tree, r[node], depth + 1)}
 
 
 def tree_proba(tree, x, c_psi: float) -> float:

@@ -22,10 +22,10 @@ from arlif.cli import main
 from arlif.detector import (BLOCK, _HEADER, attention_params_bytes, forest_bytes, load_model,
                             observe, to_bytes)
 from arlif.errors import ArlifError
-from arlif.iforest import NODE_DTYPE
 from arlif.ingest import load_records, parse_record
 from arlif.metrics import evaluate, replay, tune_threshold
 from conftest import sealed
+from reference import columns, tree_of
 from synth_stream import synth_lines, write_stream
 
 SMALL = ["--trees", "10", "--psi", "64", "-m", "6", "-k", "4",
@@ -286,14 +286,13 @@ def with_header(data, **fields):
 
 
 def forest_columns(trees):
-    """A forest segment of these NODE_DTYPE trees, each field cast as it stands, with no
-    check (forest_bytes takes only a forest that loads): each tree's node count, every
-    node's feature as i1 and its r as u2 (each crafted file's psi is at most 32767), then
-    the thresholds of the nodes whose feature is not negative."""
-    nodes = np.concatenate([np.empty(0, NODE_DTYPE), *trees])
-    return b"".join([np.array([len(t) for t in trees], "<u4").tobytes(),
-                     nodes["f"].astype("i1").tobytes(), nodes["r"].astype("<u2").tobytes(),
-                     nodes["t"][nodes["f"] >= 0].tobytes()])
+    """A forest segment of these (feature, threshold, right) trees, each column cast as it
+    stands, with no check (forest_bytes takes only a forest that loads): each tree's node
+    count, every node's feature as i1 and its right as u2 (each crafted file's psi is at
+    most 32767), then the thresholds of the nodes whose feature is not negative."""
+    sizes, f, r, t = columns(trees)
+    return b"".join([np.array(sizes, "<u4").tobytes(), f.astype("i1").tobytes(),
+                     r.astype("<u2").tobytes(), t.astype("<f8").tobytes()])
 
 
 def forest_start(data, det):
@@ -316,18 +315,19 @@ def with_size0(data, det, size):
 def every_node_internal(data, det):
     """The file with every node's feature byte set to 0, so that each node claims a
     threshold; the thresholds column holds only the internal nodes' ones."""
-    start, n = forest_start(data, det) + 4 * det.forest.n_trees, det.forest.nodes.size
+    start, n = forest_start(data, det) + 4 * det.forest.n_trees, det.forest.feature.size
     return data[:start] + bytes(n) + data[start + n:]
 
 
 def with_tree0(data, det, **node0_fields):
-    """The file with tree 0's first internal node (or first leaf) edited."""
-    tree = det.forest.trees[0].copy()
+    """The file with tree 0's first internal node (or first leaf) edited: its feature f
+    or its right r."""
+    tree = dict(zip("ftr", (c.copy() for c in det.forest.trees[0])))
     leaf = "leaf" in node0_fields and node0_fields.pop("leaf")
     j = int(np.flatnonzero((tree["f"] < 0) == leaf)[0])
     for name, value in node0_fields.items():
         tree[name][j] = value
-    return with_trees(data, det, [tree, *det.forest.trees[1:]])
+    return with_trees(data, det, [tuple(tree.values()), *det.forest.trees[1:]])
 
 
 def too_deep(data, det):
@@ -336,21 +336,20 @@ def too_deep(data, det):
     depth = det.forest.height_limit + 1
     chain = [(0, 0.5, 2 * depth - i) for i in range(depth)]
     leaves = [(-1, 0.0, 1)] * (depth + 1)
-    tree = np.array(chain + leaves, dtype=NODE_DTYPE)
-    return with_trees(data, det, [tree, *det.forest.trees[1:]])
+    return with_trees(data, det, [tree_of(*chain, *leaves), *det.forest.trees[1:]])
 
 
 def unreached_leaf(data, det):
     """Tree 0 with one more leaf after its last node, which no walk reaches."""
-    tree = np.concatenate([det.forest.trees[0], np.array([(-1, 0.0, 1)], dtype=NODE_DTYPE)])
+    tree = [np.append(c, v) for c, v in zip(det.forest.trees[0], (-1, 0.0, 1))]
     return with_trees(data, det, [tree, *det.forest.trees[1:]])
 
 
 def out_of_preorder(data, det):
     """Tree 0 replaced by a tree whose root's right child (node 3) sits between
     the nodes of its left subtree (1, 2 and 4)."""
-    nodes = [(0, 0.5, 3), (0, 0.25, 4), (-1, 0.0, 1), (-1, 0.0, 1), (-1, 0.0, 1)]
-    return with_trees(data, det, [np.array(nodes, dtype=NODE_DTYPE), *det.forest.trees[1:]])
+    tree = tree_of((0, 0.5, 3), (0, 0.25, 4), (-1, 0.0, 1), (-1, 0.0, 1), (-1, 0.0, 1))
+    return with_trees(data, det, [tree, *det.forest.trees[1:]])
 
 
 def selected(data, det, values):
@@ -395,13 +394,13 @@ CRAFTED = {
     "nodes_past_payload": (lambda b, d: with_size0(b, d, 2 ** 32 - 1), "needed"),
     "thresholds_past_payload": (every_node_internal, "needed"),
     "window_zero": (without_attention, "window k >= 1 (got 0)"),
-    "tree_without_nodes": (lambda b, d: with_trees(b, d, [d.forest.trees[0][:0],
+    "tree_without_nodes": (lambda b, d: with_trees(b, d, [[c[:0] for c in d.forest.trees[0]],
                                                           *d.forest.trees[1:]]), "nonempty trees"),
     "child_not_after_parent": (lambda b, d: with_tree0(b, d, r=0), "j + 1 < right"),
     "right_child_is_left": (lambda b, d: with_tree0(b, d, r=1), "j + 1 < right"),
-    "child_past_end": (lambda b, d: with_tree0(b, d, r=len(d.forest.trees[0])), "< n_nodes"),
+    "child_past_end": (lambda b, d: with_tree0(b, d, r=d.forest.sizes[0]), "< n_nodes"),
     "feature_out_of_range": (lambda b, d: with_tree0(b, d, f=d.pre.m), "feature outside"),
-    # A leaf's threshold has no place in the file; IsolationForest's tests keep its rule.
+    # A leaf has no threshold in the file, so a leaf's rules are its feature and its size.
     "leaf_feature_minus_two": (lambda b, d: with_tree0(b, d, leaf=True, f=-2),
                                "non-canonical leaf"),
     "leaf_negative_size": (lambda b, d: with_tree0(b, d, leaf=True, r=2**32 - 1),  # -1 as u4
@@ -456,7 +455,7 @@ def wide_model(cli_env):
     """A crafted file of 20,000 single-leaf trees at psi 2 and k 10. It loads, and the
     T x T logits of one history matrix alone would take 3.2 GB."""
     data, det = cli_env["model"].read_bytes()[:-4], load_model(cli_env["model"])
-    T, k, leaf = 20_000, 10, np.array([(-1, 0.0, 1)], dtype=NODE_DTYPE)
+    T, k, leaf = 20_000, 10, tree_of((-1, 0.0, 1))
     data = with_trees(with_header(data, T=T, psi=2, k=k), det, [leaf] * T)
     params, histories = np.zeros(arlif.attention.param_count(k)), np.full(T * k, 0.5)
     attention = np.concatenate([params, histories]).astype("<f8")

@@ -44,11 +44,11 @@ from arlif.errors import (
     TruncatedFile,
     VersionUnsupported,
 )
-from arlif.iforest import NODE_DTYPE, build_forest, forest_probas
+from arlif.iforest import build_forest, forest_probas
 from arlif.ingest import CATEGORICAL_COLUMNS, N_FEATURES, fit_preprocessor, transform
 from arlif.metrics import evaluate
 from conftest import sealed, synth_records
-from reference import attention_readout, forest_of, learn_loop, tree_proba
+from reference import attention_readout, forest_of, learn_loop, tree_of, tree_proba
 
 
 def mk_detector(pipe, k=4, tau=0.5, eta=0.05, seed=0, scale=0.01):
@@ -813,16 +813,21 @@ def forest_columns(data):
     return sizes, f, r, t
 
 
+def held(forest):
+    """The four columns a forest holds, in file order."""
+    return forest.sizes, forest.feature, forest.right, forest.threshold
+
+
 def test_a_loaded_forest_is_the_files_columns_in_one_node_table(pipe):
     data = to_bytes(mk_detector(pipe, k=3))
-    sizes, f, r, t = forest_columns(data)
-    forest = from_bytes(data).forest
-    assert forest.sizes.tolist() == sizes.tolist() and len(sizes) == 10
-    nodes = forest.nodes
-    assert nodes["f"].tolist() == f.tolist() and nodes["r"].tolist() == r.tolist()
-    assert nodes["t"][f >= 0].tobytes() == t.tobytes()
-    assert not nodes["t"][f < 0].view(np.uint64).any()  # every leaf's threshold is +0.0
-    assert nodes.tobytes() == pipe[3].nodes.tobytes()
+    in_file = forest_columns(data)
+    loaded = held(from_bytes(data).forest)
+    assert [c.tolist() for c in loaded] == [c.tolist() for c in in_file] and len(in_file[0]) == 10
+    assert loaded[3].tobytes() == in_file[3].tobytes()
+    assert [c.dtype for c in loaded] == [np.intp, np.intp, np.uint32, np.float64]
+    # copies of its own: the forest keeps no view of the file's bytes
+    assert not any(np.may_share_memory(c, np.frombuffer(data, np.uint8)) for c in loaded)
+    assert [c.tobytes() for c in loaded] == [c.tobytes() for c in held(pipe[3])]
 
 
 def file_length(det):
@@ -831,17 +836,17 @@ def file_length(det):
     psi > 32767), 8 per internal node's threshold, the attention segment, the trailer."""
     vocab = sum(4 + sum(4 + len(tok.encode()) for tok in toks) for toks in det.pre.vocab.values())
     pre = 4 * det.pre.m + 8 * 2 * N_FEATURES + vocab
-    nodes, w = det.forest.nodes, 2 if det.forest.psi <= 32767 else 4
-    forest = 4 * det.forest.n_trees + (1 + w) * nodes.size + 8 * int((nodes["f"] >= 0).sum())
+    f, w = det.forest.feature, 2 if det.forest.psi <= 32767 else 4
+    forest = 4 * det.forest.n_trees + (1 + w) * f.size + 8 * int((f >= 0).sum())
     attention = len(attention_params_bytes(det.params)) + det.histories.nbytes
     return _HEADER.size + pre + forest + attention + 4
 
 
 def wide_psi_detector(pipe):
     """The pipe's trees at psi 100,000, with one more tree whose leaf of 70,000 points
-    does not fit the 16 bits that r takes at psi <= 32767."""
+    does not fit the 16 bits that right takes at psi <= 32767."""
     _, pre, _, forest = pipe
-    big = np.array([(0, 0.5, 2), (-1, 0.0, 30_000), (-1, 0.0, 70_000)], dtype=NODE_DTYPE)
+    big = tree_of((0, 0.5, 2), (-1, 0.0, 30_000), (-1, 0.0, 70_000))
     wide = forest_of([*forest.trees, big], psi=100_000, n_features=forest.n_features)
     return new_detector(wide, init_params(3, seed=0), pre)
 
@@ -855,8 +860,8 @@ def test_a_forest_past_psi_32767_saves_loads_and_resaves_byte_for_byte(pipe):
     det = wide_psi_detector(pipe)
     data = to_bytes(det)
     clone = from_bytes(data)
-    assert clone.forest.psi == 100_000 and clone.forest.nodes["r"][-1] == 70_000
-    assert clone.forest.nodes.tobytes() == det.forest.nodes.tobytes()
+    assert clone.forest.psi == 100_000 and clone.forest.right[-1] == 70_000
+    assert [c.tobytes() for c in held(clone.forest)] == [c.tobytes() for c in held(det.forest)]
     assert to_bytes(clone) == data
 
 

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 import pickle
 import tracemalloc
@@ -12,7 +13,6 @@ from arlif.detector import forest_bytes, from_bytes, new_detector, to_bytes
 from arlif.errors import CorruptModel, DimensionMismatch, InsufficientData, NumericParse
 from arlif.iforest import (
     EULER_GAMMA,
-    NODE_DTYPE,
     IsolationForest,
     _child_keys,
     _Draws,
@@ -26,35 +26,38 @@ from arlif.iforest import (
 from arlif.ingest import transform
 from reference import (
     build_tree,
+    columns,
     forest_of,
     leaf_depths,
     recursive_path,
     recursive_tree,
+    tree_of,
     tree_proba,
 )
 
 
 def leaf_for(tree, x):
+    f, t, r = tree
     j = 0
-    while tree["f"][j] >= 0:
-        j = j + 1 if x[tree["f"][j]] < tree["t"][j] else tree["r"][j]
+    while f[j] >= 0:
+        j = j + 1 if x[f[j]] < t[j] else r[j]
     return j
 
 
 def depths(tree):
     """Each node's depth; in preorder a parent comes before its children."""
+    f, _, r = tree
     d = {0: 0}
-    for j in np.flatnonzero(tree["f"] >= 0):
-        d[j + 1] = d[tree["r"][j]] = d[j] + 1
-    return [d[j] for j in range(len(tree))]
+    for j in np.flatnonzero(f >= 0):
+        d[j + 1] = d[r[j]] = d[j] + 1
+    return [d[j] for j in range(len(f))]
 
 
-def records(*nodes):
-    """A tree from (feature, threshold, right) internal and (-1, 0.0, size) leaf tuples."""
-    return np.array(list(nodes), dtype=NODE_DTYPE)
+def tree_bytes(tree):
+    return b"|".join(c.tobytes() for c in tree)
 
 
-LEAF = records((-1, 0.0, 1))
+LEAF = tree_of((-1, 0.0, 1))
 
 
 # --- c_factor ----------------------------------------------------------------
@@ -82,16 +85,13 @@ def test_c_factor_monotone():
 
 def test_single_vector_tree():
     t = build_tree([[0.3, 0.7]], np.random.default_rng(0), height_limit=8)
-    assert len(t) == 1
-    assert t["f"].tolist() == [-1]
-    assert t["r"].tolist() == [1]
+    assert [c.tolist() for c in t] == [[-1], [0.0], [1]]
     assert depths(t) == [0]
 
 
 def test_identical_vectors_collapse_to_one_leaf():
     t = build_tree([[0.3, 0.7], [0.3, 0.7]], np.random.default_rng(0), height_limit=8)
-    assert len(t) == 1
-    assert t["r"].tolist() == [2]
+    assert [c.tolist() for c in t] == [[-1], [0.0], [2]]
     assert depths(t) == [0]
 
 
@@ -102,23 +102,24 @@ def test_four_points_route_to_a_partition():
     for p in pts:
         j = leaf_for(t, p)
         hits[j] = hits.get(j, 0) + 1
-    leaves = [j for j in range(len(t)) if t["f"][j] < 0]
-    assert sum(t["r"][j] for j in leaves) == 4
+    f, _, r = t
+    leaves = np.flatnonzero(f < 0).tolist()
+    assert sum(r[j] for j in leaves) == 4
     for j in leaves:
-        assert hits.get(j, 0) == t["r"][j]
+        assert hits.get(j, 0) == r[j]
 
 
 def test_flattened_layout_invariants(pipe):
     _, _, vectors, forest = pipe
-    for t in forest.trees:
-        depth = depths(t)
-        for j in range(len(t)):
-            if t["f"][j] >= 0:
-                assert t["r"][j] > j + 1  # the left child is j + 1
-                assert t["f"][j] < forest.n_features
+    for tree in forest.trees:
+        depth, (f, t, r) = depths(tree), tree
+        for j in range(len(f)):
+            if f[j] >= 0:
+                assert r[j] > j + 1  # the left child is j + 1
+                assert f[j] < forest.n_features
             else:
-                assert t["f"][j] == -1 and 0 <= t["r"][j] <= forest.psi
-                assert t["t"][j] == 0.0 and not np.signbit(t["t"][j])
+                assert f[j] == -1 and 0 <= r[j] <= forest.psi
+                assert t[j] == 0.0 and not np.signbit(t[j])  # the walk's table at a leaf
                 assert depth[j] <= forest.height_limit
 
 
@@ -126,7 +127,7 @@ def test_build_tree_deterministic():
     pts = np.random.default_rng(5).uniform(size=(30, 3))
     a = build_tree(pts, np.random.default_rng(99), height_limit=5)
     b = build_tree(pts, np.random.default_rng(99), height_limit=5)
-    assert a.tobytes() == b.tobytes()
+    assert tree_bytes(a) == tree_bytes(b)
 
 
 def test_leaf_sizes_partition_subsample():
@@ -137,9 +138,10 @@ def test_leaf_sizes_partition_subsample():
     for p in pts:
         j = leaf_for(t, p)
         hits[j] = hits.get(j, 0) + 1
-    leaves = {j for j in range(len(t)) if t["f"][j] < 0}
-    assert sum(t["r"][j] for j in leaves) == 64
-    assert all(hits.get(j, 0) == t["r"][j] for j in leaves)
+    f, _, r = t
+    leaves = np.flatnonzero(f < 0).tolist()
+    assert sum(r[j] for j in leaves) == 64
+    assert all(hits.get(j, 0) == r[j] for j in leaves)
 
 
 # --- path_length / tree_proba -------------------------------------------------
@@ -148,7 +150,7 @@ def chain_tree(depth, leaf_size):
     """Internal chain in preorder: node i's left child is the next internal node
     (the last one's is the deep leaf), its right child the leaf of 1 at 2 * depth - i."""
     internal = [(0, 0.5, 2 * depth - i) for i in range(depth)]
-    return records(*internal, (-1, 0.0, leaf_size), *[(-1, 0.0, 1)] * depth)
+    return tree_of(*internal, (-1, 0.0, leaf_size), *[(-1, 0.0, 1)] * depth)
 
 
 def test_path_length_single_leaf_zero():
@@ -316,9 +318,10 @@ def same_states(a, b):
 
 
 def same_trees(forest, trees):
-    """The forest's one table is the trees back to back, framed by their sizes."""
-    return (forest.nodes.tobytes() == b"".join(t.tobytes() for t in trees)
-            and forest.sizes.tolist() == [len(t) for t in trees])
+    """The forest's four columns are the trees' columns, each in its own type."""
+    ours = (forest.sizes, forest.feature, forest.right, forest.threshold)
+    return [c.tobytes() for c in ours] == [np.asarray(c, a.dtype).tobytes()
+                                           for a, c in zip(ours, columns(trees))]
 
 
 def _ties(rng):
@@ -410,7 +413,7 @@ def test_steps_that_take_a_prefix_of_the_live_trees_at_the_default_shape(monkeyp
 def test_build_tree_equals_the_recursive_reference_and_draws_as_often(n, m, height_limit):
     X = np.random.default_rng(n).uniform(size=(n, m)).round(2)
     a, b = np.random.default_rng(height_limit), np.random.default_rng(height_limit)
-    assert build_tree(X, a, height_limit).tobytes() == recursive_tree(X, b, height_limit).tobytes()
+    assert tree_bytes(build_tree(X, a, height_limit)) == tree_bytes(recursive_tree(X, b, height_limit))
     assert a.bit_generator.state == b.bit_generator.state
 
 
@@ -435,15 +438,14 @@ def peak_bytes(call, *args):
 def test_the_grower_at_a_thousand_trees_peaks_within_16_mb(default_shape):
     # At T=1000, psi=256, m=10 a grower that gathers every tree's root in one step holds
     # 20.5 MB of points in that step alone and peaks at 27 MB; GATHER_BYTES bounds a step.
-    (nodes, sizes), peak = peak_bytes(_grow, *thousand_tree_inputs(default_shape))
+    (sizes, *_), peak = peak_bytes(_grow, *thousand_tree_inputs(default_shape))
     assert sizes.size == 1000 and peak <= 16e6
 
 
 def test_the_loader_of_a_thousand_trees_peaks_within_20_mb(default_shape):
     # The 3.0 MB node table of T=1000 trees: a loader that keeps each level of its walk,
     # a balance count and a bincount to check the preorder peaks at 24 MB.
-    nodes, sizes = _grow(*thousand_tree_inputs(default_shape))
-    forest, peak = peak_bytes(IsolationForest, nodes, sizes, 256, 10)
+    forest, peak = peak_bytes(IsolationForest, *_grow(*thousand_tree_inputs(default_shape)), 256, 10)
     assert forest.n_trees == 1000 and peak <= 20e6
 
 
@@ -585,10 +587,10 @@ def oracle_inputs():
     data = np.random.default_rng(21).uniform(size=(64, 4))
     f = build_forest(data, T=10, psi=64, seed=21)
     on_split = []
-    for t in f.trees:
-        for j in np.flatnonzero(t["f"] >= 0)[:4]:
+    for feature, threshold, _ in f.trees:
+        for j in np.flatnonzero(feature >= 0)[:4]:
             x = data[j].copy()
-            x[t["f"][j]] = t["t"][j]
+            x[feature[j]] = threshold[j]
             on_split.append(x)
     return f, [*data, *on_split]
 
@@ -617,7 +619,7 @@ def test_each_leaf_reads_its_scalar_path_length_and_probability_bit_for_bit(defa
         for root, tree in zip(forest._roots.tolist(), forest.trees):
             for j, depth in leaf_depths(tree).items():
                 slots.append(root + j)
-                paths.append(depth + c_factor(int(tree["r"][j])))
+                paths.append(depth + c_factor(int(tree[2][j])))
         at = forest._slot[slots]
         assert forest._path[at].tolist() == paths
         assert forest._proba[at].tolist() == [2.0 ** (-p / forest.c_psi) for p in paths]
@@ -686,16 +688,29 @@ def test_a_block_at_the_default_shape_walks_as_each_row_alone(default_shape):
     assert forest_probas(forest, X).tolist() == [forest_probas(forest, x).tolist() for x in X]
 
 
-# --- the node record -----------------------------------------------------------
+# --- the four columns -----------------------------------------------------------
 
-def test_a_node_record_is_16_bytes():
-    assert NODE_DTYPE.names == ("f", "t", "r") and NODE_DTYPE.itemsize == 16
+def test_a_forest_holds_its_four_columns_in_its_own_types():
     data = np.random.default_rng(6).uniform(size=(300, 5))
     f = build_forest(data, T=7, psi=64, seed=6)
-    nodes, internal = f.nodes.size, int((f.nodes["f"] >= 0).sum())
-    # in a file: a count per tree, a 1-byte feature and a 2-byte r per node, and a
+    cols = (f.sizes, f.feature, f.right, f.threshold)
+    assert [c.dtype for c in cols] == [np.intp, np.intp, np.uint32, np.float64]
+    nodes, internal = f.feature.size, int((f.feature >= 0).sum())
+    assert [c.shape for c in cols] == [(7,), (nodes,), (nodes,), (internal,)]
+    # in a file: a count per tree, a 1-byte feature and a 2-byte right per node, and a
     # threshold per internal node
     assert len(forest_bytes(f)) == 4 * f.n_trees + 3 * nodes + 8 * internal
+
+
+def test_the_default_forest_writes_its_pinned_bytes_and_loads_back_to_them(default_shape):
+    # No BLAS reaches the forest, so these bytes hold on any machine.
+    _, pre, forest = default_shape
+    data = forest_bytes(forest)
+    assert len(data) == 131_992
+    assert hashlib.sha256(data).hexdigest() == (
+        "355ee0a5c59bcd7011dbe797e25a205b53334c9e118cfbf37c097e90ffa31e1c")
+    det = new_detector(forest, init_params(10, seed=0), pre)
+    assert forest_bytes(from_bytes(to_bytes(det)).forest) == data
 
 
 def test_a_forest_over_more_features_than_one_byte_holds_has_no_file_form():
@@ -704,15 +719,24 @@ def test_a_forest_over_more_features_than_one_byte_holds_has_no_file_form():
         forest_bytes(forest_of([LEAF], psi=2, n_features=129))
 
 
+def walk_columns(forest):
+    """The per-node columns that trees splits: a leaf's threshold +0.0 in the second."""
+    return forest.feature, forest._threshold, forest.right
+
+
 def test_each_tree_is_a_view_into_the_one_table(pipe):
     _, _, _, built = pipe
     loaded = from_bytes(to_bytes(new_detector(built, init_params(2, seed=0), pipe[1]))).forest
     for f in (built, loaded):
-        assert isinstance(f.trees, tuple)
-        assert [len(t) for t in f.trees] == f.sizes.tolist()
-        assert all(np.shares_memory(t, f.nodes) for t in f.trees)
-        assert np.concatenate(f.trees).tobytes() == f.nodes.tobytes()
-
+        assert isinstance(f.trees, tuple) and len(f.trees) == f.n_trees
+        assert [[len(c) for c in tree] for tree in f.trees] == [[n] * 3 for n in f.sizes.tolist()]
+        for tree in f.trees:
+            assert all(np.shares_memory(c, table) for c, table in zip(tree, walk_columns(f)))
+        for pieces, table in zip(zip(*f.trees), walk_columns(f)):
+            assert np.concatenate(pieces).tobytes() == table.tobytes()
+        inner = f.feature >= 0
+        assert f._threshold[inner].tobytes() == f.threshold.tobytes()
+        assert not f._threshold[~inner].view(np.uint64).any()  # every leaf's is +0.0
 
 
 def test_reading_trees_adds_nothing_to_a_pickle(pipe):
@@ -721,8 +745,12 @@ def test_reading_trees_adds_nothing_to_a_pickle(pipe):
     assert len(built.trees) == built.n_trees
     assert len(pickle.dumps(built)) == before
     for clone in (pickle.loads(pickle.dumps(built)), copy.deepcopy(built)):
-        assert np.shares_memory(clone.trees[0], clone.nodes)
-        assert clone.nodes.tobytes() == built.nodes.tobytes()
+        assert all(np.shares_memory(c, table)
+                   for c, table in zip(clone.trees[0], walk_columns(clone)))
+        assert [c.tobytes() for c in walk_columns(clone)] == [
+            c.tobytes() for c in walk_columns(built)]
+        assert forest_bytes(clone) == forest_bytes(built)
+
 
 @pytest.mark.parametrize("sizes, message", [
     ([1, 2], "tree sizes add up to 3, not the 2 nodes"),
@@ -732,12 +760,20 @@ def test_reading_trees_adds_nothing_to_a_pickle(pipe):
     ([], "got 0 trees"),
 ])
 def test_sizes_that_do_not_frame_the_table_are_rejected(sizes, message):
+    _, f, r, t = columns([LEAF, LEAF])
     with pytest.raises(CorruptModel, match=message):
-        IsolationForest(np.concatenate([LEAF, LEAF]), sizes, psi=2, n_features=1)
+        IsolationForest(sizes, f, r, t, psi=2, n_features=1)
+
+
+@pytest.mark.parametrize("shape", [(3,), (1,), (2, 1)])
+def test_a_right_column_of_another_shape_than_the_features_is_rejected(shape):
+    _, f, _, t = columns([LEAF, LEAF])
+    with pytest.raises(CorruptModel, match=rf"not the 2 nodes: .* right children \({shape[0]},"):
+        IsolationForest([1, 1], f, np.ones(shape, np.uint32), t, psi=2, n_features=1)
 
 
 # root: left subtree 1..5 (leaves at depths 2, 3, 3), right child 6 (a leaf at depth 1)
-UNEVEN = records((0, 0.5, 6), (0, 0.25, 3), (-1, 0.0, 1), (0, 0.4, 5), (-1, 0.0, 1),
+UNEVEN = tree_of((0, 0.5, 6), (0, 0.25, 3), (-1, 0.0, 1), (0, 0.4, 5), (-1, 0.0, 1),
                  (-1, 0.0, 1), (-1, 0.0, 2))
 
 
@@ -752,41 +788,51 @@ def test_path_length_equals_the_recursive_oracle_on_trees_of_unequal_depth():
 
 
 @pytest.mark.parametrize("tree, message", [
-    (records((0, 0.5, 1), (-1, 0.0, 1)), r"j \+ 1 < right"),  # right child is the left one
-    (records((0, 0.5, 2), (-1, -0.0, 1), (-1, 0.0, 1)), "non-canonical leaf"),
-    (records((0, 0.5, 2), (-1, 0.0, 1), (-1, 0.0, 65)), "non-canonical leaf"),  # size > psi
+    (tree_of((0, 0.5, 1), (-1, 0.0, 1)), r"j \+ 1 < right"),  # right child is the left one
+    (tree_of((0, 0.5, 2), (-2, 0.0, 1), (-1, 0.0, 1)), "non-canonical leaf"),  # feature < -1
+    (tree_of((0, 0.5, 2), (-1, 0.0, 1), (-1, 0.0, 65)), "non-canonical leaf"),  # size > psi
     # node 0's right child 3 sits between its left subtree's nodes 1, 2 and 4
-    (records((0, 0.5, 3), (0, 0.25, 4), (-1, 0.0, 1), (-1, 0.0, 1), (-1, 0.0, 1)),
+    (tree_of((0, 0.5, 3), (0, 0.25, 4), (-1, 0.0, 1), (-1, 0.0, 1), (-1, 0.0, 1)),
      "not one tree in preorder"),
     # node 2 is the right child of node 0 and the left child of node 1
-    (records((0, 0.5, 2), (0, 0.25, 3), (-1, 0.0, 1), (-1, 0.0, 1)), "more than one parent"),
+    (tree_of((0, 0.5, 2), (0, 0.25, 3), (-1, 0.0, 1), (-1, 0.0, 1)), "more than one parent"),
     # node 1, and node 3, are never reached
-    (records((-1, 0.0, 1), (-1, 0.0, 1)), "not one tree in preorder"),
-    (records((0, 0.5, 2), (-1, 0.0, 1), (-1, 0.0, 1), (-1, 0.0, 1)), "not one tree in preorder"),
+    (tree_of((-1, 0.0, 1), (-1, 0.0, 1)), "not one tree in preorder"),
+    (tree_of((0, 0.5, 2), (-1, 0.0, 1), (-1, 0.0, 1), (-1, 0.0, 1)), "not one tree in preorder"),
     # a ladder: node i's children are i + 1 and i + 2, so each level outgrows the last
-    (records(*[(0, 0.5, i + 2) for i in range(8)], (-1, 0.0, 1), (-1, 0.0, 1)),
+    (tree_of(*[(0, 0.5, i + 2) for i in range(8)], (-1, 0.0, 1), (-1, 0.0, 1)),
      "more than one parent"),
-    # a leaf's threshold other than +0.0, like the -0.0 above; a model file has no place for it
-    (records((0, 0.5, 2), (-1, 0.5, 1), (-1, 0.0, 1)), "non-canonical leaf"),
+    # a root that is a leaf, with the lowest feature a file's signed byte holds
+    (tree_of((-128, 0.0, 1)), "non-canonical leaf"),
 ])
 def test_a_tree_that_is_not_canonical_is_rejected(tree, message):
     with pytest.raises(CorruptModel, match=message):
         forest_of([LEAF, tree], psi=64, n_features=1)
 
 
+@pytest.mark.parametrize("change", [lambda t: t[:-1], lambda t: np.append(t, 0.0),
+                                    lambda t: t[:, None]], ids=["one-short", "one-long", "2-D"])
+def test_a_threshold_column_of_other_than_one_per_internal_node_is_rejected(change):
+    sizes, f, r, t = columns([UNEVEN, LEAF])
+    assert IsolationForest(sizes, f, r, t, psi=64, n_features=1).threshold.tolist() == [0.5, 0.25, 0.4]
+    with pytest.raises(CorruptModel, match="3 internal nodes need as many thresholds"):
+        IsolationForest(sizes, f, r, change(t), psi=64, n_features=1)
+
+
 # --- preorder keys -------------------------------------------------------------
 
 def preorder_keys(tree, h):
     """Each node's key, given by _child_keys from its parent's on the way down."""
-    keys = np.zeros(len(tree), dtype=np.int64)
-    for j in np.flatnonzero(tree["f"] >= 0):  # in preorder a parent comes before its children
-        keys[j + 1], keys[tree["r"][j]] = _child_keys(keys[j], (keys[j] & 63) + 1, h)
+    f, _, r = tree
+    keys = np.zeros(len(f), dtype=np.int64)
+    for j in np.flatnonzero(f >= 0):  # in preorder a parent comes before its children
+        keys[j + 1], keys[r[j]] = _child_keys(keys[j], (keys[j] & 63) + 1, h)
     return keys
 
 
 def right_spine(depth):
     """Internal nodes each with a leaf of 1 on the left and the next one on the right."""
-    return records(*[node for i in range(depth) for node in ((0, 0.5, 2 * i + 2), (-1, 0.0, 1))],
+    return tree_of(*[node for i in range(depth) for node in ((0, 0.5, 2 * i + 2), (-1, 0.0, 1))],
                    (-1, 0.0, 1))
 
 
@@ -812,10 +858,9 @@ def test_keys_rise_along_every_grown_tree(make, T, psi):
 
 
 def test_a_leaf_of_2_31_points_or_more_gets_its_path_length():
-    # NODE_DTYPE holds a size in u4, as a model file's u4 column does: in i4 it would
+    # right holds a size in u4, as a model file's u4 column does: in i4 it would
     # sign-extend over the leaf key's depth bits
-    tree = records((0, 0.5, 2), (-1, 0.0, 1), (-1, 0.0, 0))
-    tree["r"][2] = 3_000_000_000
+    tree = tree_of((0, 0.5, 2), (-1, 0.0, 1), (-1, 0.0, 3_000_000_000))
     forest = forest_of([tree], psi=2**32 - 1, n_features=1)
     paths = [1 + c_factor(1), 1 + c_factor(3_000_000_000)]
     assert forest._path[forest._slot[1:]].tolist() == paths and round(paths[1], 3) == 43.798
@@ -824,8 +869,7 @@ def test_a_leaf_of_2_31_points_or_more_gets_its_path_length():
 
 
 def test_the_tree_oracles_read_a_leaf_of_2_31_points_or_more_as_the_forest_does():
-    tree = records((0, 0.5, 2), (-1, 0.0, 1), (-1, 0.0, 0))
-    tree["r"][2] = 3_000_000_000
+    tree = tree_of((0, 0.5, 2), (-1, 0.0, 1), (-1, 0.0, 3_000_000_000))
     forest = forest_of([tree], psi=2**32 - 1, n_features=1)
     path = 1 + c_factor(3_000_000_000)
     assert path_length(tree, [0.75]) == recursive_path(tree, [0.75]) == path
